@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network, training
-from .errors import DimensionError, InputError
+from .errors import BaggedCnnError, DimensionError, InputError
 from .layers import softmax
 
 
@@ -110,7 +110,7 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
         )
         try:
             return training.train_submodel(model, images[bag], labels[bag], cfg, val=val)
-        except Exception as exc:
+        except BaggedCnnError as exc:  # library errors all take one message
             raise type(exc)(f"sub-model {k}: {exc}") from exc
 
     if jobs > 1:

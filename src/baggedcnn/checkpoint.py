@@ -2,17 +2,21 @@
 
 Layout (little-endian): magic "BCKP" | version u32 | header length u32 |
 UTF-8 JSON header | concatenated raw parameter blobs in header manifest
-order.  The JSON header carries the model spec, combiner, serialized
-forest node lists, the run-config snapshot, and the array manifest.
+order.  The JSON header carries the model spec, combiner, the forest as one
+list of [feature, threshold, left, right, label] node rows per tree, the
+run-config snapshot, and the array manifest.  Loading validates the header,
+the forest and the parameter names, shapes and dtypes against the model.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 from . import bagging, forest, network
-from .errors import CheckpointError
+from .errors import BaggedCnnError, CheckpointError
 
 MAGIC = b"BCKP"
 VERSION = 1
@@ -37,20 +41,77 @@ def _forest_to_dict(rf):
         "n_classes": rf.n_classes,
         "n_features": rf.n_features,
         "trees": [
-            [[n.feature, n.threshold, n.left, n.right, n.label] for n in t.nodes]
+            [list(row) for row in zip(t.feature.tolist(), t.threshold.tolist(),
+                                      t.left.tolist(), t.right.tolist(), t.label.tolist())]
             for t in rf.trees
         ],
     }
 
 
 def _forest_from_dict(d):
+    """Node rows [feature, threshold, left, right, label] per tree -> forest,
+    validated for the whole forest in one pass.
+
+    Children must come after their parent, as in preorder, which also
+    guarantees that every walk from the root ends at a leaf.
+    """
     if d is None:
         return None
-    trees = [
-        forest.DecisionTree(nodes=[forest.TreeNode(*row) for row in t]) for t in d["trees"]
-    ]
-    return forest.RandomForest(trees=trees, n_classes=d["n_classes"],
-                               n_features=d["n_features"])
+    n_features, n_classes = int(d["n_features"]), int(d["n_classes"])
+    sizes = [len(rows) for rows in d["trees"]]
+    if not sizes or min(sizes) == 0:
+        raise CheckpointError("forest has no trees or a tree with no nodes")
+    rows = [row for tree in d["trees"] for row in tree]
+    if set(map(len, rows)) != {5}:
+        raise CheckpointError("forest node rows must have 5 fields")
+    cols = list(zip(*rows))
+    feature, left, right, label = (np.array(cols[i], dtype=np.int64) for i in (0, 2, 3, 4))
+    threshold = np.array(cols[1], dtype=np.float64)
+    starts = np.cumsum([0] + sizes[:-1])
+    own = np.arange(len(rows)) - np.repeat(starts, sizes)
+    n_nodes = np.repeat(sizes, sizes)
+    leaf = feature == -1
+    inner = ~leaf
+    if np.any(inner & ((feature < 0) | (feature >= n_features))):
+        raise CheckpointError(f"forest node feature outside [0, {n_features})")
+    for child in (left, right):
+        if np.any(inner & ((child <= own) | (child >= n_nodes))):
+            raise CheckpointError("forest child index must follow its parent within the tree")
+    if np.any(leaf & ((label < 0) | (label >= n_classes))):
+        raise CheckpointError(f"forest leaf label outside [0, {n_classes})")
+    trees = [forest.DecisionTree(feature[lo:hi], threshold[lo:hi], left[lo:hi],
+                                 right[lo:hi], label[lo:hi])
+             for lo, hi in zip(starts.tolist(), (starts + sizes).tolist())]
+    return forest.RandomForest(trees=trees, n_classes=n_classes, n_features=n_features)
+
+
+def _check_manifest(model, n_models, manifest):
+    """Every sub-model must store exactly the model's arrays, with its shapes,
+    in one dtype, float32 or float64."""
+    if n_models < 1:
+        raise CheckpointError(f"checkpoint holds {n_models} sub-models")
+    expected = {}
+    for name, (wsh, bsh) in network._param_shapes(model).items():
+        expected[f"{name}/w"] = tuple(wsh)
+        expected[f"{name}/b"] = tuple(bsh)
+    stored = [{} for _ in range(n_models)]  # name -> dtype per sub-model
+    for m, name, dtype, shape in manifest:
+        if not 0 <= m < n_models:
+            raise CheckpointError(f"array {name} belongs to sub-model {m} of {n_models}")
+        if name not in expected or name in stored[m]:
+            raise CheckpointError(f"sub-model {m}: unexpected or repeated array {name}")
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"sub-model {m}: {name} has shape {shape}, model needs {expected[name]}")
+        if dtype not in (np.float32, np.float64):
+            raise CheckpointError(f"sub-model {m}: {name} has dtype {dtype}")
+        stored[m][name] = dtype
+    for m, dtypes in enumerate(stored):
+        missing = sorted(set(expected) - set(dtypes))
+        if missing:
+            raise CheckpointError(f"sub-model {m}: missing arrays {missing}")
+        if len(set(dtypes.values())) > 1:
+            raise CheckpointError(f"sub-model {m}: arrays mix dtypes")
 
 
 def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
@@ -84,13 +145,12 @@ def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
 
 
 def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
+    # checked against the file size first, so a corrupt size never allocates
+    at = fh.tell()
+    if not 0 <= count <= os.fstat(fh.fileno()).st_size - at:
         raise CheckpointError(
-            f"truncated checkpoint: expected {count} bytes for {what} at offset "
-            f"{fh.tell() - len(data)}"
-        )
-    return data
+            f"truncated checkpoint: expected {count} bytes for {what} at offset {at}")
+    return fh.read(count)
 
 
 def load_checkpoint(path):
@@ -106,20 +166,29 @@ def load_checkpoint(path):
             header = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-        model = network.ModelSpec(
-            input_shape=tuple(header["model"]["input_shape"]),
-            layers=tuple(_layer_from_dict(d) for d in header["model"]["layers"]),
-            n_classes=header["model"]["n_classes"],
-        )
-        param_sets = [{} for _ in range(header["n_models"])]
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            blob = _read_exact(fh, count * dtype.itemsize, f"array {entry['name']}")
-            arr = np.frombuffer(blob, dtype=dtype).reshape(entry["shape"]).copy()
-            param_sets[entry["model"]][entry["name"]] = arr
+        try:
+            model = network.ModelSpec(
+                input_shape=tuple(header["model"]["input_shape"]),
+                layers=tuple(_layer_from_dict(d) for d in header["model"]["layers"]),
+                n_classes=header["model"]["n_classes"],
+            )
+            n_models = int(header["n_models"])
+            manifest = [(int(e["model"]), str(e["name"]), np.dtype(e["dtype"]),
+                         tuple(int(x) for x in e["shape"])) for e in header["arrays"]]
+            combiner = header["combiner"]
+            rf = _forest_from_dict(header["forest"])
+        except CheckpointError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError, ArithmeticError,
+                BaggedCnnError) as exc:
+            raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+        _check_manifest(model, n_models, manifest)
+        param_sets = [{} for _ in range(n_models)]
+        for m, name, dtype, shape in manifest:
+            blob = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}")
+            param_sets[m][name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
     ensemble = bagging.EnsembleModel(
         model=model, param_sets=param_sets, n_classes=model.n_classes,
-        combiner=header["combiner"], forest=_forest_from_dict(header["forest"]),
+        combiner=combiner, forest=rf,
     )
     return ensemble, header.get("config", {})

@@ -292,12 +292,7 @@ def cmd_compare_combiners(cfg):
     y = _labels_for(test_v, ensemble.n_classes)
     rows = []
     for method in combiners.COMBINERS:
-        if method == "average":
-            preds = combiners.combine_average(probs)
-        elif method == "vote":
-            preds = combiners.combine_vote(probs)
-        else:
-            preds = combiners.combine_stacking(ensemble.forest, probs)
+        preds = combiners.combine(replace(ensemble, combiner=method), probs)
         cm = metrics.confusion(preds, y, ensemble.n_classes)
         p, r, f1 = metrics.micro_metrics(cm, cfg.excluded_classes)
         rows.append((method, f"{p:.4f}", f"{r:.4f}", f"{f1:.4f}"))

@@ -34,12 +34,7 @@ def combine_vote(probs):
     probs = np.asarray(probs)
     if probs.ndim != 3:
         raise DimensionError(f"expected [n_models, B, C] probabilities, got shape {probs.shape}")
-    votes = probs.argmax(axis=2)  # [n_models, B]
-    c = probs.shape[2]
-    return np.array(
-        [np.bincount(votes[:, b], minlength=c).argmax() for b in range(probs.shape[1])],
-        dtype=np.int64,
-    )
+    return forest.plurality(probs.argmax(axis=2), probs.shape[2])
 
 
 def fit_stacking(ensemble: bagging.EnsembleModel, images, labels,

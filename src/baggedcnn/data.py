@@ -8,6 +8,7 @@ Container file layout (little-endian):
   metadata.  Readers reject unknown magic or version.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -48,8 +49,9 @@ def validate_container(ds):
         raise LabelError("multi-class label out of range [0, 5)")
     if n and np.any(ds.labels_binary != binarize_labels(ds.labels_multi)):
         raise LabelError("binary labels inconsistent with binarized multi-class labels")
-    if n and (ds.images.min() < 0 or ds.images.max() > 1):
-        raise InputError("image values must lie in [0, 1]")
+    # written so that NaN, which fails every comparison, is rejected too
+    if n and not (ds.images.min() >= 0 and ds.images.max() <= 1):
+        raise InputError("image values must be finite and lie in [0, 1]")
 
 
 def save_container(ds: DatasetContainer, path):
@@ -66,12 +68,11 @@ def save_container(ds: DatasetContainer, path):
 
 
 def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(
-            f"truncated container: expected {count} bytes for {what} at offset {fh.tell() - len(data)}"
-        )
-    return data
+    # checked against the file size first, so a corrupt size never allocates
+    at = fh.tell()
+    if not 0 <= count <= os.fstat(fh.fileno()).st_size - at:
+        raise FormatError(f"truncated container: expected {count} bytes for {what} at offset {at}")
+    return fh.read(count)
 
 
 def load_container(path) -> DatasetContainer:
@@ -91,7 +92,10 @@ def load_container(path) -> DatasetContainer:
         lm = np.frombuffer(_read_exact(fh, n, "multi-class labels"), dtype=np.uint8).copy()
         lb = np.frombuffer(_read_exact(fh, n, "binary labels"), dtype=np.uint8).copy()
         (mlen,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        meta = _read_exact(fh, mlen, "metadata").decode("utf-8")
+        try:
+            meta = _read_exact(fh, mlen, "metadata").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"metadata is not UTF-8: {exc}") from exc
     if n and lm.max() >= 5:
         raise FormatError("multi-class label out of range [0, 5) in payload")
     if n and np.any(lb != binarize_labels(lm)):

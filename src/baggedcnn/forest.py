@@ -1,11 +1,16 @@
 """Random forest classifier built from scratch: greedy Gini trees on
 bootstrap row resamples with random per-split feature candidates.
 
+Each tree is five parallel arrays indexed by preorder node id; a leaf has
+feature -1.  Split search scores every boundary of every candidate feature
+in one array sweep per node, and prediction walks all trees and rows
+together one level at a time.
+
 All ties break deterministically: best splits keep the first candidate in
 ascending feature order, and class votes go to the lowest class index.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -23,72 +28,75 @@ def gini_impurity(label_counts):
     return float(1.0 - np.sum(p * p))
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: int = -1  # child indices into the node list
-    right: int = -1
-    label: int = -1  # leaf class
+def plurality(votes, n_classes):
+    """Most frequent class in each column of votes [n_voters, B]; ties go to
+    the lowest class index."""
+    votes = np.asarray(votes, dtype=np.int64)
+    b = votes.shape[1]
+    cells = (np.arange(b) * n_classes + votes).ravel()
+    return np.bincount(cells, minlength=b * n_classes).reshape(b, n_classes).argmax(axis=1)
 
 
 @dataclass
 class DecisionTree:
-    nodes: list = field(default_factory=list)
+    """Parallel node arrays in preorder.  Internal nodes send x to left when
+    x[feature] <= threshold; leaves have feature, left and right -1 and carry
+    label (-1 on internal nodes)."""
 
-    def predict_one(self, x):
-        i = 0
-        while True:
-            node = self.nodes[i]
-            if node.feature < 0:
-                return node.label
-            i = node.left if x[node.feature] <= node.threshold else node.right
-
-    def predict(self, features):
-        return np.array([self.predict_one(x) for x in features], dtype=np.int64)
-
-
-def _majority(labels, n_classes):
-    return int(np.bincount(labels, minlength=n_classes).argmax())
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
 
 
 def _best_split(features, labels, candidates, n_classes):
     """Lowest weighted-Gini (feature, threshold) over candidate features.
 
     Thresholds are midpoints between consecutive distinct sorted values.
-    Returns None when no candidate splits the node.
+    Every boundary of every candidate is scored at once; the winner is the
+    one a candidate-major scan keeping the first score that improves on the
+    best by more than 1e-15 would pick.  Returns None when no candidate
+    splits the node.
     """
-    best = None
-    best_score = np.inf
     n = len(labels)
-    for f in candidates:
-        col = features[:, f]
-        order = np.argsort(col, kind="stable")
-        sv, sl = col[order], labels[order]
-        # cumulative class counts along the sorted column
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), sl] = 1
-        cum = np.cumsum(onehot, axis=0)
-        total = cum[-1]
-        boundary = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position i
-        for i in boundary:
-            left = cum[i]
-            right = total - left
-            nl = i + 1
-            nr = n - nl
-            score = (nl * gini_impurity(left) + nr * gini_impurity(right)) / n
-            if score < best_score - 1e-15:
-                best_score = score
-                best = (int(f), float((sv[i] + sv[i + 1]) / 2.0))
-    return best
+    cols = features[:, candidates]  # [n, k]
+    order = np.argsort(cols, axis=0, kind="stable")
+    sv = np.take_along_axis(cols, order, axis=0)
+    # left-side class counts after each split position: [n-1, k, C]
+    left = np.cumsum(labels[order][:, :, None] == np.arange(n_classes), axis=0)
+    total = left[-1]
+    left = left[:-1]
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    pl = left / nl[:, :, None]
+    pr = (total - left) / nr[:, :, None]
+    gl = 1.0 - np.sum(pl * pl, axis=2)
+    gr = 1.0 - np.sum(pr * pr, axis=2)
+    score = (nl * gl + nr * gr) / n
+    score[sv[1:] <= sv[:-1]] = np.inf  # no boundary between equal values
+    flat = score.T.ravel()  # candidate-major, split position minor
+    best_score, best, start = np.inf, -1, 0
+    while True:
+        better = np.flatnonzero(flat[start:] < best_score - 1e-15)
+        if better.size == 0:
+            break
+        best = start + int(better[0])
+        best_score = flat[best]
+        start = best + 1
+    if best < 0:
+        return None
+    f, i = divmod(best, n - 1)
+    return int(candidates[f]), float((sv[i, f] + sv[i + 1, f]) / 2.0)
 
 
 def _grow(features, labels, n_classes, max_depth, n_candidates, rng, nodes, depth):
+    """Append the subtree's node rows [feature, threshold, left, right, label]
+    to nodes in preorder; returns its root id."""
     node_id = len(nodes)
-    nodes.append(TreeNode())
     counts = np.bincount(labels, minlength=n_classes)
+    nodes.append([-1, 0.0, -1, -1, int(counts.argmax())])  # a leaf unless it splits
     if depth >= max_depth or np.count_nonzero(counts) <= 1:
-        nodes[node_id] = TreeNode(label=_majority(labels, n_classes))
         return node_id
     d = features.shape[1]
     if n_candidates >= d:
@@ -97,7 +105,6 @@ def _grow(features, labels, n_classes, max_depth, n_candidates, rng, nodes, dept
         candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
     split = _best_split(features, labels, candidates, n_classes)
     if split is None:
-        nodes[node_id] = TreeNode(label=_majority(labels, n_classes))
         return node_id
     f, thr = split
     mask = features[:, f] <= thr
@@ -105,7 +112,7 @@ def _grow(features, labels, n_classes, max_depth, n_candidates, rng, nodes, dept
                  rng, nodes, depth + 1)
     right = _grow(features[~mask], labels[~mask], n_classes, max_depth, n_candidates,
                   rng, nodes, depth + 1)
-    nodes[node_id] = TreeNode(feature=f, threshold=thr, left=left, right=right)
+    nodes[node_id] = [f, thr, left, right, -1]
     return node_id
 
 
@@ -121,12 +128,26 @@ class RandomForest:
             raise InputError(
                 f"expected [B, {self.n_features}] features, got shape {features.shape}"
             )
-        votes = np.stack([t.predict(features) for t in self.trees])  # [n_trees, B]
-        return np.array(
-            [np.bincount(votes[:, b], minlength=self.n_classes).argmax()
-             for b in range(features.shape[0])],
-            dtype=np.int64,
-        )
+        # all trees as one node table; child ids shifted by each tree's offset
+        sizes = [len(t.feature) for t in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        shift = np.repeat(roots, sizes)
+        feature = np.concatenate([t.feature for t in self.trees])
+        threshold = np.concatenate([t.threshold for t in self.trees])
+        left = np.concatenate([t.left for t in self.trees]) + shift
+        right = np.concatenate([t.right for t in self.trees]) + shift
+        label = np.concatenate([t.label for t in self.trees])
+        # [n_trees, B] node ids, every row starting at its tree's root
+        node = np.repeat(roots[:, None], features.shape[0], axis=1)
+        internal = feature >= 0
+        active = np.flatnonzero(internal[node])
+        while active.size:
+            at = node.flat[active]
+            x = features[active % features.shape[0], feature[at]]
+            nxt = np.where(x <= threshold[at], left[at], right[at])
+            node.flat[active] = nxt
+            active = active[internal[nxt]]
+        return plurality(label[node], self.n_classes)
 
 
 def fit_forest(features, labels, n_trees=100, max_depth=12, seed=0,
@@ -159,5 +180,11 @@ def fit_forest(features, labels, n_trees=100, max_depth=12, seed=0,
         nodes = []
         _grow(features[rows], labels[rows], n_classes, max_depth, n_candidates,
               rng, nodes, 0)
-        trees.append(DecisionTree(nodes=nodes))
+        feature, threshold, left, right, label = zip(*nodes)
+        trees.append(DecisionTree(
+            feature=np.array(feature, dtype=np.int64),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            label=np.array(label, dtype=np.int64)))
     return RandomForest(trees=trees, n_classes=n_classes, n_features=d)

@@ -113,6 +113,23 @@ class TestTrainEnsemble:
         with pytest.raises(Exception, match="sub-model"):
             bagging.train_ensemble(x, y, model, bag_cfg, training.TrainConfig(epochs=1))
 
+    def test_foreign_error_propagates_unchanged(self, rng, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+
+        raised = TwoArgError(7, "disk full")
+
+        def fail(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(training, "train_submodel", fail)
+        x, y, model = tiny_setup(rng)
+        with pytest.raises(TwoArgError) as info:
+            bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=2),
+                                   training.TrainConfig(epochs=1))
+        assert info.value is raised
+
 
 class TestEnsemblePredictProbs:
     @pytest.fixture

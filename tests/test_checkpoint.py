@@ -1,7 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from baggedcnn import bagging, checkpoint, combiners, network, training
+from baggedcnn import bagging, checkpoint, cli, combiners, data, network, training
 from baggedcnn.errors import CheckpointError
 
 
@@ -82,3 +85,113 @@ class TestFailures:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="magic"):
             checkpoint.load_checkpoint(path)
+
+
+def rewrite(path, edit, drop_tail=0):
+    """Apply edit(header dict) to a saved checkpoint's JSON header, keeping
+    the array blobs (minus drop_tail trailing bytes)."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12 : 12 + hlen])
+    edit(header)
+    payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    blobs = raw[12 + hlen : len(raw) - drop_tail]
+    path.write_bytes(raw[:8] + struct.pack("<I", len(payload)) + payload + blobs)
+
+
+@pytest.fixture
+def saved(trained, tmp_path):
+    ens, _ = trained
+    path = tmp_path / "ck.bin"
+    checkpoint.save_checkpoint(path, ens)
+    return path
+
+
+def first_split(header):
+    """Node row of the root of the first tree that has a split."""
+    return next(t[0] for t in header["forest"]["trees"] if t[0][0] >= 0)
+
+
+class TestForestValidation:
+    def test_save_load_save_byte_identical(self, saved, tmp_path):
+        loaded, _ = checkpoint.load_checkpoint(saved)
+        again = tmp_path / "again.bin"
+        checkpoint.save_checkpoint(again, loaded)
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_empty_tree(self, saved):
+        rewrite(saved, lambda h: h["forest"]["trees"].__setitem__(0, []))
+        with pytest.raises(CheckpointError, match="no nodes"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_row_field_count(self, saved):
+        rewrite(saved, lambda h: h["forest"]["trees"][0][0].pop())
+        with pytest.raises(CheckpointError, match="5 fields"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_feature_out_of_range(self, saved):
+        rewrite(saved, lambda h: first_split(h).__setitem__(0, 99))
+        with pytest.raises(CheckpointError, match="feature"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_child_points_back_at_parent(self, saved):
+        rewrite(saved, lambda h: first_split(h).__setitem__(2, 0))
+        with pytest.raises(CheckpointError, match="child"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_child_past_last_node(self, saved):
+        def edit(h):
+            tree = next(t for t in h["forest"]["trees"] if t[0][0] >= 0)
+            tree[0][3] = len(tree)
+        rewrite(saved, edit)
+        with pytest.raises(CheckpointError, match="child"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_leaf_label_out_of_range(self, saved):
+        def edit(h):
+            tree = h["forest"]["trees"][0]
+            next(row for row in tree if row[0] == -1)[4] = h["forest"]["n_classes"]
+        rewrite(saved, edit)
+        with pytest.raises(CheckpointError, match="label"):
+            checkpoint.load_checkpoint(saved)
+
+
+class TestHeaderValidation:
+    def test_missing_layers(self, saved):
+        rewrite(saved, lambda h: h["model"].pop("layers"))
+        with pytest.raises(CheckpointError, match="layers"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_missing_array(self, saved):
+        def edit(h):
+            h["arrays"] = [e for e in h["arrays"]
+                           if not (e["model"] == 1 and e["name"] == "conv2d/b")]
+        rewrite(saved, edit)
+        with pytest.raises(CheckpointError, match="missing"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_wrong_shape(self, saved):
+        def edit(h):
+            entry = next(e for e in h["arrays"] if e["name"] == "conv2d/b")
+            entry["shape"] = [entry["shape"][0] - 1]
+        rewrite(saved, edit)
+        with pytest.raises(CheckpointError, match="shape"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_wrong_dtype(self, saved):
+        def edit(h):
+            next(e for e in h["arrays"] if e["name"] == "conv2d/b")["dtype"] = "int32"
+        rewrite(saved, edit)
+        with pytest.raises(CheckpointError, match="dtype"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_declared_arrays_exceed_file(self, saved):
+        rewrite(saved, lambda h: None, drop_tail=1)
+        with pytest.raises(CheckpointError, match="truncated"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_cli_exit_code(self, saved, tmp_path):
+        rewrite(saved, lambda h: h["model"].pop("layers"))
+        ds = tmp_path / "ds.bsec"
+        data.save_container(data.synth_dataset(2, image_size=16, seed=0), ds)
+        assert cli.main(["--out", str(tmp_path / "out"), "eval", str(saved), str(ds)]) == 3

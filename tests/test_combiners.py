@@ -57,6 +57,21 @@ class TestVote:
         probs[1, 0] = [0.0, 1.0]
         assert combiners.combine_vote(probs).tolist() == [0]
 
+    def test_ties_across_rows(self):
+        # per-row votes of four models: a four-way tie, a two-way tie, unanimity
+        votes = [(2, 3, 3), (1, 2, 3), (3, 3, 3), (0, 2, 3)]
+        probs = np.zeros((4, 3, 4))
+        for m, row_votes in enumerate(votes):
+            probs[m, [0, 1, 2], row_votes] = 1.0
+        assert combiners.combine_vote(probs).tolist() == [0, 2, 3]
+
+    @settings(max_examples=30, deadline=None)
+    @given(prob_tensor(4, 6, 3))
+    def test_matches_per_row_bincount(self, probs):
+        votes = probs.argmax(axis=2)
+        expected = [np.bincount(votes[:, b], minlength=3).argmax() for b in range(6)]
+        assert combiners.combine_vote(probs).tolist() == expected
+
     @settings(max_examples=30, deadline=None)
     @given(prob_tensor(3, 4, 3), st.floats(1.5, 4.0))
     def test_sharpening_invariance(self, probs, power):

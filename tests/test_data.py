@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from baggedcnn import data
+from baggedcnn import cli, data
 from baggedcnn.errors import FormatError, InputError, LabelError
 
 
@@ -68,6 +70,45 @@ class TestContainerIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="inconsistent"):
             data.load_container(path)
+
+    def test_header_larger_than_file(self, rng, tmp_path):
+        ds = small_container(rng)
+        path = tmp_path / "ds.bsec"
+        data.save_container(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**62)  # N
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            data.load_container(path)
+        assert cli.main(["dataset", "inspect", str(path)]) == 3
+
+    def test_nan_pixel_rejected(self, rng, tmp_path):
+        ds = small_container(rng)
+        path = tmp_path / "ds.bsec"
+        data.save_container(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[29:33] = struct.pack("<f", float("nan"))  # first pixel
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="finite"):
+            data.load_container(path)
+
+    def test_metadata_not_utf8(self, rng, tmp_path):
+        ds = small_container(rng)
+        path = tmp_path / "ds.bsec"
+        data.save_container(ds, path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            data.load_container(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_rejected(self, value):
+        images = np.zeros((1, 4, 4, 1))
+        images[0, 1, 2, 0] = value
+        with pytest.raises(InputError, match="finite"):
+            data.DatasetContainer(images=images, labels_multi=np.array([0]),
+                                  labels_binary=np.array([0]))
 
     def test_constructor_validates(self, rng):
         with pytest.raises(LabelError):

@@ -1,7 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baggedcnn import forest
 from baggedcnn.errors import InputError
@@ -68,8 +71,9 @@ class TestFitForest:
         rf = forest.fit_forest(features, labels, n_trees=3, max_depth=0, seed=0,
                                bootstrap=False)
         for tree in rf.trees:
-            assert len(tree.nodes) == 1
-            assert tree.nodes[0].label == 1
+            assert len(tree.feature) == 1
+            assert tree.feature[0] == -1
+            assert tree.label[0] == 1
 
     def test_deterministic(self, rng):
         features = rng.normal(size=(30, 4))
@@ -112,3 +116,96 @@ class TestFitForest:
                                n_candidates=5, bootstrap=False)
         # distinct continuous features: a deep tree memorizes the set
         assert (rf.predict(features) == labels).all()
+
+
+def reference_best_split(features, labels, candidates, n_classes):
+    """Slow reference for forest._best_split: scores one boundary at a time
+    with the scalar gini_impurity, keeping the first score that improves on
+    the best by more than 1e-15."""
+    best = None
+    best_score = np.inf
+    n = len(labels)
+    for f in candidates:
+        col = features[:, f]
+        order = np.argsort(col, kind="stable")
+        sv, sl = col[order], labels[order]
+        onehot = np.zeros((n, n_classes), dtype=np.int64)
+        onehot[np.arange(n), sl] = 1
+        cum = np.cumsum(onehot, axis=0)
+        total = cum[-1]
+        boundary = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position i
+        for i in boundary:
+            left = cum[i]
+            right = total - left
+            nl = i + 1
+            nr = n - nl
+            score = (nl * forest.gini_impurity(left) + nr * forest.gini_impurity(right)) / n
+            if score < best_score - 1e-15:
+                best_score = score
+                best = (int(f), float((sv[i] + sv[i + 1]) / 2.0))
+    return best
+
+
+def reference_predict(rf, features):
+    """Slow reference for RandomForest.predict: walk each tree for each row,
+    then count votes per row."""
+    out = []
+    for x in features:
+        votes = []
+        for t in rf.trees:
+            i = 0
+            while t.feature[i] >= 0:
+                i = t.left[i] if x[t.feature[i]] <= t.threshold[i] else t.right[i]
+            votes.append(t.label[i])
+        out.append(int(np.bincount(votes, minlength=rf.n_classes).argmax()))
+    return out
+
+
+@st.composite
+def tie_heavy_problem(draw):
+    """Rounded features (many equal values) and labels for a small forest."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    c = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    features = np.round(rng.normal(size=(n, d)), draw(st.integers(0, 1)))
+    labels = rng.integers(0, c, size=n)
+    return features, labels, c, seed
+
+
+class TestFastPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tie_heavy_problem(), max_depth=st.integers(0, 8),
+           n_candidates=st.integers(1, 6))
+    def test_split_sweep_grows_reference_trees(self, problem, max_depth, n_candidates):
+        features, labels, c, seed = problem
+        kwargs = dict(n_trees=3, max_depth=max_depth, seed=seed,
+                      n_candidates=n_candidates, n_classes=c)
+        fast = forest.fit_forest(features, labels, **kwargs)
+        with mock.patch.object(forest, "_best_split", reference_best_split):
+            slow = forest.fit_forest(features, labels, **kwargs)
+        for a, b in zip(fast.trees, slow.trees):
+            for field in ("feature", "threshold", "left", "right", "label"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_tied_scores_keep_first_improvement(self):
+        # both features split the node equally well: the first candidate wins
+        features = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        labels = np.array([0, 0, 1, 1])
+        args = (features, labels, np.array([0, 1]), 2)
+        assert forest._best_split(*args) == reference_best_split(*args) == (0, 0.5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=tie_heavy_problem(), max_depth=st.integers(0, 8))
+    def test_predict_matches_per_row_walk(self, problem, max_depth):
+        features, labels, c, seed = problem
+        rf = forest.fit_forest(features, labels, n_trees=7, max_depth=max_depth,
+                               seed=seed, n_classes=c)
+        queries = np.round(np.random.default_rng(seed).normal(
+            size=(25, features.shape[1])), 1)
+        assert rf.predict(queries).tolist() == reference_predict(rf, queries)
+
+    def test_predict_no_rows(self):
+        rf = forest.fit_forest(np.array([[0.0], [1.0]]), np.array([0, 1]), n_trees=2)
+        assert rf.predict(np.zeros((0, 1))).shape == (0,)
