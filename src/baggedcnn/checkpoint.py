@@ -10,12 +10,12 @@ the forest and the parameter names, shapes and dtypes against the model.
 
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
 from . import bagging, forest, network
+from .data import read_exact
 from .errors import BaggedCnnError, CheckpointError
 
 MAGIC = b"BCKP"
@@ -144,26 +144,18 @@ def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
             fh.write(blob)
 
 
-def _read_exact(fh, count, what):
-    # checked against the file size first, so a corrupt size never allocates
-    at = fh.tell()
-    if not 0 <= count <= os.fstat(fh.fileno()).st_size - at:
-        raise CheckpointError(
-            f"truncated checkpoint: expected {count} bytes for {what} at offset {at}")
-    return fh.read(count)
-
-
 def load_checkpoint(path):
     """Returns (EnsembleModel, config snapshot dict)."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic", CheckpointError)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r} at offset 0")
-        version, hlen = struct.unpack("<II", _read_exact(fh, 8, "header sizes"))
+        version, hlen = struct.unpack("<II", read_exact(fh, 8, "header sizes", CheckpointError))
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} at offset 4")
         try:
-            header = json.loads(_read_exact(fh, hlen, "JSON header").decode("utf-8"))
+            header = json.loads(
+                read_exact(fh, hlen, "JSON header", CheckpointError).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
         try:
@@ -185,7 +177,8 @@ def load_checkpoint(path):
         _check_manifest(model, n_models, manifest)
         param_sets = [{} for _ in range(n_models)]
         for m, name, dtype, shape in manifest:
-            blob = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}")
+            blob = read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}",
+                              CheckpointError)
             param_sets[m][name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
     ensemble = bagging.EnsembleModel(
         model=model, param_sets=param_sets, n_classes=model.n_classes,

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bagging, checkpoint, combiners, data, metrics, network, training
-from .errors import (BaggedCnnError, CheckpointError, ConfigError, DimensionError,
-                     FormatError, InputError, LabelError, MetricError, NumericError)
+from .errors import (BaggedCnnError, BuildError, CheckpointError, ConfigError,
+                     DimensionError, FormatError, InputError, LabelError, MetricError,
+                     NumericError)
 
 
 @dataclass
@@ -389,7 +390,7 @@ def main(argv=None):
                 return cmd_dataset_synth(cfg, args)
             return cmd_dataset_inspect(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, BuildError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, InputError, LabelError, DimensionError, CheckpointError,

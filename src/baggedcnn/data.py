@@ -67,33 +67,37 @@ def save_container(ds: DatasetContainer, path):
         fh.write(meta)
 
 
-def _read_exact(fh, count, what):
-    # checked against the file size first, so a corrupt size never allocates
+def read_exact(fh, count, what, error=FormatError):
+    """Read `count` bytes of `what`, or raise `error` if the file is too short.
+
+    The count is checked against the file size first, so a corrupt size in a
+    header never allocates.
+    """
     at = fh.tell()
     if not 0 <= count <= os.fstat(fh.fileno()).st_size - at:
-        raise FormatError(f"truncated container: expected {count} bytes for {what} at offset {at}")
+        raise error(f"truncated file: expected {count} bytes for {what} at offset {at}")
     return fh.read(count)
 
 
 def load_container(path) -> DatasetContainer:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r} at offset 0")
-        header = _read_exact(fh, struct.calcsize("<IQIIIB"), "header")
+        header = read_exact(fh, struct.calcsize("<IQIIIB"), "header")
         version, n, h, w, c, dtag = struct.unpack("<IQIIIB", header)
         if version != VERSION:
             raise FormatError(f"unsupported container version {version} at offset 4")
         if dtag != DTYPE_F32:
             raise FormatError(f"unknown dtype tag {dtag} at offset 24")
         count = n * h * w * c
-        images = np.frombuffer(_read_exact(fh, count * 4, "image payload"), dtype="<f4")
+        images = np.frombuffer(read_exact(fh, count * 4, "image payload"), dtype="<f4")
         images = images.reshape(n, h, w, c).copy()
-        lm = np.frombuffer(_read_exact(fh, n, "multi-class labels"), dtype=np.uint8).copy()
-        lb = np.frombuffer(_read_exact(fh, n, "binary labels"), dtype=np.uint8).copy()
-        (mlen,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
+        lm = np.frombuffer(read_exact(fh, n, "multi-class labels"), dtype=np.uint8).copy()
+        lb = np.frombuffer(read_exact(fh, n, "binary labels"), dtype=np.uint8).copy()
+        (mlen,) = struct.unpack("<I", read_exact(fh, 4, "metadata length"))
         try:
-            meta = _read_exact(fh, mlen, "metadata").decode("utf-8")
+            meta = read_exact(fh, mlen, "metadata").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"metadata is not UTF-8: {exc}") from exc
     if n and lm.max() >= 5:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared by all modules.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, data/format errors -> 3,
+Exit-code mapping used by the CLI: ConfigError and BuildError (a model the
+configured widths cannot build for the images) -> 2, data/format errors -> 3,
 NumericError -> 4.
 """
 

@@ -163,6 +163,8 @@ def fit_forest(features, labels, n_trees=100, max_depth=12, seed=0,
         raise InputError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
     if len(labels) != len(features):
         raise InputError("features and labels disagree in length")
+    if n_trees < 1:
+        raise InputError(f"n_trees must be >= 1, got {n_trees}")
     if labels.min() < 0:
         raise InputError("labels must be non-negative")
     if n_classes is None:

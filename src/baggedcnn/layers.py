@@ -7,7 +7,10 @@ cross-correlation; pooling is 2x2/stride-2 max with floor semantics.
 
 Each `*_vjp` function returns `(output, backward)` where `backward` maps an
 upstream gradient of the output's shape to gradients of the inputs, summed
-over the batch for parameter gradients.
+over the batch for parameter gradients.  The backward of a layer with
+parameters (conv, dense) takes `input_grad=False` to skip the input gradient,
+which a network's first layer never needs.  The conv, pool and relu backward
+closures keep masks, indices and shapes rather than forward activations.
 """
 
 from dataclasses import dataclass
@@ -86,79 +89,104 @@ def conv2d_forward(x, kernels: ConvKernelSet, stride=1):
 
 
 def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
-    """Forward pass plus backward(upstream) -> (dInput, dWeights, dBias)."""
+    """Forward pass plus backward(upstream, input_grad=True) -> (dInput, dWeights, dBias).
+
+    input_grad=False skips dInput, the costliest part of the backward pass,
+    and returns None in its place.
+    """
     xb, single = _as_batch(x, "conv input")
     w, b = kernels.weights, kernels.bias
     kh, kw, cin, cout = w.shape
     _check_conv_shapes(xb, w, kh, kw)
     out, col = _conv_core(xb, w, b, stride)
+    in_shape, in_dtype, out_shape = xb.shape, xb.dtype, out.shape
 
-    def backward(upstream):
+    def backward(upstream, input_grad=True):
         up, _ = _as_batch(upstream, "conv upstream")
-        if up.shape != out.shape:
+        if up.shape != out_shape:
             raise DimensionError(
-                f"upstream shape {up.shape} does not match forward output {out.shape}"
+                f"upstream shape {up.shape} does not match forward output {out_shape}"
             )
         bsz, hp, wp, _ = up.shape
         up_flat = up.reshape(bsz * hp * wp, cout)
-        dw = (col.T @ up_flat).reshape(w.shape)
-        db = up_flat.sum(axis=0)
+        dw = (col.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
+        db = up_flat.sum(axis=0).astype(w.dtype, copy=False)
+        if not input_grad:
+            return None, dw, db
         # scatter dcol back onto the overlapping input windows
         dcol = (up_flat @ w.reshape(kh * kw * cin, cout).T).reshape(bsz, hp, wp, kh, kw, cin)
-        dx = np.zeros_like(xb)
+        dx = np.zeros(in_shape, dtype=in_dtype)
         for i in range(kh):
             for j in range(kw):
                 dx[:, i : i + hp * stride : stride, j : j + wp * stride : stride, :] += dcol[
                     :, :, :, i, j, :
                 ]
-        dw = dw.astype(w.dtype, copy=False)
-        db = db.astype(w.dtype, copy=False)
         return (dx[0], dw, db) if single else (dx, dw, db)
 
     return (out[0] if single else out), backward
 
 
-def maxpool2d_forward(x):
-    """2x2/stride-2 max pooling; odd trailing rows/cols dropped."""
-    out, _ = _maxpool_with_argmax(x)
-    return out
+# the corners of a 2x2 window in row-major order; a tie goes to the first
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _maxpool_with_argmax(x):
+def _pool_corners(x):
+    """The four window corners of x as stride-2 views [B,H2,W2,C], row-major order."""
     xb, single = _as_batch(x, "pool input")
-    b, h, w, c = xb.shape
+    h, w = xb.shape[1:3]
     if h < 2 or w < 2:
         axis = "height" if h < 2 else "width"
         raise DimensionError(f"pool window 2x2 larger than input on {axis} axis ({h}x{w})")
     h2, w2 = h // 2, w // 2
-    win = xb[:, : 2 * h2, : 2 * w2, :].reshape(b, h2, 2, w2, 2, c)
-    # [B, H2, W2, C, 4] with the window flattened row-major, so argmax ties
-    # break to the first row-major position
-    flat = win.transpose(0, 1, 3, 5, 2, 4).reshape(b, h2, w2, c, 4)
-    idx = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
-    return (out[0] if single else out), (idx, xb.shape, single)
+    corners = [xb[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
+    return corners, xb.shape, single
+
+
+def maxpool2d_forward(x):
+    """2x2/stride-2 max pooling; odd trailing rows/cols dropped."""
+    (a, b, c, d), _, single = _pool_corners(x)
+    # np.maximum returns its second argument on a tie (which only shows for
+    # -0.0 against +0.0), so the earlier corner goes second throughout
+    out = np.maximum(b, a)
+    np.maximum(np.maximum(d, c), out, out=out)
+    return out[0] if single else out
 
 
 def maxpool2d_vjp(x):
-    out, cache = _maxpool_with_argmax(x)
+    """Forward pass plus backward(upstream) -> dInput, routed to the first
+    maximum of each window in row-major order."""
+    (a, b, c, d), in_shape, single = _pool_corners(x)
+    top, bottom = np.maximum(b, a), np.maximum(d, c)
+    # corner index (row << 1) | col of the first maximum, kept as uint8; strict
+    # comparisons keep ties in the top row and the left column
+    row = np.greater(bottom, top)
+    col = np.greater(b, a)
+    # col = where(row, d > c, b > a) by bit operations, which are several
+    # times faster than np.where on booleans
+    right_bottom = np.greater(d, c)
+    right_bottom ^= col
+    right_bottom &= row
+    col ^= right_bottom
+    idx = row.view(np.uint8) << 1
+    idx |= col.view(np.uint8)
+    out = np.maximum(bottom, top, out=top)
+    h2, w2 = idx.shape[1:3]
 
     def backward(upstream):
-        idx, in_shape, single = cache
         up, _ = _as_batch(upstream, "pool upstream")
         if up.shape != idx.shape:
             raise DimensionError(
                 f"upstream shape {up.shape} does not match pooled output {idx.shape}"
             )
-        b, h2, w2, c = idx.shape
-        flat = np.zeros((b, h2, w2, c, 4), dtype=up.dtype)
-        np.put_along_axis(flat, idx[..., None], up[..., None], axis=4)
-        win = flat.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-        dx = np.zeros(in_shape, dtype=up.dtype)
-        dx[:, : 2 * h2, : 2 * w2, :] = win.reshape(b, 2 * h2, 2 * w2, c)
+        dx = np.empty(in_shape, dtype=up.dtype)
+        dx[:, 2 * h2 :] = 0
+        dx[:, :, 2 * w2 :] = 0
+        for k, (i, j) in enumerate(_CORNERS):
+            # a multiply, so a negative upstream leaves -0.0 off the maximum
+            np.multiply(up, idx == k, out=dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2])
         return dx[0] if single else dx
 
-    return out, backward
+    return (out[0] if single else out), backward
 
 
 def relu(x):
@@ -167,13 +195,15 @@ def relu(x):
 
 def relu_vjp(x):
     out = np.maximum(x, 0)
+    mask = x > 0  # subgradient 0 at x == 0
 
     def backward(upstream):
-        if upstream.shape != x.shape:
+        if upstream.shape != mask.shape:
             raise DimensionError(
-                f"upstream shape {upstream.shape} does not match input {x.shape}"
+                f"upstream shape {upstream.shape} does not match input {mask.shape}"
             )
-        return np.where(x > 0, upstream, 0)  # subgradient 0 at x == 0
+        # a multiply, so a negative upstream gives -0.0 where x <= 0
+        return upstream * mask
 
     return out, backward
 
@@ -190,16 +220,19 @@ def dense_forward(x, weights, bias):
 
 
 def dense_vjp(x, weights, bias):
+    """Forward pass plus backward(upstream, input_grad=True) -> (dInput, dWeights,
+    dBias); input_grad=False returns None for dInput."""
     out = dense_forward(x, weights, bias)
 
-    def backward(upstream):
+    def backward(upstream, input_grad=True):
         if upstream.shape != out.shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match output {out.shape}"
             )
+        dx = upstream @ weights.T if input_grad else None
         if x.ndim == 1:
-            return upstream @ weights.T, np.outer(x, upstream), upstream.copy()
-        return upstream @ weights.T, x.T @ upstream, upstream.sum(axis=0)
+            return dx, np.outer(x, upstream), upstream.copy()
+        return dx, x.T @ upstream, upstream.sum(axis=0)
 
     return out, backward
 

@@ -203,47 +203,34 @@ def forward_vjp(model, params, batch):
     return _forward(model, params, batch, want_vjp=True)
 
 
+# kind -> (forward, vjp, extra arguments from (layer, weights, bias) or None for
+# a layer without parameters).  The kernels are named, not bound, and looked up
+# on `layers` at call time, so a wrapper installed on the module is called.
+_LAYER_TABLE = {
+    "conv2d": ("conv2d_forward", "conv2d_vjp",
+               lambda layer, w, b: (layers.ConvKernelSet(w, b), layer.stride)),
+    "maxpool2d": ("maxpool2d_forward", "maxpool2d_vjp", None),
+    "relu": ("relu", "relu_vjp", None),
+    "flatten": ("flatten", "flatten_vjp", None),
+    "dense": ("dense_forward", "dense_vjp", lambda layer, w, b: (w, b)),
+}
+
+
 def _forward(model, params, batch, want_vjp):
     if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(model.input_shape):
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {model.input_shape}"
         )
-    names = layer_names(model)
     x = batch
-    tape = []
-    for layer, name in zip(model.layers, names):
-        if layer.kind == "conv2d":
-            ks = layers.ConvKernelSet(params[f"{name}/w"], params[f"{name}/b"])
-            if want_vjp:
-                x, bwd = layers.conv2d_vjp(x, ks, layer.stride)
-                tape.append(("conv2d", name, bwd))
-            else:
-                x = layers.conv2d_forward(x, ks, layer.stride)
-        elif layer.kind == "maxpool2d":
-            if want_vjp:
-                x, bwd = layers.maxpool2d_vjp(x)
-                tape.append(("maxpool2d", name, bwd))
-            else:
-                x = layers.maxpool2d_forward(x)
-        elif layer.kind == "relu":
-            if want_vjp:
-                x, bwd = layers.relu_vjp(x)
-                tape.append(("relu", name, bwd))
-            else:
-                x = layers.relu(x)
-        elif layer.kind == "flatten":
-            if want_vjp:
-                x, bwd = layers.flatten_vjp(x)
-                tape.append(("flatten", name, bwd))
-            else:
-                x = layers.flatten(x)
-        elif layer.kind == "dense":
-            w, b = params[f"{name}/w"], params[f"{name}/b"]
-            if want_vjp:
-                x, bwd = layers.dense_vjp(x, w, b)
-                tape.append(("dense", name, bwd))
-            else:
-                x = layers.dense_forward(x, w, b)
+    tape = []  # (parameter name prefix or None, backward)
+    for layer, name in zip(model.layers, layer_names(model)):
+        forward, vjp, param_args = _LAYER_TABLE[layer.kind]
+        args = param_args(layer, params[f"{name}/w"], params[f"{name}/b"]) if param_args else ()
+        if want_vjp:
+            x, bwd = getattr(layers, vjp)(x, *args)
+            tape.append((name if param_args else None, bwd))
+        else:
+            x = getattr(layers, forward)(x, *args)
     if not want_vjp:
         return x
 
@@ -256,16 +243,12 @@ def _forward(model, params, batch, want_vjp):
             )
         grads = {}
         g = upstream
-        for kind, name, bwd in reversed(tape):
-            if kind == "conv2d":
-                g, dw, db = bwd(g)
-                grads[f"{name}/w"] = dw
-                grads[f"{name}/b"] = db
-            elif kind == "dense":
-                g, dw, db = bwd(g)
-                grads[f"{name}/w"] = dw
-                grads[f"{name}/b"] = db
-            else:
+        for i in range(len(tape) - 1, -1, -1):
+            name, bwd = tape[i]
+            first = i == 0  # the gradient of the batch itself is never used
+            if name:
+                g, grads[f"{name}/w"], grads[f"{name}/b"] = bwd(g, input_grad=not first)
+            elif not first:
                 g = bwd(g)
         return grads
 

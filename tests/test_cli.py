@@ -118,6 +118,15 @@ class TestTrain:
         cfg2.write_text(text)
         assert run_cli(["--config", cfg2, "train"]) == 2
 
+    def test_unbuildable_widths(self, workspace, capsys):
+        # four conv/pool blocks shrink 16x16 images below a 3x3 kernel
+        tmp_path_, _, cfg_path = workspace
+        text = cfg_path.read_text().replace("widths = 4", "widths = 8,16,32,64")
+        cfg2 = tmp_path_ / "run5.cfg"
+        cfg2.write_text(text)
+        assert run_cli(["--config", cfg2, "train"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_deterministic(self, workspace, tmp_path):

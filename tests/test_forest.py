@@ -96,6 +96,11 @@ class TestFitForest:
         with pytest.raises(InputError):
             forest.fit_forest(np.zeros((3, 0)), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, n_trees):
+        with pytest.raises(InputError, match="n_trees"):
+            forest.fit_forest(np.zeros((3, 1)), np.array([0, 1, 0]), n_trees=n_trees)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_exhaustive_oracle(self, seed):
         # single tree, full candidates, identity resample vs brute-force oracle

@@ -236,3 +236,113 @@ class TestFlatten:
         x = rng.normal(size=(3, 4, 2))
         out, bwd = layers.flatten_vjp(x)
         assert np.array_equal(bwd(out), x)
+
+
+# -- slow references for the fast pool and relu kernels ----------------------
+
+def reference_maxpool_with_argmax(x):
+    """Argmax max pooling, the slow reference for the strided kernel: (out, backward)."""
+    xb = x[None] if x.ndim == 3 else x
+    b, h, w, c = xb.shape
+    h2, w2 = h // 2, w // 2
+    win = xb[:, : 2 * h2, : 2 * w2, :].reshape(b, h2, 2, w2, 2, c)
+    # window flattened row-major, so argmax ties break to the first position
+    flat = win.transpose(0, 1, 3, 5, 2, 4).reshape(b, h2, w2, c, 4)
+    idx = flat.argmax(axis=4)
+    out = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
+
+    def backward(upstream):
+        up = upstream[None] if x.ndim == 3 else upstream
+        grad = np.zeros((b, h2, w2, c, 4), dtype=up.dtype)
+        np.put_along_axis(grad, idx[..., None], up[..., None], axis=4)
+        dx = np.zeros(xb.shape, dtype=up.dtype)
+        dx[:, : 2 * h2, : 2 * w2, :] = (
+            grad.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+            .reshape(b, 2 * h2, 2 * w2, c))
+        return dx[0] if x.ndim == 3 else dx
+
+    return (out[0] if x.ndim == 3 else out), backward
+
+
+def reference_relu_backward(x, upstream):
+    return np.where(x > 0, upstream, 0)
+
+
+def tie_heavy(seed, shape, dtype, mode):
+    """Values with many exact ties: post-ReLU zeros, a few rounded levels, or
+    a handful of values that includes both signed zeros."""
+    rng = np.random.default_rng(seed)
+    if mode == "relu":
+        x = np.maximum(rng.normal(size=shape), 0)
+    elif mode == "levels":
+        x = np.round(rng.normal(size=shape) * 1.5) / 2
+    else:
+        x = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=shape)
+    return x.astype(dtype)
+
+
+pool_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(1, 3)),
+              st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7),
+                        st.integers(1, 3))),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from(["relu", "levels", "signed_zeros"]),
+)
+
+
+class TestFastKernelsMatchReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases)
+    def test_maxpool_forward_bytes_equal(self, case):
+        x = tie_heavy(*case)
+        ref, _ = reference_maxpool_with_argmax(x)
+        for out in (layers.maxpool2d_forward(x), layers.maxpool2d_vjp(x)[0]):
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases)
+    def test_maxpool_backward_equal(self, case):
+        x = tie_heavy(*case)
+        ref, ref_bwd = reference_maxpool_with_argmax(x)
+        up = tie_heavy(case[0] + 1, ref.shape, x.dtype, "levels")
+        _, bwd = layers.maxpool2d_vjp(x)
+        dx = bwd(up)
+        assert dx.dtype == x.dtype and dx.shape == x.shape
+        assert np.array_equal(dx, ref_bwd(up))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases)
+    def test_relu_backward_equal(self, case):
+        x = tie_heavy(*case)
+        up = tie_heavy(case[0] + 1, x.shape, x.dtype, "levels")
+        out, bwd = layers.relu_vjp(x)
+        assert out.tobytes() == layers.relu(x).tobytes()
+        dx = bwd(up)
+        assert dx.dtype == x.dtype
+        assert np.array_equal(dx, reference_relu_backward(x, up))
+
+    @pytest.mark.parametrize("vjp,dtype", [(layers.maxpool2d_vjp, np.uint8),
+                                           (layers.relu_vjp, np.bool_)])
+    def test_backward_keeps_only_a_compact_mask(self, rng, vjp, dtype):
+        _, bwd = vjp(rng.normal(size=(2, 6, 6, 3)))
+        kept = [cell.cell_contents for cell in bwd.__closure__]
+        assert [a.dtype for a in kept if isinstance(a, np.ndarray)] == [dtype]
+
+    def test_conv_backward_without_input_grad(self, rng):
+        x = rng.normal(size=(2, 6, 6, 2))
+        out, bwd = layers.conv2d_vjp(x, kernels(rng.normal(size=(3, 3, 2, 4)), np.zeros(4)))
+        up = rng.normal(size=out.shape)
+        dx, dw, db = bwd(up)
+        none, dw0, db0 = bwd(up, input_grad=False)
+        assert dx.shape == x.shape and none is None
+        assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
+
+    def test_dense_backward_without_input_grad(self, rng):
+        x = rng.normal(size=(3, 5))
+        out, bwd = layers.dense_vjp(x, rng.normal(size=(5, 2)), np.zeros(2))
+        up = rng.normal(size=out.shape)
+        _, dw, db = bwd(up)
+        none, dw0, db0 = bwd(up, input_grad=False)
+        assert none is None and np.array_equal(dw, dw0) and np.array_equal(db, db0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baggedcnn import network
+from baggedcnn import layers, network
 from baggedcnn.errors import BuildError, DimensionError
 from conftest import max_rel_err, numeric_grad
 
@@ -163,3 +163,63 @@ class TestBackwardBatch:
 
         for k in grads:
             assert max_rel_err(grads[k], numeric_grad(loss, params[k])) < 1e-4, k
+
+
+class TestBackwardSkipsBatchGradient:
+    def full_backward_grads(self, m, params, batch, up):
+        """Every layer's backward in full, layer 0's input gradient included."""
+        x, tape = batch, []
+        for layer, name in zip(m.layers, network.layer_names(m)):
+            if layer.kind == "conv2d":
+                ks = layers.ConvKernelSet(params[f"{name}/w"], params[f"{name}/b"])
+                x, bwd = layers.conv2d_vjp(x, ks, layer.stride)
+            elif layer.kind == "dense":
+                x, bwd = layers.dense_vjp(x, params[f"{name}/w"], params[f"{name}/b"])
+            else:
+                x, bwd = getattr(layers, f"{layer.kind}_vjp")(x)
+            tape.append((layer.kind, name, bwd))
+        grads, g = {}, up
+        for kind, name, bwd in reversed(tape):
+            if kind in ("conv2d", "dense"):
+                g, grads[f"{name}/w"], grads[f"{name}/b"] = bwd(g)
+            else:
+                g = bwd(g)
+        assert g.shape == batch.shape
+        return grads
+
+    @pytest.mark.parametrize("first", ["conv", "pool"])
+    def test_grads_equal_full_backward(self, rng, first):
+        head = [network.pool()] if first == "pool" else []
+        m = network.ModelSpec((10, 10, 2), tuple(head + [
+            network.conv(3, 3, 3), network.relu(), network.pool(), network.flat(),
+            network.dense(4), network.relu(), network.dense(3)]), 3)
+        params = network.init_params(m, seed=1, dtype=np.float64)
+        params = {k: v + rng.normal(size=v.shape) for k, v in params.items()}
+        batch = rng.normal(size=(4, 10, 10, 2))
+        up = rng.normal(size=(4, 3))
+        grads = network.backward_batch(m, params, batch, up)
+        full = self.full_backward_grads(m, params, batch, up)
+        assert list(grads) == list(full)
+        for k in full:
+            assert np.array_equal(grads[k], full[k]), k
+
+    def test_first_conv_skips_input_gradient(self, rng, monkeypatch):
+        # the network looks kernels up on `layers` per call, so a patch is seen
+        calls = []
+        conv2d_vjp = layers.conv2d_vjp
+
+        def spy(*args):
+            out, bwd = conv2d_vjp(*args)
+
+            def backward(up, input_grad=True):
+                result = bwd(up, input_grad=input_grad)
+                calls.append(result[0] is None)
+                return result
+
+            return out, backward
+
+        monkeypatch.setattr(layers, "conv2d_vjp", spy)
+        m = network.build_scaled_cnn((16, 16, 1), [2, 3], 2, dense_units=4)
+        params = network.init_params(m, seed=0, dtype=np.float64)
+        network.backward_batch(m, params, rng.normal(size=(2, 16, 16, 1)), np.ones((2, 2)))
+        assert calls == [False, True]  # backward order: second conv, then the first
