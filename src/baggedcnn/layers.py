@@ -7,10 +7,10 @@ cross-correlation; pooling is 2x2/stride-2 max with floor semantics.
 
 Each `*_vjp` function returns `(output, backward)` where `backward` maps an
 upstream gradient of the output's shape to gradients of the inputs, summed
-over the batch for parameter gradients.  The backward of a layer with
-parameters (conv, dense) takes `input_grad=False` to skip the input gradient,
-which a network's first layer never needs.  The conv, pool and relu backward
-closures keep masks, indices and shapes rather than forward activations.
+over the batch for parameter gradients.  The conv backward takes
+`input_grad=False` to skip the input gradient, which a network's first layer
+never needs.  The conv, pool and relu backward closures keep masks, indices
+and shapes rather than forward activations.
 """
 
 from dataclasses import dataclass
@@ -160,13 +160,10 @@ def maxpool2d_vjp(x):
     # corner index (row << 1) | col of the first maximum, kept as uint8; strict
     # comparisons keep ties in the top row and the left column
     row = np.greater(bottom, top)
-    col = np.greater(b, a)
-    # col = where(row, d > c, b > a) by bit operations, which are several
-    # times faster than np.where on booleans
-    right_bottom = np.greater(d, c)
-    right_bottom ^= col
-    right_bottom &= row
-    col ^= right_bottom
+    # col = where(row, d > c, b > a) as bit operations: np.where on booleans
+    # is about 3x slower, 5% of a paper-net training pass (2 vCPU)
+    left = np.greater(b, a)
+    col = left ^ (row & (np.greater(d, c) ^ left))
     idx = row.view(np.uint8) << 1
     idx |= col.view(np.uint8)
     out = np.maximum(bottom, top, out=top)
@@ -220,16 +217,15 @@ def dense_forward(x, weights, bias):
 
 
 def dense_vjp(x, weights, bias):
-    """Forward pass plus backward(upstream, input_grad=True) -> (dInput, dWeights,
-    dBias); input_grad=False returns None for dInput."""
+    """Forward pass plus backward(upstream) -> (dInput, dWeights, dBias)."""
     out = dense_forward(x, weights, bias)
 
-    def backward(upstream, input_grad=True):
+    def backward(upstream):
         if upstream.shape != out.shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match output {out.shape}"
             )
-        dx = upstream @ weights.T if input_grad else None
+        dx = upstream @ weights.T
         if x.ndim == 1:
             return dx, np.outer(x, upstream), upstream.copy()
         return dx, x.T @ upstream, upstream.sum(axis=0)

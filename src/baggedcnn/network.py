@@ -247,7 +247,9 @@ def _forward(model, params, batch, want_vjp):
             name, bwd = tape[i]
             first = i == 0  # the gradient of the batch itself is never used
             if name:
-                g, grads[f"{name}/w"], grads[f"{name}/b"] = bwd(g, input_grad=not first)
+                # a first layer with parameters is a conv: dense needs flat input
+                result = bwd(g, input_grad=False) if first else bwd(g)
+                g, grads[f"{name}/w"], grads[f"{name}/b"] = result
             elif not first:
                 g = bwd(g)
         return grads

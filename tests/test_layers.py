@@ -281,11 +281,14 @@ def tie_heavy(seed, shape, dtype, mode):
     return x.astype(dtype)
 
 
+# channel counts of 8 and up run numpy's vectorised inner loop, as the desk
+# and paper nets' pools do; 1-3 channels run its short scalar loop
+pool_channels = st.sampled_from([1, 2, 3, 8, 16, 32])
 pool_cases = st.tuples(
     st.integers(0, 2**32 - 1),
-    st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(1, 3)),
+    st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 7), pool_channels),
               st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7),
-                        st.integers(1, 3))),
+                        pool_channels)),
     st.sampled_from([np.float32, np.float64]),
     st.sampled_from(["relu", "levels", "signed_zeros"]),
 )
@@ -338,11 +341,3 @@ class TestFastKernelsMatchReferences:
         none, dw0, db0 = bwd(up, input_grad=False)
         assert dx.shape == x.shape and none is None
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
-
-    def test_dense_backward_without_input_grad(self, rng):
-        x = rng.normal(size=(3, 5))
-        out, bwd = layers.dense_vjp(x, rng.normal(size=(5, 2)), np.zeros(2))
-        up = rng.normal(size=out.shape)
-        _, dw, db = bwd(up)
-        none, dw0, db0 = bwd(up, input_grad=False)
-        assert none is None and np.array_equal(dw, dw0) and np.array_equal(db, db0)
