@@ -216,24 +216,48 @@ _LAYER_TABLE = {
 }
 
 
+# Bytes one image layer may allocate for a chunk of a forward-only batch.  A
+# batch whose largest per-layer array (an im2col matrix included) would pass
+# this runs its image layers a few samples at a time.  The allocator serves
+# arrays above 32 MB from fresh pages that the kernel zeroes on every call;
+# chunks below that reuse the previous chunk's heap memory.  The dense layers
+# still see the whole batch.
+_CHUNK_BYTES = 16 << 20
+
+
+def _image_layers(model, itemsize):
+    """(count of leading layers with [H,W,C] output, bytes per sample of the
+    largest array one of them makes, im2col matrices included)."""
+    count, largest = 0, 1
+    cur = model.input_shape
+    for layer, shape in zip(model.layers, infer_shapes(model)):
+        if len(shape) != 3:
+            break
+        size = int(np.prod(shape))
+        if layer.kind == "conv2d":
+            size = max(size, shape[0] * shape[1] * int(np.prod(layer.kernel)) * cur[2])
+        largest = max(largest, size)
+        count, cur = count + 1, shape
+    return count, largest * itemsize
+
+
 def _forward(model, params, batch, want_vjp):
     if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(model.input_shape):
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {model.input_shape}"
         )
-    x = batch
-    tape = []  # (parameter name prefix or None, backward)
+    steps = []  # (parameter name prefix or None, kernel name, arguments)
     for layer, name in zip(model.layers, layer_names(model)):
         forward, vjp, param_args = _LAYER_TABLE[layer.kind]
         args = param_args(layer, params[f"{name}/w"], params[f"{name}/b"]) if param_args else ()
-        if want_vjp:
-            x, bwd = getattr(layers, vjp)(x, *args)
-            tape.append((name if param_args else None, bwd))
-        else:
-            x = getattr(layers, forward)(x, *args)
+        steps.append((name if param_args else None, vjp if want_vjp else forward, args))
     if not want_vjp:
-        return x
-
+        return _run_forward(model, steps, batch)
+    x = batch
+    tape = []  # (parameter name prefix or None, backward)
+    for name, vjp, args in steps:
+        x, bwd = getattr(layers, vjp)(x, *args)
+        tape.append((name, bwd))
     logits = x
 
     def backward(upstream):
@@ -255,6 +279,21 @@ def _forward(model, params, batch, want_vjp):
         return grads
 
     return logits, backward
+
+
+def _run_forward(model, steps, batch):
+    def run(x, part):
+        for _, forward, args in part:
+            x = getattr(layers, forward)(x, *args)
+        return x
+
+    n_image, sample_bytes = _image_layers(model, batch.dtype.itemsize)
+    chunk = max(1, _CHUNK_BYTES // sample_bytes)
+    if chunk >= len(batch):
+        return run(batch, steps)
+    x = np.concatenate([run(batch[lo : lo + chunk], steps[:n_image])
+                        for lo in range(0, len(batch), chunk)])
+    return run(x, steps[n_image:])
 
 
 def backward_batch(model, params, batch, upstream):

@@ -223,3 +223,55 @@ class TestBackwardSkipsBatchGradient:
         params = network.init_params(m, seed=0, dtype=np.float64)
         network.backward_batch(m, params, rng.normal(size=(2, 16, 16, 1)), np.ones((2, 2)))
         assert calls == [False, True]  # backward order: second conv, then the first
+
+
+class TestForwardChunks:
+    """forward_batch runs the image layers of a large batch in chunks."""
+
+    def model(self):
+        return network.ModelSpec((11, 13, 2), (
+            network.pool(), network.conv(3, 3, 5), network.relu(), network.conv(2, 2, 4, stride=2),
+            network.relu(), network.flat(), network.dense(6), network.relu(),
+            network.dense(3)), 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunks_equal_whole_batch(self, rng, monkeypatch, dtype, chunk):
+        m = self.model()
+        params = network.init_params(m, seed=2, dtype=dtype)
+        params = {k: (v + rng.normal(size=v.shape)).astype(dtype) for k, v in params.items()}
+        batch = rng.normal(size=(7, 11, 13, 2)).astype(dtype)
+        whole = network.forward_batch(m, params, batch)
+        _, sample_bytes = network._image_layers(m, batch.dtype.itemsize)
+        monkeypatch.setattr(network, "_CHUNK_BYTES", chunk * sample_bytes)
+        chunked = network.forward_batch(m, params, batch)
+        assert chunked.dtype == whole.dtype
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_image_layers_chunked_dense_whole(self, rng, monkeypatch):
+        m = self.model()
+        params = network.init_params(m, seed=2, dtype=np.float64)
+        seen = []
+        for name in ("conv2d_forward", "dense_forward"):
+            kernel = getattr(layers, name)
+
+            def spy(x, *args, _kernel=kernel, _name=name):
+                seen.append((_name, len(x)))
+                return _kernel(x, *args)
+
+            monkeypatch.setattr(layers, name, spy)
+        _, sample_bytes = network._image_layers(m, 8)
+        monkeypatch.setattr(network, "_CHUNK_BYTES", 3 * sample_bytes)
+        network.forward_batch(m, params, rng.normal(size=(7, 11, 13, 2)))
+        convs = [n for kind, n in seen if kind == "conv2d_forward"]
+        assert convs == [3, 3, 3, 3, 1, 1]  # two convs per chunk of 3, 3 and 1
+        assert [n for kind, n in seen if kind == "dense_forward"] == [7, 7]
+
+    def test_largest_array_per_sample(self):
+        # the paper net's largest is conv2d_1's im2col matrix: 109x109 rows of 3x3x32
+        count, sample_bytes = network._image_layers(network.build_paper_cnn(5), 4)
+        assert count == 12
+        assert sample_bytes == 109 * 109 * 288 * 4
+        # a desk-size net runs a 64-image request whole
+        desk = network.build_scaled_cnn((32, 32, 1), [8, 16], 5, dense_units=64)
+        assert 64 * network._image_layers(desk, 4)[1] <= network._CHUNK_BYTES
