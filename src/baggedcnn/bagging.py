@@ -1,11 +1,10 @@
 """Bootstrap bagging: sampling with replacement and ensemble orchestration.
 
 Each sub-model gets its own seed derived from (master seed, model index), so
-results are identical no matter how many workers run the trainings.
+sub-model k is the same as train_submodel run alone on bag k.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +89,11 @@ def submodel_seed(master_seed, index):
 
 
 def train_ensemble(images, labels, model, bagging: BaggingConfig,
-                   train: training.TrainConfig, val=None, jobs=1):
+                   train: training.TrainConfig, val=None):
     """Train n_models sub-models on their bags.
 
     Returns (EnsembleModel without combiner, BagAssignment, histories).
-    Execution order and the jobs count do not affect the result.
+    The sub-models train one after another; a thread pool measured slower.
     """
     if len(labels) == 0:
         raise InputError("dataset is empty")
@@ -113,11 +112,7 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
         except BaggedCnnError as exc:  # library errors all take one message
             raise type(exc)(f"sub-model {k}: {exc}") from exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(bagging.n_models)))
-    else:
-        results = [run(k) for k in range(bagging.n_models)]
+    results = [run(k) for k in range(bagging.n_models)]
     param_sets = [p for p, _ in results]
     histories = [h for _, h in results]
     ensemble = EnsembleModel(model=model, param_sets=param_sets, n_classes=model.n_classes)

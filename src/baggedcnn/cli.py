@@ -44,7 +44,6 @@ class RunConfig:
     excluded_classes: tuple = ()
     grid: tuple = ()  # ((ratio, n_models), ...) for sweep
     seed: int = 0
-    jobs: int = 1
     precision: int = 32
     out_dir: str = "out"
 
@@ -75,19 +74,21 @@ def _parse_grid(text):
 
 def load_run_config(path):
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:  # e.g. a repeated section or key
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()
 
     def get(section, key, conv, default):
         if cp.has_option(section, key):
-            raw = cp.get(section, key)
             try:
-                return conv(raw)
+                return conv(cp.get(section, key))
             except ConfigError:
                 raise
-            except ValueError as exc:
+            except (ValueError, configparser.Error) as exc:  # Error: a bad % interpolation
                 raise ConfigError(f"field '{section}.{key}': {exc}") from exc
         return default
 
@@ -113,7 +114,6 @@ def load_run_config(path):
                                cfg.excluded_classes)
     cfg.grid = get("sweep", "grid", _parse_grid, cfg.grid)
     cfg.seed = get("run", "seed", int, cfg.seed)
-    cfg.jobs = get("run", "jobs", int, cfg.jobs)
     cfg.precision = get("run", "precision", int, cfg.precision)
     cfg.out_dir = get("run", "out", str, cfg.out_dir)
     validate_config(cfg)
@@ -180,7 +180,7 @@ def run_pipeline(cfg):
     if len(val_v):
         val = (val_v.images.astype(dtype), _labels_for(val_v, cfg.n_classes))
     ensemble, assignment, histories = bagging.train_ensemble(
-        x_train, y_train, model, bag_cfg, train_cfg, val=val, jobs=cfg.jobs)
+        x_train, y_train, model, bag_cfg, train_cfg, val=val)
     ensemble.combiner = cfg.combiner
     if cfg.combiner == "stacking":
         ensemble.forest = combiners.fit_stacking(
@@ -337,7 +337,6 @@ def build_parser():
                                      description="Bagged CNN ensemble trainer")
     parser.add_argument("--config", help="run config file (key = value sections)")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--jobs", type=int, help="worker cap for sub-model training")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--precision", type=int, choices=(32, 64),
                         help="scalar precision for training/inference")
@@ -371,8 +370,6 @@ def main(argv=None):
             cfg = RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         if args.out is not None:
             cfg.out_dir = args.out
         if args.precision is not None:

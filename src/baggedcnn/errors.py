@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Exit-code mapping used by the CLI: ConfigError and BuildError (a model the
-configured widths cannot build for the images) -> 2, data/format errors -> 3,
-NumericError -> 4.
+config cannot build: a layer size below 1, or widths that shrink the images
+below a kernel) -> 2, data/format errors -> 3, NumericError -> 4.
 """
 
 

@@ -76,6 +76,10 @@ def infer_shapes(model):
                 raise BuildError(f"{name}: expects [H,W,C] input, got {cur}")
             h, w, _ = cur
             kh, kw = layer.kernel
+            if min(kh, kw, layer.stride, layer.out_channels) < 1:
+                raise BuildError(
+                    f"{name}: kernel {layer.kernel}, stride {layer.stride} and "
+                    f"out_channels {layer.out_channels} must all be >= 1")
             oh = (h - kh) // layer.stride + 1
             ow = (w - kw) // layer.stride + 1
             if h < kh or w < kw or oh < 1 or ow < 1:
@@ -95,6 +99,8 @@ def infer_shapes(model):
         elif layer.kind == "dense":
             if len(cur) != 1:
                 raise BuildError(f"{name}: expects flat input, got {cur}")
+            if layer.units < 1:
+                raise BuildError(f"{name}: units must be >= 1, got {layer.units}")
             cur = (layer.units,)
         shapes.append(cur)
     return shapes

@@ -67,7 +67,15 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState):
     """One update: moment EMAs, bias correction, step of size
-    eta/sqrt(vhat + eps) * mhat (epsilon inside the root)."""
+    eta/sqrt(vhat + eps) * mhat (epsilon inside the root).
+
+    Returns new parameter arrays; params and grads are not written.  The
+    update runs in place on the moments, one work array and the new
+    parameter array, with the operations of the textbook form in the same
+    order, so its results are the same bits.  The work array lives for one
+    parameter's update only: kept across steps, the paper net's would add
+    37 MB to the peak of the next backward pass.
+    """
     state.t += 1
     t = state.t
     b1, b2 = state.beta1, state.beta2
@@ -79,14 +87,20 @@ def adam_step(params, grads, state: AdamState):
         m = state.m[key]
         v = state.v[key]
         m *= b1
-        m += (1 - b1) * g
+        work = np.multiply(g, 1 - b1)
+        m += work
         v *= b2
-        v += (1 - b2) * np.square(g)
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        out[key] = (theta - state.eta * mhat / np.sqrt(vhat + state.epsilon)).astype(
-            theta.dtype, copy=False
-        )
+        np.square(g, out=work)
+        work *= 1 - b2
+        v += work
+        # work = sqrt(vhat + eps); new = eta * mhat / work, then theta - new
+        np.divide(v, 1 - b2**t, out=work)
+        work += state.epsilon
+        np.sqrt(work, out=work)
+        new = m / (1 - b1**t)
+        new *= state.eta
+        new /= work
+        out[key] = np.subtract(theta, new, out=new).astype(theta.dtype, copy=False)
     return out, state
 
 

@@ -75,14 +75,18 @@ class TestTrainEnsemble:
         ref, _ = training.train_submodel(model, x[bag], y[bag], cfg)
         assert all(np.array_equal(ens.param_sets[0][k], ref[k]) for k in ref)
 
-    def test_serial_parallel_identical(self, rng):
+    def test_each_submodel_equals_train_submodel(self, rng):
         x, y, model = tiny_setup(rng)
         bag_cfg = bagging.BaggingConfig(n_models=3, bagging_ratio=0.8, seed=2)
-        tc = training.TrainConfig(epochs=1)
-        e1, _, _ = bagging.train_ensemble(x, y, model, bag_cfg, tc, jobs=1)
-        e2, _, _ = bagging.train_ensemble(x, y, model, bag_cfg, tc, jobs=3)
-        for p1, p2 in zip(e1.param_sets, e2.param_sets):
-            assert all(np.array_equal(p1[k], p2[k]) for k in p1)
+        tc = training.TrainConfig(epochs=2, batch_size=16)
+        ens, assignment, hists = bagging.train_ensemble(x, y, model, bag_cfg, tc)
+        for k, bag in enumerate(assignment.bags):
+            cfg = training.TrainConfig(epochs=2, batch_size=16,
+                                       seed=bagging.submodel_seed(2, k))
+            ref, ref_hist = training.train_submodel(model, x[bag], y[bag], cfg)
+            assert list(ens.param_sets[k]) == list(ref)
+            assert all(ens.param_sets[k][n].tobytes() == ref[n].tobytes() for n in ref), k
+            assert hists[k].train_loss == ref_hist.train_loss
 
     def test_training_is_bag_local(self, rng):
         x, y, model = tiny_setup(rng)

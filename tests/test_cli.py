@@ -127,6 +127,33 @@ class TestTrain:
         assert run_cli(["--config", cfg2, "train"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("widths", "0"), ("widths", "4,-2"),
+                                             ("dense_units", "0")])
+    def test_non_positive_layer_sizes(self, workspace, capsys, field, value):
+        tmp_path_, _, cfg_path = workspace
+        old = "widths = 4" if field == "widths" else "dense_units = 8"
+        cfg2 = tmp_path_ / "run6.cfg"
+        cfg2.write_text(cfg_path.read_text().replace(old, f"{field} = {value}"))
+        assert run_cli(["--config", cfg2, "train"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("text", [
+        b"seed = 1\n",  # no section header
+        b"[run]\nseed = 1\n[run]\nout = o\n",  # a repeated section
+        b"[run]\nseed = 1\nseed = 2\n",  # a repeated option
+        b"[run]\nseed = 1\n[model\nwidths = 4\n",  # a broken header line
+        b"[run]\nout = 100%\n",  # a bad % interpolation
+        b"[run]\nout = \xff\n",  # not UTF-8
+    ], ids=["no-header", "repeated-section", "repeated-option", "broken-header",
+            "interpolation", "not-utf8"])
+    def test_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(text)
+        assert run_cli(["--config", path, "dataset", "inspect", tmp_path / "none.bsec"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestEval:
     def test_eval_deterministic(self, workspace, tmp_path):

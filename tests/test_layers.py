@@ -341,3 +341,106 @@ class TestFastKernelsMatchReferences:
         none, dw0, db0 = bwd(up, input_grad=False)
         assert dx.shape == x.shape and none is None
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
+
+
+# -- planar im2col: the forward-only layout for narrow inputs ----------------
+
+def reference_im2col(x, kh, kw, stride):
+    """Row-major im2col matrix [B*H'*W', kh*kw*C] of x [B,H,W,C], one window
+    per row in (kh, kw, C) order."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(win).reshape(-1, kh * kw * x.shape[3])
+
+
+def reference_conv(x, w, b, stride):
+    """The row-major forward: col @ W, then out += b."""
+    kh, kw, cin, cout = w.shape
+    out = reference_im2col(x, kh, kw, stride) @ w.reshape(kh * kw * cin, cout)
+    out += b
+    hp, wp = (x.shape[1] - kh) // stride + 1, (x.shape[2] - kw) // stride + 1
+    return out.reshape(x.shape[0], hp, wp, cout)
+
+
+conv_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),  # batch
+    st.integers(3, 9), st.integers(3, 9),  # H and W, odd and even
+    st.sampled_from([1, 2, 3, 16]),  # Cin: the planar widths and one wide
+    st.integers(1, 3), st.integers(1, 3),  # kh, kw
+    st.sampled_from([1, 2]),  # stride
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([1, 4, 8]),  # Cout
+)
+
+
+def conv_case(seed, bsz, h, w, cin, kh, kw, stride, dtype, cout):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(bsz, h, w, cin)).astype(dtype)
+    ks = layers.ConvKernelSet(rng.normal(size=(kh, kw, cin, cout)).astype(dtype),
+                              rng.normal(size=cout).astype(dtype))
+    return x, ks
+
+
+class TestPlanarIm2col:
+    @settings(max_examples=200, deadline=None)
+    @given(conv_cases)
+    def test_planar_matrix_equals_row_major(self, case):
+        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout = case
+        x, _ = conv_case(*case)
+        planar, dims = layers._im2col_planar(x, kh, kw, stride)
+        row_major, row_dims = layers._im2col(x, kh, kw, stride)
+        ref = reference_im2col(x, kh, kw, stride)
+        assert dims == row_dims == (bsz, (h - kh) // stride + 1, (w - kw) // stride + 1)
+        for col in (planar, row_major):
+            assert col.dtype == ref.dtype and col.shape == ref.shape
+            assert np.ascontiguousarray(col).tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(conv_cases)
+    def test_forward_matches_vjp_forward_and_reference(self, case):
+        x, ks = conv_case(*case)
+        stride = case[7]
+        ref = reference_conv(x, ks.weights, ks.bias, stride)
+        vjp_out, _ = layers.conv2d_vjp(x, ks, stride)
+        out = layers.conv2d_forward(x, ks, stride)
+        # the vjp keeps the row-major matrix, and its bias add is the same adds
+        assert vjp_out.dtype == ref.dtype and vjp_out.tobytes() == ref.tobytes()
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        if x.shape[3] > layers._PLANAR_MAX_CIN:
+            assert out.tobytes() == ref.tobytes()
+        else:
+            # the same products and sums, but the BLAS may pick another kernel
+            # for a transposed operand, which can round the last bit
+            # differently (OpenBLAS 0.3.31 does at 1 output channel, and in
+            # float64 at 4 with 2 or 3 input channels)
+            tol = 1e-5 if x.dtype == np.float32 else 1e-12
+            assert np.allclose(out, ref, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,cout,batches", [
+        ((32, 32, 1), 8, range(1, 70)),  # desk and serve conv1
+        ((224, 224, 3), 32, (1, 2)),  # paper conv1; prediction runs one image
+    ])
+    def test_forward_bytes_at_the_benchmark_conv_shapes(self, rng, dtype, shape, cout, batches):
+        w = rng.normal(size=(3, 3, shape[2], cout)).astype(dtype)
+        ks = layers.ConvKernelSet(w, rng.normal(size=cout).astype(dtype))
+        for bsz in batches:
+            x = rng.normal(size=(bsz, *shape)).astype(dtype)
+            out = layers.conv2d_forward(x, ks)
+            assert out.tobytes() == reference_conv(x, w, ks.bias, 1).tobytes(), bsz
+            assert out.tobytes() == layers.conv2d_vjp(x, ks)[0].tobytes(), bsz
+
+    def test_vjp_weight_gradient_uses_the_row_major_matrix(self, rng):
+        # `col.T @ up` on the planar matrix rounds differently at these
+        # batches (the trailing partial batch of a training epoch), so the
+        # vjp must keep the row-major matrix
+        w = rng.normal(size=(3, 3, 1, 8)).astype(np.float32)
+        ks = layers.ConvKernelSet(w, np.zeros(8, dtype=np.float32))
+        for bsz in range(1, 17):
+            x = rng.normal(size=(bsz, 32, 32, 1)).astype(np.float32)
+            out, bwd = layers.conv2d_vjp(x, ks)
+            up = rng.normal(size=out.shape).astype(np.float32)
+            _, dw, _ = bwd(up, input_grad=False)
+            ref = (reference_im2col(x, 3, 3, 1).T @ up.reshape(-1, 8)).reshape(w.shape)
+            assert dw.tobytes() == ref.tobytes(), bsz

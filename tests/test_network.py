@@ -45,6 +45,24 @@ class TestScaledCnn:
         with pytest.raises(BuildError):
             network.build_scaled_cnn((4, 4, 1), [4, 8, 16], 5)
 
+    @pytest.mark.parametrize("layer,match", [
+        (network.conv(3, 3, 0), r"layer 0 \(conv2d\).*out_channels 0"),
+        (network.conv(0, 3, 4), r"layer 0 \(conv2d\): kernel \(0, 3\)"),
+        (network.conv(3, -1, 4), r"layer 0 \(conv2d\): kernel \(3, -1\)"),
+        (network.conv(3, 3, 4, stride=0), r"layer 0 \(conv2d\).*stride 0"),
+        (network.conv(3, 3, -2), r"layer 0 \(conv2d\).*out_channels -2"),
+    ])
+    def test_non_positive_conv_sizes(self, layer, match):
+        with pytest.raises(BuildError, match=match):
+            network.ModelSpec((8, 8, 1), (layer, network.flat(), network.dense(2)), 2)
+
+    @pytest.mark.parametrize("units", [0, -3])
+    def test_non_positive_dense_units(self, units):
+        with pytest.raises(BuildError, match=rf"layer 4 \(dense\): units must be >= 1, got {units}"):
+            network.build_scaled_cnn((8, 8, 1), [2], 2, dense_units=units)
+        with pytest.raises(BuildError, match=r"layer 0 \(conv2d\)"):
+            network.build_scaled_cnn((8, 8, 1), [units], 2)
+
     @pytest.mark.parametrize("input_shape,widths,n_classes", [
         ((32, 32, 1), [8, 16], 5),
         ((16, 16, 3), [4], 2),
@@ -127,6 +145,28 @@ class TestForwardBatch:
         m, params = tiny
         with pytest.raises(DimensionError):
             network.forward_batch(m, params, np.zeros((2, 8, 8, 1)))
+
+
+class TestForwardMatchesVjp:
+    """forward_batch (planar im2col for narrow convs) gives the logits of
+    forward_vjp (row-major im2col) byte for byte on the benchmark nets."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("input_shape,widths", [
+        ((32, 32, 1), (8, 16)),  # the desk and serve net
+        ((24, 24, 3), (32, 64)),  # a Cin-3 net with the paper net's first widths
+    ])
+    def test_logits_bytes_equal(self, rng, dtype, input_shape, widths):
+        m = network.build_scaled_cnn(input_shape, widths, 5, dense_units=64)
+        params = network.init_params(m, seed=4, dtype=dtype)
+        # the classifier head starts at zero; move it so the logits carry the convs
+        params = {k: (v + 0.1 * rng.normal(size=v.shape)).astype(dtype) for k, v in params.items()}
+        for bsz in (1, 7, 16, 64):
+            batch = rng.uniform(0, 1, size=(bsz, *input_shape)).astype(dtype)
+            logits = network.forward_batch(m, params, batch)
+            vjp_logits, _ = network.forward_vjp(m, params, batch)
+            assert logits.dtype == vjp_logits.dtype == dtype
+            assert logits.tobytes() == vjp_logits.tobytes(), bsz
 
 
 class TestBackwardBatch:

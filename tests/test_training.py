@@ -109,6 +109,69 @@ class TestAdam:
         assert np.all(state.v["w"] >= 0)
 
 
+def reference_adam_step(params, grads, state):
+    """The unfused update, one temporary per operation: the reference for
+    the in-place adam_step."""
+    state.t += 1
+    t = state.t
+    b1, b2 = state.beta1, state.beta2
+    out = {}
+    for key, theta in params.items():
+        g = grads[key]
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {key!r}")
+        m = state.m[key]
+        v = state.v[key]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * np.square(g)
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        out[key] = (theta - state.eta * mhat / np.sqrt(vhat + state.epsilon)).astype(
+            theta.dtype, copy=False
+        )
+    return out, state
+
+
+class TestFusedAdamMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_over_steps(self, rng, dtype):
+        shapes = {"conv/w": (3, 3, 2, 4), "conv/b": (4,), "dense/w": (40, 3), "dense/b": (3,)}
+        params = {k: rng.normal(size=sh).astype(dtype) for k, sh in shapes.items()}
+        fused, ref = params, dict(params)
+        fused_state = training.AdamState.fresh(params, eta=0.01)
+        ref_state = training.AdamState.fresh(params, eta=0.01)
+        scales = [1.0, 0.0, 1e-30, 1e-3, 5.0, 0.0, 1e-20, 1.0]  # zero and tiny steps
+        for step, scale in enumerate(scales):
+            grads = {k: (scale * rng.normal(size=sh)).astype(dtype) for k, sh in shapes.items()}
+            grads["dense/b"][0] = 0.0
+            before = {k: (theta.copy(), grads[k].copy()) for k, theta in fused.items()}
+            fused_in = fused
+            fused, fused_state = training.adam_step(fused, grads, fused_state)
+            ref, ref_state = reference_adam_step(ref, grads, ref_state)
+            assert fused_state.t == ref_state.t == step + 1
+            for k in shapes:
+                assert fused[k].dtype == dtype, k
+                assert fused[k].tobytes() == ref[k].tobytes(), (step, k)
+                assert fused_state.m[k].tobytes() == ref_state.m[k].tobytes(), (step, k)
+                assert fused_state.v[k].tobytes() == ref_state.v[k].tobytes(), (step, k)
+                # neither the caller's parameters nor its gradients are written
+                assert fused_in[k].tobytes() == before[k][0].tobytes(), (step, k)
+                assert grads[k].tobytes() == before[k][1].tobytes(), (step, k)
+                assert fused[k] is not fused_in[k]
+
+    def test_nonfinite_gradient_leaves_moments_untouched(self):
+        params = {"a": np.ones(3), "b": np.ones(2)}
+        state = training.AdamState.fresh(params)
+        params, state = training.adam_step(params, {"a": np.ones(3), "b": np.ones(2)}, state)
+        m, v = state.m["a"].copy(), state.v["a"].copy()
+        with pytest.raises(NumericError, match="'a'"):
+            training.adam_step(params, {"a": np.array([1.0, np.inf, 0.0]), "b": np.ones(2)},
+                               state)
+        assert state.m["a"].tobytes() == m.tobytes() and state.v["a"].tobytes() == v.tobytes()
+
+
 def separable_dataset(rng, n=200, size=16):
     """Two classes distinguished by a bright vs dark center patch."""
     images = rng.uniform(0, 0.3, size=(n, size, size, 1)).astype(np.float32)
