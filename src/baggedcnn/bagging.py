@@ -5,7 +5,7 @@ sub-model k is the same as train_submodel run alone on bag k.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,11 +102,7 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
 
     def run(k):
         bag = assignment.bags[k]
-        cfg = training.TrainConfig(
-            epochs=train.epochs, batch_size=train.batch_size, eta=train.eta,
-            beta1=train.beta1, beta2=train.beta2, epsilon=train.epsilon,
-            seed=submodel_seed(bagging.seed, k),
-        )
+        cfg = replace(train, seed=submodel_seed(bagging.seed, k))
         try:
             return training.train_submodel(model, images[bag], labels[bag], cfg, val=val)
         except BaggedCnnError as exc:  # library errors all take one message

@@ -2,7 +2,8 @@
 dataset synth / dataset inspect.
 
 Run configs are flat ``key = value`` text files with section headers (INI
-style); every key mirrors a RunConfig field.  All outputs are pure
+style).  Each RunConfig field names its ``section.key`` and the parser of its
+value; a section or key that no field names is refused.  All outputs are pure
 functions of (config, seed, input files), so reruns are byte-identical.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
 """
@@ -12,7 +13,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,54 +23,56 @@ from .errors import (BaggedCnnError, BuildError, CheckpointError, ConfigError,
                      NumericError)
 
 
-@dataclass
-class RunConfig:
-    dataset: str = ""
-    split: tuple = (0.6, 0.1, 0.2, 0.1)
-    model_size: str = "scaled"  # paper | scaled
-    widths: tuple = (8, 16)
-    dense_units: int = 64
-    n_classes: int = 5
-    n_models: int = 5
-    bagging_ratio: float = 0.7
-    epochs: int = 5
-    batch_size: int = 32
-    eta: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    combiner: str = "stacking"
-    n_trees: int = 100
-    max_depth: int = 12
-    excluded_classes: tuple = ()
-    grid: tuple = ()  # ((ratio, n_models), ...) for sweep
-    seed: int = 0
-    precision: int = 32
-    out_dir: str = "out"
-
-
-def _parse_tuple(text, conv, fieldname):
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(conv(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"field {fieldname!r}: {exc}") from exc
+def _tuple_of(conv):
+    """Parser of a comma-separated list; an empty value gives ()."""
+    return lambda text: tuple(conv(part) for part in text.split(",")) if text.strip() else ()
 
 
 def _parse_grid(text):
+    """Parse "ratio:n_models, ..." into ((ratio, n_models), ...), skipping empty cells."""
     cells = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (part.strip() for part in text.split(","))):
         try:
             ratio, n = part.split(":")
             cells.append((float(ratio), int(n)))
         except ValueError as exc:
-            raise ConfigError(f"field 'grid': cell {part!r} is not ratio:n_models") from exc
+            raise ValueError(f"cell {part!r} is not ratio:n_models") from exc
     return tuple(cells)
+
+
+def _setting(key, parse, default):
+    """A RunConfig field read from config-file key "section.key" by parse."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    dataset: str = _setting("dataset.path", str, "")
+    split: tuple = _setting("dataset.split", _tuple_of(float), (0.6, 0.1, 0.2, 0.1))
+    model_size: str = _setting("model.size", str, "scaled")  # paper | scaled
+    widths: tuple = _setting("model.widths", _tuple_of(int), (8, 16))
+    dense_units: int = _setting("model.dense_units", int, 64)
+    n_classes: int = _setting("model.n_classes", int, 5)
+    n_models: int = _setting("bagging.n_models", int, 5)
+    bagging_ratio: float = _setting("bagging.bagging_ratio", float, 0.7)
+    epochs: int = _setting("train.epochs", int, 5)
+    batch_size: int = _setting("train.batch_size", int, 32)
+    eta: float = _setting("train.eta", float, 0.001)
+    beta1: float = _setting("train.beta1", float, 0.9)
+    beta2: float = _setting("train.beta2", float, 0.999)
+    epsilon: float = _setting("train.epsilon", float, 1e-8)
+    combiner: str = _setting("combiner.method", str, "stacking")
+    n_trees: int = _setting("combiner.n_trees", int, 100)
+    max_depth: int = _setting("combiner.max_depth", int, 12)
+    excluded_classes: tuple = _setting("metrics.excluded_classes", _tuple_of(int), ())
+    grid: tuple = _setting("sweep.grid", _parse_grid, ())  # ((ratio, n_models), ...)
+    seed: int = _setting("run.seed", int, 0)
+    precision: int = _setting("run.precision", int, 32)
+    out_dir: str = _setting("run.out", str, "out")
+
+
+_SETTINGS = {f.metadata["key"]: f for f in fields(RunConfig)}  # "section.key" -> field
+_SECTIONS = {key.split(".")[0] for key in _SETTINGS}
 
 
 def load_run_config(path):
@@ -80,42 +83,22 @@ def load_run_config(path):
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    cfg = RunConfig()
-
-    def get(section, key, conv, default):
-        if cp.has_option(section, key):
+    if cp.defaults():  # its keys would otherwise reach every section
+        raise ConfigError(f"unknown section [{cp.default_section}] in {path}")
+    values = {}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for key in cp.options(section):
+            name = f"{section}.{key}"
+            if name not in _SETTINGS:
+                raise ConfigError(f"unknown key '{name}' in {path}")
+            setting = _SETTINGS[name]
             try:
-                return conv(cp.get(section, key))
-            except ConfigError:
-                raise
+                values[setting.name] = setting.metadata["parse"](cp.get(section, key))
             except (ValueError, configparser.Error) as exc:  # Error: a bad % interpolation
-                raise ConfigError(f"field '{section}.{key}': {exc}") from exc
-        return default
-
-    cfg.dataset = get("dataset", "path", str, cfg.dataset)
-    cfg.split = get("dataset", "split", lambda s: _parse_tuple(s, float, "split"), cfg.split)
-    cfg.model_size = get("model", "size", str, cfg.model_size)
-    cfg.widths = get("model", "widths", lambda s: _parse_tuple(s, int, "widths"), cfg.widths)
-    cfg.dense_units = get("model", "dense_units", int, cfg.dense_units)
-    cfg.n_classes = get("model", "n_classes", int, cfg.n_classes)
-    cfg.n_models = get("bagging", "n_models", int, cfg.n_models)
-    cfg.bagging_ratio = get("bagging", "bagging_ratio", float, cfg.bagging_ratio)
-    cfg.epochs = get("train", "epochs", int, cfg.epochs)
-    cfg.batch_size = get("train", "batch_size", int, cfg.batch_size)
-    cfg.eta = get("train", "eta", float, cfg.eta)
-    cfg.beta1 = get("train", "beta1", float, cfg.beta1)
-    cfg.beta2 = get("train", "beta2", float, cfg.beta2)
-    cfg.epsilon = get("train", "epsilon", float, cfg.epsilon)
-    cfg.combiner = get("combiner", "method", str, cfg.combiner)
-    cfg.n_trees = get("combiner", "n_trees", int, cfg.n_trees)
-    cfg.max_depth = get("combiner", "max_depth", int, cfg.max_depth)
-    cfg.excluded_classes = get("metrics", "excluded_classes",
-                               lambda s: _parse_tuple(s, int, "excluded_classes"),
-                               cfg.excluded_classes)
-    cfg.grid = get("sweep", "grid", _parse_grid, cfg.grid)
-    cfg.seed = get("run", "seed", int, cfg.seed)
-    cfg.precision = get("run", "precision", int, cfg.precision)
-    cfg.out_dir = get("run", "out", str, cfg.out_dir)
+                raise ConfigError(f"field '{name}': {exc}") from exc
+    cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
 
@@ -134,17 +117,10 @@ def validate_config(cfg):
 
 
 def config_snapshot(cfg):
-    return {
-        "dataset": cfg.dataset, "split": list(cfg.split), "model_size": cfg.model_size,
-        "widths": list(cfg.widths), "dense_units": cfg.dense_units,
-        "n_classes": cfg.n_classes, "n_models": cfg.n_models,
-        "bagging_ratio": cfg.bagging_ratio, "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size, "eta": cfg.eta, "beta1": cfg.beta1,
-        "beta2": cfg.beta2, "epsilon": cfg.epsilon, "combiner": cfg.combiner,
-        "n_trees": cfg.n_trees, "max_depth": cfg.max_depth,
-        "excluded_classes": list(cfg.excluded_classes), "seed": cfg.seed,
-        "precision": cfg.precision,
-    }
+    """The settings a checkpoint records: every field but grid and out_dir."""
+    snapshot = asdict(cfg)
+    del snapshot["grid"], snapshot["out_dir"]
+    return snapshot
 
 
 def build_model(cfg, input_shape):
@@ -226,14 +202,9 @@ def cmd_train(cfg):
     for k, hist in enumerate(histories):
         hist.to_csv(os.path.join(cfg.out_dir, f"history_model_{k}.csv"))
     assignment.to_csv(os.path.join(cfg.out_dir, "bags.csv"))
-    extra = []
-    if ensemble.n_classes == 2:
-        bin_acc = float(np.mean(preds == test_v.labels_binary))
-    else:
-        bin_preds = metrics.binarize_labels(preds)
-        bin_acc = float(np.mean(bin_preds == test_v.labels_binary))
-    extra.append(("binary_accuracy", bin_acc))
-    report = write_metrics_files(cfg.out_dir, cm, cfg, extra)
+    # binarize_labels leaves the 0/1 predictions of a binary task unchanged
+    bin_acc = float(np.mean(metrics.binarize_labels(preds) == test_v.labels_binary))
+    report = write_metrics_files(cfg.out_dir, cm, cfg, [("binary_accuracy", bin_acc)])
     checkpoint.save_checkpoint(os.path.join(cfg.out_dir, "checkpoint.bin"),
                                ensemble, config_snapshot(cfg))
     print(metrics.confusion_text(cm))

@@ -12,28 +12,30 @@ from .errors import DimensionError, InputError
 COMBINERS = ("average", "vote", "stacking")
 
 
-def meta_features(probs):
-    """[n_models, B, C] -> [B, n_models*C], columns ordered (model, class)."""
+def _model_probs(probs):
+    """probs as an array, or DimensionError unless it is [n_models, B, C]."""
     probs = np.asarray(probs)
     if probs.ndim != 3:
         raise DimensionError(f"expected [n_models, B, C] probabilities, got shape {probs.shape}")
+    return probs
+
+
+def meta_features(probs):
+    """[n_models, B, C] -> [B, n_models*C], columns ordered (model, class)."""
+    probs = _model_probs(probs)
     m, b, c = probs.shape
     return probs.transpose(1, 0, 2).reshape(b, m * c)
 
 
 def combine_average(probs):
     """Argmax of the model-axis mean probability."""
-    probs = np.asarray(probs)
-    if probs.ndim != 3:
-        raise DimensionError(f"expected [n_models, B, C] probabilities, got shape {probs.shape}")
+    probs = _model_probs(probs)
     return probs.mean(axis=0).argmax(axis=1)
 
 
 def combine_vote(probs):
     """Per-model argmax, then plurality over models."""
-    probs = np.asarray(probs)
-    if probs.ndim != 3:
-        raise DimensionError(f"expected [n_models, B, C] probabilities, got shape {probs.shape}")
+    probs = _model_probs(probs)
     return forest.plurality(probs.argmax(axis=2), probs.shape[2])
 
 

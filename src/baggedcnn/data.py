@@ -10,11 +10,11 @@ Container file layout (little-endian):
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError, LabelError
+from .errors import FormatError, InputError, LabelError, PayloadError
 from .metrics import binarize_labels
 
 MAGIC = b"BSEC"
@@ -100,11 +100,10 @@ def load_container(path) -> DatasetContainer:
             meta = read_exact(fh, mlen, "metadata").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"metadata is not UTF-8: {exc}") from exc
-    if n and lm.max() >= 5:
-        raise FormatError("multi-class label out of range [0, 5) in payload")
-    if n and np.any(lb != binarize_labels(lm)):
-        raise FormatError("binary labels inconsistent with multi-class labels in payload")
-    return DatasetContainer(images=images, labels_multi=lm, labels_binary=lb, metadata=meta)
+    try:
+        return DatasetContainer(images=images, labels_multi=lm, labels_binary=lb, metadata=meta)
+    except (InputError, LabelError) as exc:
+        raise PayloadError(f"payload: {exc}") from exc
 
 
 def tile_image(image, tile=598):

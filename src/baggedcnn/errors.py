@@ -34,6 +34,12 @@ class FormatError(BaggedCnnError):
     """A serialized file is malformed; the message carries the byte offset."""
 
 
+class PayloadError(FormatError, InputError):
+    """A container file holds values a container refuses, such as a pixel
+    outside [0, 1]: a malformed file to a loader's caller, and the same
+    InputError an in-memory container with those values raises."""
+
+
 class MetricError(BaggedCnnError):
     """A requested metric is undefined for the given counts."""
 

@@ -13,18 +13,25 @@ import numpy as np
 from .errors import InputError, LabelError, MetricError
 
 
+def check_labels(labels, n_classes, what="label"):
+    """Labels as int64, or LabelError naming the first one outside [0, n_classes).
+
+    The range is checked before the cast, so a fractional label such as -0.5
+    is refused rather than truncated into range.
+    """
+    labels = np.asarray(labels)
+    bad = np.nonzero((labels < 0) | (labels >= n_classes))[0]
+    if bad.size:
+        raise LabelError(f"{what} {labels[bad[0]]} out of range [0, {n_classes}) at index {bad[0]}")
+    return labels.astype(np.int64)
+
+
 def confusion(preds, truths, n_classes):
     """C x C counts, rows = true class, columns = predicted class."""
-    preds = np.asarray(preds, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if preds.shape != truths.shape:
+    if np.shape(preds) != np.shape(truths):
         raise InputError("preds and truths disagree in length")
-    for name, arr in (("pred", preds), ("truth", truths)):
-        bad = np.nonzero((arr < 0) | (arr >= n_classes))[0]
-        if bad.size:
-            raise LabelError(
-                f"{name} label {arr[bad[0]]} out of range [0, {n_classes}) at index {bad[0]}"
-            )
+    preds = check_labels(preds, n_classes, "pred label")
+    truths = check_labels(truths, n_classes, "truth label")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (truths, preds), 1)
     return cm
@@ -84,11 +91,7 @@ def accuracy(cm):
 
 def binarize_labels(labels):
     """Multi-class {0..4} -> binary: 0 stays 0 (negative), 1-4 become 1."""
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = np.nonzero((labels < 0) | (labels >= 5))[0]
-    if bad.size:
-        raise LabelError(f"label {labels[bad[0]]} out of range [0, 5) at index {bad[0]}")
-    return (labels > 0).astype(np.int64)
+    return (check_labels(labels, 5) > 0).astype(np.int64)
 
 
 def confusion_text(cm):

@@ -6,14 +6,26 @@ dict mapping "layername/w" / "layername/b" to arrays, so the optimizer can
 treat them uniformly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BuildError, DimensionError, InputError
 from . import layers
 
-LAYER_KINDS = ("conv2d", "maxpool2d", "relu", "flatten", "dense")
+# kind -> (base of the keras-style running name, summary() label, forward kernel,
+# vjp kernel, extra kernel arguments from (layer, weights, bias) or None for a
+# layer without parameters).  The kernels are named, not bound, and looked up on
+# `layers` at call time, so a wrapper installed on the module is called.
+_LAYER_TABLE = {
+    "conv2d": ("conv2d", "Conv2D", "conv2d_forward", "conv2d_vjp",
+               lambda layer, w, b: (layers.ConvKernelSet(w, b), layer.stride)),
+    "maxpool2d": ("max_pooling2d", "MaxPooling2D", "maxpool2d_forward", "maxpool2d_vjp", None),
+    "relu": ("relu", "ReLU", "relu", "relu_vjp", None),
+    "flatten": ("flatten", "Flatten", "flatten", "flatten_vjp", None),
+    "dense": ("dense", "Dense", "dense_forward", "dense_vjp", lambda layer, w, b: (w, b)),
+}
+LAYER_KINDS = tuple(_LAYER_TABLE)
 
 
 @dataclass(frozen=True)
@@ -108,12 +120,10 @@ def infer_shapes(model):
 
 def layer_names(model):
     """Keras-style running names: conv2d, conv2d_1, ..., dense, dense_1, ..."""
-    base = {"conv2d": "conv2d", "maxpool2d": "max_pooling2d", "relu": "relu",
-            "flatten": "flatten", "dense": "dense"}
     counts = {}
     names = []
     for layer in model.layers:
-        b = base[layer.kind]
+        b = _LAYER_TABLE[layer.kind][0]
         n = counts.get(b, 0)
         counts[b] = n + 1
         names.append(b if n == 0 else f"{b}_{n}")
@@ -209,19 +219,6 @@ def forward_vjp(model, params, batch):
     return _forward(model, params, batch, want_vjp=True)
 
 
-# kind -> (forward, vjp, extra arguments from (layer, weights, bias) or None for
-# a layer without parameters).  The kernels are named, not bound, and looked up
-# on `layers` at call time, so a wrapper installed on the module is called.
-_LAYER_TABLE = {
-    "conv2d": ("conv2d_forward", "conv2d_vjp",
-               lambda layer, w, b: (layers.ConvKernelSet(w, b), layer.stride)),
-    "maxpool2d": ("maxpool2d_forward", "maxpool2d_vjp", None),
-    "relu": ("relu", "relu_vjp", None),
-    "flatten": ("flatten", "flatten_vjp", None),
-    "dense": ("dense_forward", "dense_vjp", lambda layer, w, b: (w, b)),
-}
-
-
 # Bytes one image layer may allocate for a chunk of a forward-only batch.  A
 # batch whose largest per-layer array (an im2col matrix included) would pass
 # this runs its image layers a few samples at a time.  The allocator serves
@@ -254,7 +251,7 @@ def _forward(model, params, batch, want_vjp):
         )
     steps = []  # (parameter name prefix or None, kernel name, arguments)
     for layer, name in zip(model.layers, layer_names(model)):
-        forward, vjp, param_args = _LAYER_TABLE[layer.kind]
+        forward, vjp, param_args = _LAYER_TABLE[layer.kind][2:]
         args = param_args(layer, params[f"{name}/w"], params[f"{name}/b"]) if param_args else ()
         steps.append((name if param_args else None, vjp if want_vjp else forward, args))
     if not want_vjp:
@@ -332,19 +329,15 @@ def summary_rows(model):
     return rows
 
 
-_KIND_LABEL = {"conv2d": "Conv2D", "max_pooling2d": "MaxPooling2D",
-               "flatten": "Flatten", "dense": "Dense"}
-
-
 def summary(model):
     """Three-column textual model summary: layer, output shape, param count."""
     lines = []
     header = f"{'Layer (type)':<30}{'Output Shape':<22}{'Param #':>10}"
     lines.append(header)
     lines.append("=" * len(header))
+    kinds = {name: layer.kind for layer, name in zip(model.layers, layer_names(model))}
     for name, shape, count in summary_rows(model):
-        base = name.rsplit("_", 1)[0] if name[-1].isdigit() else name
-        label = _KIND_LABEL.get(base, base)
+        label = _LAYER_TABLE[kinds[name]][1]
         shape_s = "(None, " + ", ".join(str(s) for s in shape) + ")"
         lines.append(f"{name + ' (' + label + ')':<30}{shape_s:<22}{count:>10}")
     lines.append("=" * len(header))

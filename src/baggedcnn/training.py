@@ -10,24 +10,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network
-from .errors import InputError, LabelError, NumericError
+from .errors import InputError, NumericError
 from .layers import softmax
+from .metrics import check_labels
 
 PROB_FLOOR = 1e-12  # clamp before log so confident-wrong predictions stay finite
-
-
-def _check_labels(labels, n_classes):
-    labels = np.asarray(labels)
-    bad = np.nonzero((labels < 0) | (labels >= n_classes))[0]
-    if bad.size:
-        raise LabelError(f"label {labels[bad[0]]} out of range [0, {n_classes}) at index {bad[0]}")
-    return labels.astype(np.int64)
 
 
 def sparse_cce(probs, labels):
     """Mean over the batch of -log(probs[i, labels[i]])."""
     probs = np.asarray(probs)
-    labels = _check_labels(labels, probs.shape[-1])
+    labels = check_labels(labels, probs.shape[-1])
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
@@ -35,7 +28,7 @@ def sparse_cce(probs, labels):
 def softmax_cce(logits, labels):
     """Fused softmax + loss: (mean loss, probs, dLogits=(probs-onehot)/B)."""
     probs = softmax(logits)
-    labels = _check_labels(labels, probs.shape[-1])
+    labels = check_labels(labels, probs.shape[-1])
     b = len(labels)
     loss = sparse_cce(probs, labels)
     dlogits = probs.copy()
@@ -140,7 +133,7 @@ class TrainHistory:
 
 def evaluate(model, params, images, labels, batch_size=64):
     """(mean loss, accuracy) over a labeled set."""
-    labels = _check_labels(labels, model.n_classes)
+    labels = check_labels(labels, model.n_classes)
     losses = []
     correct = 0
     for lo in range(0, len(labels), batch_size):
@@ -162,7 +155,7 @@ def train_submodel(model, images, labels, config: TrainConfig, val=None):
     """
     if len(labels) == 0:
         raise InputError("training set is empty")
-    labels = _check_labels(labels, model.n_classes)
+    labels = check_labels(labels, model.n_classes)
     params = network.init_params(model, config.seed, dtype=images.dtype)
     state = AdamState.fresh(params, config.beta1, config.beta2, config.eta, config.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baggedcnn import metrics
+from baggedcnn import metrics, training
 from baggedcnn.errors import InputError, LabelError, MetricError
 
 
@@ -135,3 +135,15 @@ class TestRendering:
         lines = out.strip().splitlines()
         assert lines[0].startswith("true\\pred")
         assert lines[1] == "0,1,0"
+
+
+def test_fractional_negative_label_refused():
+    # the range is checked before the int64 cast, which would read -0.5 as 0
+    with pytest.raises(LabelError, match=r"label -0\.5 out of range \[0, 5\) at index 1"):
+        training.sparse_cce(np.full((2, 5), 0.2), [0, -0.5])
+    with pytest.raises(LabelError, match=r"^pred label -0\.5 .* at index 1"):
+        metrics.confusion([0, -0.5], [0, 0], 5)
+    with pytest.raises(LabelError, match=r"^truth label -0\.5 .* at index 1"):
+        metrics.confusion([0, 0], [0, -0.5], 5)
+    with pytest.raises(LabelError, match=r"^label -0\.5 out of range \[0, 5\) at index 1"):
+        metrics.binarize_labels([0, -0.5])
