@@ -2,15 +2,18 @@
 dataset synth / dataset inspect.
 
 Run configs are flat ``key = value`` text files with section headers (INI
-style).  Each RunConfig field names its ``section.key`` and the parser of its
-value; a section or key that no field names is refused.  All outputs are pure
-functions of (config, seed, input files), so reruns are byte-identical.
+style).  Each RunConfig field names its ``section.key``, the parser of its
+value and the rule a good value keeps.  A section or key that no field names
+is refused, and `main` checks every rule before any command runs.  All
+outputs are pure functions of (config, seed, input files), so reruns are
+byte-identical.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
 """
 
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -40,35 +43,80 @@ def _parse_grid(text):
     return tuple(cells)
 
 
-def _setting(key, parse, default):
-    """A RunConfig field read from config-file key "section.key" by parse."""
-    return field(default=default, metadata={"key": key, "parse": parse})
+def _setting(key, parse, default, rule=None):
+    """A RunConfig field read from config-file key "section.key" by parse.
+
+    rule is (ok, must): ok(value, cfg) is true of a good value, and must
+    says what one is.  A field without a rule takes any value its parser
+    gives.
+    """
+    return field(default=default, metadata={"key": key, "parse": parse, "rule": rule})
+
+
+def _at_least(low):
+    return (lambda v, cfg: v >= low), f"at least {low}"
+
+
+def _above(low):
+    return (lambda v, cfg: low < v < math.inf), f"a finite number above {low}"
+
+
+def _one_of(*options):
+    return (lambda v, cfg: v in options), "one of " + ", ".join(map(str, options))
+
+
+_BETA = (lambda v, cfg: 0 <= v < 1), "at least 0 and below 1"
+
+
+def _split_ok(split, cfg):
+    # validation may be empty; the stacking part only feeds the forest
+    needed = (0, 3, 2) if cfg.combiner == "stacking" else (0, 3)
+    return (len(split) == 4 and all(0 <= f <= 1 for f in split)
+            and abs(sum(split) - 1) <= 1e-9 and all(split[p] > 0 for p in needed))
+
+
+def _grid_ok(grid, cfg):
+    return all(0 < ratio <= 1 and n >= 1 for ratio, n in grid)
+
+
+def _excluded_ok(excluded, cfg):
+    return all(0 <= k < cfg.n_classes for k in excluded) and len(set(excluded)) < cfg.n_classes
 
 
 @dataclass
 class RunConfig:
     dataset: str = _setting("dataset.path", str, "")
-    split: tuple = _setting("dataset.split", _tuple_of(float), (0.6, 0.1, 0.2, 0.1))
-    model_size: str = _setting("model.size", str, "scaled")  # paper | scaled
-    widths: tuple = _setting("model.widths", _tuple_of(int), (8, 16))
-    dense_units: int = _setting("model.dense_units", int, 64)
-    n_classes: int = _setting("model.n_classes", int, 5)
-    n_models: int = _setting("bagging.n_models", int, 5)
-    bagging_ratio: float = _setting("bagging.bagging_ratio", float, 0.7)
-    epochs: int = _setting("train.epochs", int, 5)
-    batch_size: int = _setting("train.batch_size", int, 32)
-    eta: float = _setting("train.eta", float, 0.001)
-    beta1: float = _setting("train.beta1", float, 0.9)
-    beta2: float = _setting("train.beta2", float, 0.999)
-    epsilon: float = _setting("train.epsilon", float, 1e-8)
-    combiner: str = _setting("combiner.method", str, "stacking")
-    n_trees: int = _setting("combiner.n_trees", int, 100)
-    max_depth: int = _setting("combiner.max_depth", int, 12)
-    excluded_classes: tuple = _setting("metrics.excluded_classes", _tuple_of(int), ())
-    grid: tuple = _setting("sweep.grid", _parse_grid, ())  # ((ratio, n_models), ...)
-    seed: int = _setting("run.seed", int, 0)
-    precision: int = _setting("run.precision", int, 32)
-    out_dir: str = _setting("run.out", str, "out")
+    split: tuple = _setting(
+        "dataset.split", _tuple_of(float), (0.6, 0.1, 0.2, 0.1),
+        (_split_ok, "four fractions train/val/stacking/test in [0, 1] that sum to 1, "
+                    "train, test and (with the stacking combiner) stacking above 0"))
+    model_size: str = _setting("model.size", str, "scaled", _one_of("paper", "scaled"))
+    widths: tuple = _setting("model.widths", _tuple_of(int), (8, 16),
+                             ((lambda v, cfg: all(n >= 1 for n in v)), "widths of at least 1"))
+    dense_units: int = _setting("model.dense_units", int, 64, _at_least(1))
+    n_classes: int = _setting("model.n_classes", int, 5, _one_of(2, 5))
+    n_models: int = _setting("bagging.n_models", int, 5, _at_least(1))
+    bagging_ratio: float = _setting("bagging.bagging_ratio", float, 0.7,
+                                    ((lambda v, cfg: 0 < v <= 1), "above 0 and at most 1"))
+    epochs: int = _setting("train.epochs", int, 5, _at_least(0))
+    batch_size: int = _setting("train.batch_size", int, 32, _at_least(1))
+    eta: float = _setting("train.eta", float, 0.001, _above(0))
+    beta1: float = _setting("train.beta1", float, 0.9, _BETA)
+    beta2: float = _setting("train.beta2", float, 0.999, _BETA)
+    epsilon: float = _setting("train.epsilon", float, 1e-8, _above(0))
+    combiner: str = _setting("combiner.method", str, "stacking", _one_of(*combiners.COMBINERS))
+    n_trees: int = _setting("combiner.n_trees", int, 100, _at_least(1))
+    max_depth: int = _setting("combiner.max_depth", int, 12, _at_least(0))
+    excluded_classes: tuple = _setting(
+        "metrics.excluded_classes", _tuple_of(int), (),
+        (_excluded_ok, "classes below model.n_classes, leaving at least one"))
+    grid: tuple = _setting(  # ((ratio, n_models), ...)
+        "sweep.grid", _parse_grid, (),
+        (_grid_ok, "ratio:n_models cells with ratio above 0 and at most 1, n_models at least 1"))
+    seed: int = _setting("run.seed", int, 0, _at_least(0))
+    precision: int = _setting("run.precision", int, 32, _one_of(32, 64))
+    out_dir: str = _setting("run.out", str, "out",
+                            ((lambda v, cfg: not os.path.isfile(v)), "a directory, not a file"))
 
 
 _SETTINGS = {f.metadata["key"]: f for f in fields(RunConfig)}  # "section.key" -> field
@@ -76,6 +124,7 @@ _SECTIONS = {key.split(".")[0] for key in _SETTINGS}
 
 
 def load_run_config(path):
+    """The RunConfig a config file sets; validate_config checks its values."""
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path)
@@ -98,22 +147,18 @@ def load_run_config(path):
                 values[setting.name] = setting.metadata["parse"](cp.get(section, key))
             except (ValueError, configparser.Error) as exc:  # Error: a bad % interpolation
                 raise ConfigError(f"field '{name}': {exc}") from exc
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def validate_config(cfg):
-    if cfg.model_size not in ("paper", "scaled"):
-        raise ConfigError(f"field 'model.size': must be paper or scaled, got {cfg.model_size!r}")
-    if cfg.combiner not in combiners.COMBINERS:
-        raise ConfigError(f"field 'combiner.method': unknown combiner {cfg.combiner!r}")
-    if cfg.n_classes not in (2, 5):
-        raise ConfigError("field 'model.n_classes': must be 2 or 5")
-    if cfg.precision not in (32, 64):
-        raise ConfigError("field 'run.precision': must be 32 or 64")
-    if len(cfg.split) != 4:
-        raise ConfigError("field 'dataset.split': needs four fractions train/val/stacking/test")
+    """ConfigError naming the first field whose value breaks its rule."""
+    for f in fields(cfg):
+        if f.metadata["rule"] is None:
+            continue
+        ok, must = f.metadata["rule"]
+        value = getattr(cfg, f.name)
+        if not ok(value, cfg):
+            raise ConfigError(f"field '{f.metadata['key']}': must be {must}, got {value!r}")
 
 
 def config_snapshot(cfg):
@@ -258,6 +303,7 @@ def cmd_sweep(cfg):
 def cmd_compare_combiners(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = replace(cfg, combiner="stacking")  # fit the forest once; reuse sub-models
+    validate_config(base)  # the stacking split must not be empty
     _, views, ensemble, _, _ = run_pipeline(base)
     test_v = views[3]
     probs = bagging.ensemble_predict_probs(ensemble, test_v.images.astype(_dtype(cfg)))
@@ -345,6 +391,7 @@ def main(argv=None):
             cfg.out_dir = args.out
         if args.precision is not None:
             cfg.precision = args.precision
+        validate_config(cfg)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":

@@ -11,6 +11,15 @@ over the batch for parameter gradients.  The conv backward takes
 `input_grad=False` to skip the input gradient, which a network's first layer
 never needs.  The conv, pool and relu backward closures keep masks, indices
 and shapes rather than forward activations.
+
+The conv input gradient is scattered channel-first: `W @ upstream.T` gives
+one contiguous [Cin, B, H', W'] plane per kernel offset, added into a
+[Cin, B, H, W] buffer that one copy turns channels-last.  A channels-last
+scatter moves Cin floats per run.  The bias gradient is an einsum row sum,
+which adds in the same order as `sum(axis=0)` but faster.  In float32 both
+give the bytes of the row-major backward (8832 shapes swept).  In float64
+the input gradient can round differently, by at most 1e-13 of its largest
+element (4.6e-16 seen).
 """
 
 from dataclasses import dataclass
@@ -124,6 +133,20 @@ def conv2d_forward(x, kernels: ConvKernelSet, stride=1):
     return out[0] if single else out
 
 
+def _bias_grad(up_flat):
+    """up_flat [N, Cout] summed over its rows, as up_flat.sum(axis=0) sums them.
+
+    Over a non-contiguous axis, sum adds the rows in sequence, and so does
+    einsum, in 0.25-0.76x the time for Cout 8 to 128 (float32, 2 vCPU); the
+    bytes matched in all 1988 cases tried at Cout 2 to 512, both dtypes.  At
+    Cout 1 the axis is contiguous and sum adds pairwise, which einsum does
+    not, so that case keeps sum.
+    """
+    if up_flat.shape[1] == 1:
+        return up_flat.sum(axis=0)
+    return np.einsum("ij->j", up_flat)
+
+
 def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
     """Forward pass plus backward(upstream, input_grad=True) -> (dInput, dWeights, dBias).
 
@@ -147,17 +170,19 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
         bsz, hp, wp, _ = up.shape
         up_flat = up.reshape(bsz * hp * wp, cout)
         dw = (col.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
-        db = up_flat.sum(axis=0).astype(w.dtype, copy=False)
+        db = _bias_grad(up_flat).astype(w.dtype, copy=False)
         if not input_grad:
             return None, dw, db
-        # scatter dcol back onto the overlapping input windows
-        dcol = (up_flat @ w.reshape(kh * kw * cin, cout).T).reshape(bsz, hp, wp, kh, kw, cin)
-        dx = np.zeros(in_shape, dtype=in_dtype)
+        # dcol transposed: one contiguous [Cin, B, H', W'] plane per kernel
+        # offset, scattered back onto the overlapping windows of a
+        # channel-first dx in the same (i, j) order as the row-major scatter
+        dcol = (w.reshape(kh * kw * cin, cout) @ up_flat.T).reshape(kh, kw, cin, bsz, hp, wp)
+        dxc = np.zeros((cin, *in_shape[:3]), dtype=in_dtype)
         for i in range(kh):
             for j in range(kw):
-                dx[:, i : i + hp * stride : stride, j : j + wp * stride : stride, :] += dcol[
-                    :, :, :, i, j, :
-                ]
+                dxc[:, :, i : i + hp * stride : stride, j : j + wp * stride : stride] += dcol[i, j]
+        del dcol  # so the peak is dcol + dx, not dcol + dxc + dx
+        dx = np.ascontiguousarray(np.moveaxis(dxc, 0, 3))
         return (dx[0], dw, db) if single else (dx, dw, db)
 
     return (out[0] if single else out), backward

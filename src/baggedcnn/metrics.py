@@ -14,15 +14,20 @@ from .errors import InputError, LabelError, MetricError
 
 
 def check_labels(labels, n_classes, what="label"):
-    """Labels as int64, or LabelError naming the first one outside [0, n_classes).
+    """Labels as int64, or LabelError naming the first one outside [0, n_classes)
+    or, for a non-integer dtype, the first that is not a whole number.
 
-    The range is checked before the cast, so a fractional label such as -0.5
-    is refused rather than truncated into range.
+    Both checks come before the cast, so a fractional label such as -0.5 or
+    1.9 is refused rather than truncated, and so is NaN.
     """
     labels = np.asarray(labels)
     bad = np.nonzero((labels < 0) | (labels >= n_classes))[0]
     if bad.size:
         raise LabelError(f"{what} {labels[bad[0]]} out of range [0, {n_classes}) at index {bad[0]}")
+    if labels.dtype.kind not in "biu":
+        bad = np.nonzero(labels != np.trunc(labels))[0]
+        if bad.size:
+            raise LabelError(f"{what} {labels[bad[0]]} is not a whole number at index {bad[0]}")
     return labels.astype(np.int64)
 
 

@@ -102,3 +102,96 @@ def test_snapshot_bytes_match_hand_written_dict():
     for sort_keys in (False, True):
         assert (json.dumps(cli.config_snapshot(cfg), sort_keys=sort_keys)
                 == json.dumps(_old_config_snapshot(cfg), sort_keys=sort_keys))
+
+
+# One value per key that breaks the key's rule.  "{tmp}" is the test's
+# directory.  A missing dataset file is a data error, not a config error.
+BAD = {
+    "dataset.path": ("{tmp}/missing.bsec", 3),
+    "dataset.split": ("0.5,0.5,0.5,0.5", 2),
+    "model.size": ("huge", 2),
+    "model.widths": ("4,0", 2),
+    "model.dense_units": ("0", 2),
+    "model.n_classes": ("3", 2),
+    "bagging.n_models": ("0", 2),
+    "bagging.bagging_ratio": ("1.5", 2),
+    "train.epochs": ("-1", 2),
+    "train.batch_size": ("0", 2),
+    "train.eta": ("0", 2),
+    "train.beta1": ("1", 2),
+    "train.beta2": ("-0.1", 2),
+    "train.epsilon": ("nan", 2),
+    "combiner.method": ("blending", 2),
+    "combiner.n_trees": ("0", 2),
+    "combiner.max_depth": ("-1", 2),
+    "metrics.excluded_classes": ("5", 2),
+    "sweep.grid": ("0.5:3,1.5:2", 2),
+    "run.seed": ("-1", 2),
+    "run.precision": ("16", 2),
+    "run.out": ("{tmp}/a_file", 2),
+}
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(cli.bagging, "train_ensemble", refuse)
+
+
+def _run(tmp_path, text, *args):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    return cli.main(["--config", str(path), *args])
+
+
+def test_bad_values_cover_every_key():
+    assert set(BAD) == set(KEYS)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("key", sorted(BAD))
+def test_bad_value_exits_before_training(tmp_path, capsys, no_training, key, command):
+    (tmp_path / "a_file").write_text("")
+    section, option = key.split(".")
+    text, code = BAD[key]
+    config = f"[{section}]\n{option} = {text.format(tmp=tmp_path)}\n"
+    if command == "sweep" and section != "sweep":  # sweep refuses an empty grid
+        config += "[sweep]\ngrid = 0.6:2\n"
+    assert _run(tmp_path, config, command) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"config error: field '{key}': must be "), err
+
+
+@pytest.mark.parametrize("text", [
+    "[dataset]\nsplit = 0.7,0.1,0.0,0.2\n",  # no stacking part for the stacking forest
+    "[dataset]\nsplit = 0.7,0.1,0.2\n",
+    "[metrics]\nexcluded_classes = 0,1\n[model]\nn_classes = 2\n",  # every class
+    "[metrics]\nexcluded_classes = 3\n[model]\nn_classes = 2\n",
+])
+def test_rules_that_read_other_fields(tmp_path, no_training, text):
+    assert _run(tmp_path, text, "train") == 2
+
+
+def test_compare_combiners_needs_a_stacking_split(tmp_path, capsys, no_training):
+    text = "[dataset]\nsplit = 0.7,0.1,0.0,0.2\n[combiner]\nmethod = average\n"
+    assert _run(tmp_path, text, "compare-combiners") == 2
+    assert "field 'dataset.split'" in capsys.readouterr().err
+
+
+def test_rules_accept_edge_values(tmp_path):
+    text = ("[dataset]\nsplit = 0.7,0.0,0.0,0.3\n[combiner]\nmethod = vote\nmax_depth = 0\n"
+            "[bagging]\nbagging_ratio = 1\n[train]\nepochs = 0\nbeta1 = 0\n[run]\nseed = 0\n"
+            "[metrics]\nexcluded_classes = 0,1,2,3\n")
+    path = tmp_path / "edge.cfg"
+    path.write_text(text)
+    cli.validate_config(cli.load_run_config(path))
+
+
+def test_command_line_override_is_checked(tmp_path, capsys, no_training):
+    assert _run(tmp_path, "[run]\nseed = 3\n", "--seed", "-2", "train") == 2
+    assert "field 'run.seed'" in capsys.readouterr().err
+    # an override also mends a config value
+    assert _run(tmp_path, "[run]\nseed = -1\n", "--seed", "1", "dataset", "inspect",
+                str(tmp_path / "none.bsec")) == 3

@@ -147,3 +147,27 @@ def test_fractional_negative_label_refused():
         metrics.confusion([0, 0], [0, -0.5], 5)
     with pytest.raises(LabelError, match=r"^label -0\.5 out of range \[0, 5\) at index 1"):
         metrics.binarize_labels([0, -0.5])
+
+
+# a fraction inside the range used to be truncated into a valid class
+def test_confusion_refuses_fractional_labels():
+    with pytest.raises(LabelError, match=r"^pred label 0\.5 is not a whole number at index 0"):
+        metrics.confusion([0.5, 1.9], [0, 1], 5)
+    with pytest.raises(LabelError, match=r"^truth label 1\.9 is not a whole number at index 1"):
+        metrics.confusion([0, 1], [0.0, 1.9], 5)
+    with pytest.raises(LabelError, match="nan"):
+        metrics.confusion([0, np.nan], [0, 1], 5)
+    # whole numbers in a float array are still labels
+    assert metrics.confusion([0.0, 1.0], [0, 1], 5).trace() == 2
+
+
+def test_binarize_refuses_fractional_labels():
+    with pytest.raises(LabelError, match=r"^label 0\.4 is not a whole number at index 0"):
+        metrics.binarize_labels([0.4])
+    assert metrics.binarize_labels(np.array([0.0, 3.0])).tolist() == [0, 1]
+
+
+def test_sparse_cce_refuses_fractional_labels():
+    with pytest.raises(LabelError, match=r"^label 2\.7 is not a whole number at index 1"):
+        training.sparse_cce(np.full((2, 5), 0.2), [0, 2.7])
+    assert training.sparse_cce(np.full((2, 5), 0.2), [0.0, 2.0]) == pytest.approx(-np.log(0.2))
