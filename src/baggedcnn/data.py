@@ -206,6 +206,10 @@ def synth_dataset(n_per_class, n_classes=5, image_size=32, seed=0, noise=0.1,
         raise InputError("n_classes must be in [2, 5]")
     if image_size < 16:
         raise InputError("image_size must be >= 16 to fit the patterns")
+    if n_per_class < 1:
+        raise InputError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise InputError(f"noise must be finite and >= 0, got {noise}")
     s = image_size
     c = s // 2
     templates = []
@@ -267,6 +271,8 @@ def split(dataset: DatasetContainer, fractions=(0.6, 0.1, 0.2, 0.1), seed=0):
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 4:
         raise InputError("fractions must have four parts: train/val/stacking/test")
+    if not all(0 <= f <= 1 for f in fractions):  # NaN fails too
+        raise InputError(f"fractions must each be in [0, 1], got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InputError(f"fractions must sum to 1, got {sum(fractions)}")
     rng = np.random.default_rng(seed)

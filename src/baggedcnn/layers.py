@@ -12,6 +12,12 @@ over the batch for parameter gradients.  The conv backward takes
 never needs.  The conv, pool and relu backward closures keep masks, indices
 and shapes rather than forward activations.
 
+At Cin 1 the row-major im2col matrix is filled one kernel offset at a time,
+and a pool vjp on at most _GATHER_MAX_C channels works on a contiguous copy of
+its window corners.  Both are chosen by channel count and change no
+arithmetic; `_im2col` and `_GATHER_MAX_C` give the measurements behind each
+cutoff.
+
 The conv input gradient is scattered channel-first: `W @ upstream.T` gives
 one contiguous [Cin, B, H', W'] plane per kernel offset, added into a
 [Cin, B, H, W] buffer that one copy turns channels-last.  A channels-last
@@ -89,7 +95,22 @@ _PLANAR_MAX_CIN = 3
 
 def _im2col(xb, kh, kw, stride):
     """Row-major im2col matrix [B*H'*W', kh*kw*Cin] of x [B,H,W,C]; returns
-    (matrix, (B, H', W'))."""
+    (matrix, (B, H', W')).
+
+    At Cin 1 a window copy moves kw floats per run, so the matrix is filled
+    one kernel offset at a time instead, each offset one strided image copy.
+    Measured per build (float32, 2 vCPU): 0.35-0.56x the time of the window
+    copy at Cin 1, but 2.4-3.3x at Cin 2, 3 and 8, so wider inputs keep it.
+    """
+    if xb.shape[3] == 1:
+        bsz, h, w, _ = xb.shape
+        hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
+        col = np.empty((bsz, hp, wp, kh, kw, 1), dtype=xb.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                win = xb[:, i : i + hp * stride : stride, j : j + wp * stride : stride]
+                col[:, :, :, i, j] = win
+        return col.reshape(bsz * hp * wp, kh * kw), (bsz, hp, wp)
     pat = _patches(xb, kh, kw, stride)
     bsz, hp, wp = pat.shape[:3]
     col = np.ascontiguousarray(pat).reshape(bsz * hp * wp, kh * kw * xb.shape[3])
@@ -192,15 +213,32 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pool_corners(x):
-    """The four window corners of x as stride-2 views [B,H2,W2,C], row-major order."""
+# The pool vjp of an input with at most this many channels copies the window
+# corners into one contiguous [2, 2, B, H2, W2, C] array first.  On stride-2
+# views of a narrow input numpy's loops run C values at a time; on the copy
+# they run whole planes.  Measured per vjp (float32, 2 vCPU), gathered over
+# strided: 0.69-0.81x at C 8 and 16, 0.81-0.98x at C 32 on images up to 30x30,
+# but 1.12-1.34x on each of the paper net's pools (C 32 to 128).  The pool
+# forward took 1.1-1.26x as long gathered at the desk net's C 8 and 16.
+_GATHER_MAX_C = 16
+
+
+def _pool_corners(x, gather_max_c=0):
+    """The four window corners of x [B,H2,W2,C] in row-major order: stride-2
+    views, or slices of one contiguous copy when C <= gather_max_c."""
     xb, single = _as_batch(x, "pool input")
-    h, w = xb.shape[1:3]
+    bsz, h, w, c = xb.shape
     if h < 2 or w < 2:
         axis = "height" if h < 2 else "width"
         raise DimensionError(f"pool window 2x2 larger than input on {axis} axis ({h}x{w})")
     h2, w2 = h // 2, w // 2
-    corners = [xb[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
+    if c <= gather_max_c:
+        win = xb[:, : 2 * h2, : 2 * w2].reshape(bsz, h2, 2, w2, 2, c)
+        g = np.empty((2, 2, bsz, h2, w2, c), dtype=xb.dtype)
+        np.copyto(g, win.transpose(2, 4, 0, 1, 3, 5))
+        corners = [g[i, j] for i, j in _CORNERS]
+    else:
+        corners = [xb[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
     return corners, xb.shape, single
 
 
@@ -217,7 +255,7 @@ def maxpool2d_forward(x):
 def maxpool2d_vjp(x):
     """Forward pass plus backward(upstream) -> dInput, routed to the first
     maximum of each window in row-major order."""
-    (a, b, c, d), in_shape, single = _pool_corners(x)
+    (a, b, c, d), in_shape, single = _pool_corners(x, _GATHER_MAX_C)
     top, bottom = np.maximum(b, a), np.maximum(d, c)
     # corner index (row << 1) | col of the first maximum, kept as uint8; strict
     # comparisons keep ties in the top row and the left column

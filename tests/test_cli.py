@@ -62,6 +62,16 @@ class TestDatasetCommands:
         assert "25 of 16x16x1" in out
         assert "class 4: 5" in out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-per-class", "-1"), ("--n-per-class", "0"), ("--noise", "-1"),
+        ("--noise", "nan"), ("--noise", "inf"),
+    ])
+    def test_synth_bad_argument_is_a_data_error(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "s.bsec"
+        assert run_cli(["dataset", "synth", path, "--image-size", 16, flag, value]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_inspect_missing_file(self, tmp_path):
         assert run_cli(["dataset", "inspect", tmp_path / "nope.bsec"]) == 3
 

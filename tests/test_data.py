@@ -222,6 +222,14 @@ class TestSynthDataset:
         with pytest.raises(InputError):
             data.synth_dataset(2, image_size=8)
 
+    @pytest.mark.parametrize("n_per_class,noise,what", [
+        (-1, 0.1, "n_per_class"), (0, 0.1, "n_per_class"), (2, -1.0, "noise"),
+        (2, float("nan"), "noise"), (2, float("inf"), "noise"), (2, float("-inf"), "noise"),
+    ])
+    def test_bad_size_or_noise_refused(self, n_per_class, noise, what):
+        with pytest.raises(InputError, match=what):
+            data.synth_dataset(n_per_class, image_size=16, noise=noise)
+
     def test_binary_labels_consistent(self):
         ds = data.synth_dataset(3, seed=2)
         assert np.array_equal(ds.labels_binary, (ds.labels_multi > 0).astype(np.uint8))
@@ -252,3 +260,17 @@ class TestSplit:
         ds = data.synth_dataset(4, seed=0)
         with pytest.raises(InputError):
             data.split(ds, (0.5, 0.2, 0.2, 0.2))
+
+    @pytest.mark.parametrize("fractions", [
+        (1.2, -0.2, 0, 0), (0.5, 0.5, 1.5, -1.5), (float("nan"), 0.5, 0.25, 0.25),
+        (float("inf"), 0, 0, 0),
+    ], ids=["over-one", "negative", "nan", "inf"])
+    def test_fraction_outside_unit_interval_refused(self, fractions):
+        ds = data.synth_dataset(4, seed=0)
+        with pytest.raises(InputError, match=r"in \[0, 1\]"):
+            data.split(ds, fractions)
+
+    def test_edge_fractions_allowed(self):
+        ds = data.synth_dataset(4, seed=0)
+        train, *rest = data.split(ds, (1, 0, 0, 0))
+        assert len(train) == len(ds) and all(len(v) == 0 for v in rest)

@@ -282,8 +282,11 @@ def tie_heavy(seed, shape, dtype, mode):
 
 
 # channel counts of 8 and up run numpy's vectorised inner loop, as the desk
-# and paper nets' pools do; 1-3 channels run its short scalar loop
-pool_channels = st.sampled_from([1, 2, 3, 8, 16, 32])
+# and paper nets' pools do; 1-3 channels run its short scalar loop.  The
+# pool vjp gathers its corners up to _GATHER_MAX_C channels, so the draw
+# holds that count and the next one above it.
+pool_channels = st.sampled_from(sorted({1, 2, 3, 8, 16, 32, layers._GATHER_MAX_C,
+                                        layers._GATHER_MAX_C + 1}))
 pool_cases = st.tuples(
     st.integers(0, 2**32 - 1),
     st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 7), pool_channels),
@@ -325,6 +328,19 @@ class TestFastKernelsMatchReferences:
         dx = bwd(up)
         assert dx.dtype == x.dtype
         assert np.array_equal(dx, reference_relu_backward(x, up))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(32, 30, 30, 8), (32, 13, 13, 16), (5, 13, 13, 17)])
+    def test_maxpool_vjp_at_the_desk_pool_shapes(self, shape, dtype):
+        # the desk net's two pools take the gathered corners; the third
+        # shape, one channel past the cutoff, the strided views
+        x = tie_heavy(11, shape, dtype, "signed_zeros")
+        ref, ref_bwd = reference_maxpool_with_argmax(x)
+        out, bwd = layers.maxpool2d_vjp(x)
+        assert out.tobytes() == ref.tobytes()
+        up = tie_heavy(12, ref.shape, dtype, "levels")
+        # the fast backward multiplies, so off the maximum it can hold -0.0
+        assert np.array_equal(bwd(up), ref_bwd(up))
 
     @pytest.mark.parametrize("vjp,dtype", [(layers.maxpool2d_vjp, np.uint8),
                                            (layers.relu_vjp, np.bool_)])
@@ -430,6 +446,17 @@ class TestPlanarIm2col:
             out = layers.conv2d_forward(x, ks)
             assert out.tobytes() == reference_conv(x, w, ks.bias, 1).tobytes(), bsz
             assert out.tobytes() == layers.conv2d_vjp(x, ks)[0].tobytes(), bsz
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_offset_fill_at_the_desk_conv1_shape(self, rng, dtype):
+        # Cin 1 takes the offset fill; batches 1-69 include the trailing
+        # partial batches of a desk training epoch
+        for bsz in range(1, 70):
+            x = rng.normal(size=(bsz, 32, 32, 1)).astype(dtype)
+            col, dims = layers._im2col(x, 3, 3, 1)
+            ref = reference_im2col(x, 3, 3, 1)
+            assert dims == (bsz, 30, 30) and col.dtype == ref.dtype, bsz
+            assert col.shape == ref.shape and col.tobytes() == ref.tobytes(), bsz
 
     def test_vjp_weight_gradient_uses_the_row_major_matrix(self, rng):
         # `col.T @ up` on the planar matrix rounds differently at these
