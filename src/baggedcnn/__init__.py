@@ -20,9 +20,8 @@ from .combiners import (combine, combine_average, combine_stacking, combine_vote
                         fit_stacking, meta_features)
 from .metrics import (accuracy, binarize_labels, confusion, macro_metrics,
                       micro_metrics)
-from .data import (AugmentSpec, DatasetContainer, DatasetView, augment,
-                   load_container, resize_bilinear, save_container, split,
-                   synth_dataset, tile_image)
+from .data import (DatasetContainer, DatasetView, load_container, save_container,
+                   split, synth_dataset)
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

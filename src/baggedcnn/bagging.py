@@ -115,17 +115,18 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
     return ensemble, assignment, histories
 
 
-def ensemble_predict_probs(ensemble: EnsembleModel, batch, batch_size=64):
+def ensemble_predict_probs(ensemble: EnsembleModel, batch):
     """Stacked softmax outputs of every sub-model: [n_models, B, C]."""
     if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(ensemble.model.input_shape):
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {ensemble.model.input_shape}"
         )
     out = np.empty((ensemble.n_models, batch.shape[0], ensemble.n_classes))
+    step = network.PREDICT_BATCH
     for m, params in enumerate(ensemble.param_sets):
-        for lo in range(0, batch.shape[0], batch_size):
-            xb = batch[lo : lo + batch_size]
-            out[m, lo : lo + batch_size] = softmax(
+        for lo in range(0, batch.shape[0], step):
+            xb = batch[lo : lo + step]
+            out[m, lo : lo + step] = softmax(
                 network.forward_batch(ensemble.model, params, xb)
             )
     return out

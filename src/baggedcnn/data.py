@@ -1,5 +1,5 @@
-"""Dataset container I/O, image preprocessing/augmentation, and a synthetic
-labeled image generator for desk-scale experiments.
+"""Dataset container I/O, a synthetic labeled image generator for desk-scale
+experiments, and stratified splits.
 
 Container file layout (little-endian):
   magic "BSEC" | version u32 | N u64 | H u32 | W u32 | C u32 | dtype tag u8
@@ -106,86 +106,6 @@ def load_container(path) -> DatasetContainer:
         raise PayloadError(f"payload: {exc}") from exc
 
 
-def tile_image(image, tile=598):
-    """Non-overlapping row-major tiles; partial edge tiles are discarded."""
-    image = np.asarray(image)
-    h, w = image.shape[:2]
-    if h < tile or w < tile:
-        raise InputError(f"image {h}x{w} smaller than tile size {tile}")
-    out = []
-    for i in range(h // tile):
-        for j in range(w // tile):
-            out.append(image[i * tile : (i + 1) * tile, j * tile : (j + 1) * tile])
-    return out
-
-
-def resize_bilinear(image, target):
-    """Bilinear resize with half-pixel sample centers (align_corners=False)."""
-    image = np.asarray(image, dtype=np.float64)
-    squeeze = image.ndim == 2
-    if squeeze:
-        image = image[:, :, None]
-    th, tw = target
-    if th < 1 or tw < 1:
-        raise InputError(f"target size must be positive, got {target}")
-    h, w = image.shape[:2]
-    if (th, tw) == (h, w):
-        out = image.astype(np.float32)
-        return out[:, :, 0] if squeeze else out
-
-    def axis_coords(src, dst):
-        x = (np.arange(dst) + 0.5) * (src / dst) - 0.5
-        x = np.clip(x, 0, src - 1)
-        lo = np.floor(x).astype(int)
-        hi = np.minimum(lo + 1, src - 1)
-        frac = x - lo
-        return lo, hi, frac
-
-    ylo, yhi, yf = axis_coords(h, th)
-    xlo, xhi, xf = axis_coords(w, tw)
-    top = image[ylo][:, xlo] * (1 - xf)[None, :, None] + image[ylo][:, xhi] * xf[None, :, None]
-    bot = image[yhi][:, xlo] * (1 - xf)[None, :, None] + image[yhi][:, xhi] * xf[None, :, None]
-    out = top * (1 - yf)[:, None, None] + bot * yf[:, None, None]
-    out = out.astype(np.float32)
-    return out[:, :, 0] if squeeze else out
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    crop_count: int = 3
-    crop_size: tuple = (598, 598)
-    enable_flips: bool = True
-    enable_rot90: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.crop_count < 0:
-            raise InputError("crop_count must be >= 0")
-
-
-def augment(image, spec: AugmentSpec, rng=None):
-    """crop_count random crops, each independently flipped (p=0.5) and
-    rotated by a random multiple of 90 degrees."""
-    image = np.asarray(image)
-    ch, cw = spec.crop_size
-    h, w = image.shape[:2]
-    if ch > h or cw > w:
-        raise InputError(f"crop size {spec.crop_size} exceeds image {h}x{w}")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    out = []
-    for _ in range(spec.crop_count):
-        top = int(rng.integers(0, h - ch + 1))
-        left = int(rng.integers(0, w - cw + 1))
-        crop = image[top : top + ch, left : left + cw].copy()
-        if spec.enable_flips and rng.random() < 0.5:
-            crop = crop[:, ::-1].copy()
-        if spec.enable_rot90:
-            crop = np.rot90(crop, k=int(rng.integers(0, 4))).copy()
-        out.append(crop)
-    return out
-
-
 def _draw_disk(img, cy, cx, radius, value):
     h, w = img.shape[:2]
     yy, xx = np.ogrid[:h, :w]
@@ -202,12 +122,18 @@ def synth_dataset(n_per_class, n_classes=5, image_size=32, seed=0, noise=0.1,
     """Synthetic labeled images: each class renders a distinct geometric
     template (blank, small disk, large disk, small cross, large cross) plus
     seeded additive noise, clipped to [0, 1]."""
+    for name, value in (("n_per_class", n_per_class), ("n_classes", n_classes),
+                        ("image_size", image_size), ("channels", channels)):
+        if not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if not 2 <= n_classes <= 5:
         raise InputError("n_classes must be in [2, 5]")
     if image_size < 16:
         raise InputError("image_size must be >= 16 to fit the patterns")
     if n_per_class < 1:
         raise InputError(f"n_per_class must be >= 1, got {n_per_class}")
+    if channels < 1:
+        raise InputError(f"channels must be >= 1, got {channels}")
     if not (np.isfinite(noise) and noise >= 0):
         raise InputError(f"noise must be finite and >= 0, got {noise}")
     s = image_size

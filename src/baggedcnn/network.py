@@ -219,6 +219,11 @@ def forward_vjp(model, params, batch):
     return _forward(model, params, batch, want_vjp=True)
 
 
+# Images per forward pass in `training.evaluate` and `bagging.ensemble_predict_probs`.
+# Not a tuning value: a GEMM over another number of rows can round some rows
+# differently, so another size changes the bytes of the predictions.
+PREDICT_BATCH = 64
+
 # Bytes one image layer may allocate for a chunk of a forward-only batch.  A
 # batch whose largest per-layer array (an im2col matrix included) would pass
 # this runs its image layers a few samples at a time.  The allocator serves

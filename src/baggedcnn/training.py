@@ -131,14 +131,15 @@ class TrainHistory:
                 w.writerow([i + 1, f"{self.train_loss[i]:.6f}", f"{self.train_acc[i]:.6f}", vl, va])
 
 
-def evaluate(model, params, images, labels, batch_size=64):
-    """(mean loss, accuracy) over a labeled set."""
+def evaluate(model, params, images, labels):
+    """(mean loss, accuracy) over a labeled set, `network.PREDICT_BATCH` at a time."""
     labels = check_labels(labels, model.n_classes)
     losses = []
     correct = 0
-    for lo in range(0, len(labels), batch_size):
-        xb = images[lo : lo + batch_size]
-        yb = labels[lo : lo + batch_size]
+    step = network.PREDICT_BATCH
+    for lo in range(0, len(labels), step):
+        xb = images[lo : lo + step]
+        yb = labels[lo : lo + step]
         probs = softmax(network.forward_batch(model, params, xb))
         losses.append(sparse_cce(probs, yb) * len(yb))
         correct += int((probs.argmax(axis=1) == yb).sum())

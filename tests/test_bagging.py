@@ -3,6 +3,7 @@ import pytest
 
 from baggedcnn import bagging, network, training
 from baggedcnn.errors import DimensionError, InputError
+from baggedcnn.layers import softmax
 
 
 class TestBootstrapSample:
@@ -164,6 +165,27 @@ class TestEnsemblePredictProbs:
         a = bagging.ensemble_predict_probs(ens, x[:8])
         b = bagging.ensemble_predict_probs(ens, x[:8][perm])
         assert np.allclose(a[:, perm, :], b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [65, 129, 200])
+    def test_predicts_in_64_image_slices(self, n, dtype):
+        # A whole-set pass rounds some rows differently, so the slicing is part
+        # of the output: pin it byte for byte on a desk-shaped net whose
+        # weights are perturbed off the zero-initialised head.
+        model = network.build_scaled_cnn((32, 32, 1), [8, 16], 5, dense_units=64)
+        rng = np.random.default_rng(n)
+        param_sets = []
+        for seed in range(2):
+            params = network.init_params(model, seed, dtype=dtype)
+            param_sets.append({k: (v + rng.normal(0, 0.05, v.shape)).astype(dtype)
+                               for k, v in params.items()})
+        ens = bagging.EnsembleModel(model=model, param_sets=param_sets, n_classes=5)
+        x = rng.uniform(size=(n, 32, 32, 1)).astype(dtype)
+        probs = bagging.ensemble_predict_probs(ens, x)
+        for m, params in enumerate(param_sets):
+            sliced = np.concatenate([softmax(network.forward_batch(model, params, x[lo:lo + 64]))
+                                     for lo in range(0, n, 64)])
+            assert probs[m].tobytes() == sliced.astype(np.float64).tobytes()
 
     def test_shape_mismatch(self, ensemble):
         ens, _ = ensemble

@@ -117,84 +117,6 @@ class TestContainerIO:
                                   labels_binary=np.array([0]))
 
 
-class TestTile:
-    def test_exact_single_tile(self):
-        tiles = data.tile_image(np.zeros((598, 598, 1)))
-        assert len(tiles) == 1
-
-    def test_exact_grid(self):
-        tiles = data.tile_image(np.zeros((1196, 1196, 1)))
-        assert len(tiles) == 4
-
-    def test_edges_dropped(self):
-        tiles = data.tile_image(np.zeros((1200, 1200, 1)))
-        assert len(tiles) == 4
-        assert all(t.shape == (598, 598, 1) for t in tiles)
-
-    def test_too_small(self):
-        with pytest.raises(InputError):
-            data.tile_image(np.zeros((100, 100, 1)))
-
-
-class TestResize:
-    def test_constant_image(self):
-        img = np.full((5, 7, 2), 0.4, dtype=np.float32)
-        out = data.resize_bilinear(img, (3, 3))
-        assert out.shape == (3, 3, 2)
-        assert np.allclose(out, 0.4)
-
-    def test_identity(self, rng):
-        img = rng.uniform(size=(6, 6, 1)).astype(np.float32)
-        assert np.allclose(data.resize_bilinear(img, (6, 6)), img)
-
-    def test_half_pixel_hand_values(self):
-        img = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = data.resize_bilinear(img, (2, 4))
-        assert np.allclose(out[0], [0.0, 0.25, 0.75, 1.0])
-
-    def test_zero_target(self):
-        with pytest.raises(InputError):
-            data.resize_bilinear(np.zeros((4, 4, 1)), (0, 4))
-
-
-class TestAugment:
-    def test_zero_crops(self, rng):
-        spec = data.AugmentSpec(crop_count=0, crop_size=(4, 4))
-        assert data.augment(rng.uniform(size=(8, 8, 1)), spec) == []
-
-    def test_three_crops_of_size(self, rng):
-        spec = data.AugmentSpec(crop_count=3, crop_size=(4, 4), seed=0)
-        out = data.augment(rng.uniform(size=(8, 8, 1)), spec)
-        assert len(out) == 3
-        assert all(o.shape == (4, 4, 1) for o in out)
-
-    def test_pixels_are_subset_of_source(self, rng):
-        img = rng.uniform(size=(8, 8, 1))
-        spec = data.AugmentSpec(crop_count=5, crop_size=(3, 3), seed=1)
-        src = img.ravel().tolist()
-        for crop in data.augment(img, spec):
-            for v in crop.ravel():
-                assert v in src
-
-    def test_deterministic(self, rng):
-        img = rng.uniform(size=(8, 8, 1))
-        spec = data.AugmentSpec(crop_count=4, crop_size=(4, 4), seed=7)
-        a = data.augment(img, spec)
-        b = data.augment(img, spec)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_crop_too_large(self, rng):
-        spec = data.AugmentSpec(crop_count=1, crop_size=(9, 9))
-        with pytest.raises(InputError):
-            data.augment(rng.uniform(size=(8, 8, 1)), spec)
-
-    def test_range_preserved(self, rng):
-        img = rng.uniform(size=(10, 10, 1))
-        spec = data.AugmentSpec(crop_count=4, crop_size=(6, 6), seed=2)
-        for crop in data.augment(img, spec):
-            assert crop.min() >= 0 and crop.max() <= 1
-
-
 class TestSynthDataset:
     def test_noiseless_within_class_identical(self):
         ds = data.synth_dataset(3, n_classes=5, image_size=24, seed=0, noise=0.0)
@@ -229,6 +151,22 @@ class TestSynthDataset:
     def test_bad_size_or_noise_refused(self, n_per_class, noise, what):
         with pytest.raises(InputError, match=what):
             data.synth_dataset(n_per_class, image_size=16, noise=noise)
+
+    @pytest.mark.parametrize("kwargs,what", [
+        (dict(n_per_class=2.5), "n_per_class"), (dict(image_size=16.5), "image_size"),
+        (dict(n_classes=3.0), "n_classes"), (dict(channels=1.0), "channels"),
+        (dict(channels=0), "channels"),
+    ], ids=["fractional-n", "fractional-size", "float-classes", "float-channels",
+            "no-channels"])
+    def test_non_integer_or_empty_shape_refused(self, kwargs, what):
+        args = dict(n_per_class=2, image_size=16) | kwargs
+        with pytest.raises(InputError, match=what):
+            data.synth_dataset(**args)
+
+    def test_numpy_integers_accepted(self):
+        ds = data.synth_dataset(np.int64(2), n_classes=np.int32(3), image_size=np.int64(16),
+                                channels=np.uint8(2))
+        assert ds.images.shape == (6, 16, 16, 2)
 
     def test_binary_labels_consistent(self):
         ds = data.synth_dataset(3, seed=2)
