@@ -23,5 +23,8 @@ from .metrics import (accuracy, binarize_labels, confusion, macro_metrics,
 from .data import (DatasetContainer, DatasetView, load_container, save_container,
                    split, synth_dataset)
 from .checkpoint import load_checkpoint, save_checkpoint
+from .network import _keep_heap_resident
+
+_keep_heap_resident()
 
 __version__ = "0.1.0"

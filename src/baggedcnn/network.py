@@ -6,6 +6,7 @@ dict mapping "layername/w" / "layername/b" to arrays, so the optimizer can
 treat them uniformly.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,13 +225,39 @@ def forward_vjp(model, params, batch):
 # differently, so another size changes the bytes of the predictions.
 PREDICT_BATCH = 64
 
+# glibc's malloc serves a block of at least _MMAP_THRESHOLD bytes with mmap and
+# returns the heap top to the kernel once _TRIM_THRESHOLD bytes of it are free.
+# By default it moves the first as blocks are freed and trims at 128 kB, so a
+# desk sub-model's training step (batch 32) gave back and faulted in again
+# 140-220 pages; with both fixed, 0-2.  Setting one alone also stops the
+# moving threshold, and left 1175 (mmap) or 2157 (trim) faults per step.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+def _keep_heap_resident():
+    """Fix glibc's mmap and trim thresholds for the whole process; a no-op
+    under any other C library."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc's own symbol
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 # Bytes one image layer may allocate for a chunk of a forward-only batch.  A
 # batch whose largest per-layer array (an im2col matrix included) would pass
-# this runs its image layers a few samples at a time.  The allocator serves
-# arrays above 32 MB from fresh pages that the kernel zeroes on every call;
-# chunks below that reuse the previous chunk's heap memory.  The dense layers
+# this runs its image layers a few samples at a time.  Arrays at or above
+# _MMAP_THRESHOLD come from fresh pages that the kernel zeroes on every call;
+# chunks below it reuse the previous chunk's heap memory.  The dense layers
 # still see the whole batch.
-_CHUNK_BYTES = 16 << 20
+_CHUNK_BYTES = _MMAP_THRESHOLD // 2
 
 
 def _image_layers(model, itemsize):
@@ -254,11 +281,20 @@ def _forward(model, params, batch, want_vjp):
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {model.input_shape}"
         )
+    if len(batch) == 0:
+        raise InputError("batch holds no images")
     steps = []  # (parameter name prefix or None, kernel name, arguments)
     for layer, name in zip(model.layers, layer_names(model)):
         forward, vjp, param_args = _LAYER_TABLE[layer.kind][2:]
         args = param_args(layer, params[f"{name}/w"], params[f"{name}/b"]) if param_args else ()
         steps.append((name if param_args else None, vjp if want_vjp else forward, args))
+    # A relu directly before a pool runs after it, on a quarter of the
+    # elements, with the same bytes out: relu is monotone and never returns
+    # -0.0, a positive window maximum keeps its first corner, and every other
+    # gradient element is a zero with the sign of its upstream in either order.
+    for i in range(len(steps) - 1):
+        if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
+            steps[i], steps[i + 1] = steps[i + 1], steps[i]
     if not want_vjp:
         return _run_forward(model, steps, batch)
     x = batch

@@ -134,6 +134,8 @@ class TrainHistory:
 def evaluate(model, params, images, labels):
     """(mean loss, accuracy) over a labeled set, `network.PREDICT_BATCH` at a time."""
     labels = check_labels(labels, model.n_classes)
+    if len(labels) == 0:
+        raise InputError("evaluation set is empty")
     losses = []
     correct = 0
     step = network.PREDICT_BATCH
@@ -156,6 +158,8 @@ def train_submodel(model, images, labels, config: TrainConfig, val=None):
     """
     if len(labels) == 0:
         raise InputError("training set is empty")
+    if not np.issubdtype(images.dtype, np.floating):
+        raise InputError(f"training images must be floating point, got {images.dtype}")
     labels = check_labels(labels, model.n_classes)
     params = network.init_params(model, config.seed, dtype=images.dtype)
     state = AdamState.fresh(params, config.beta1, config.beta2, config.eta, config.epsilon)

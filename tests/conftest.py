@@ -27,6 +27,23 @@ def max_rel_err(analytic, numeric, floor=1.0):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def tie_heavy(seed, shape, dtype, mode):
+    """Values with many exact ties: post-ReLU zeros, a few rounded levels, a
+    handful of values that includes both signed zeros, or non-positive levels
+    with -0.0 among them, which leave whole pool windows at or below zero."""
+    rng = np.random.default_rng(seed)
+    if mode == "relu":
+        x = np.maximum(rng.normal(size=shape), 0)
+    elif mode == "levels":
+        x = np.round(rng.normal(size=shape) * 1.5) / 2
+    elif mode == "signed_zeros":
+        x = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=shape)
+    else:
+        x = -np.abs(np.round(rng.normal(size=shape) * 1.5) / 2)
+        x[rng.random(shape) < 0.3] = -0.0
+    return x.astype(dtype)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baggedcnn import layers
 from baggedcnn.errors import DimensionError, NumericError
-from conftest import max_rel_err, numeric_grad
+from conftest import max_rel_err, numeric_grad, tie_heavy
 
 
 def kernels(w, b):
@@ -268,19 +268,6 @@ def reference_relu_backward(x, upstream):
     return np.where(x > 0, upstream, 0)
 
 
-def tie_heavy(seed, shape, dtype, mode):
-    """Values with many exact ties: post-ReLU zeros, a few rounded levels, or
-    a handful of values that includes both signed zeros."""
-    rng = np.random.default_rng(seed)
-    if mode == "relu":
-        x = np.maximum(rng.normal(size=shape), 0)
-    elif mode == "levels":
-        x = np.round(rng.normal(size=shape) * 1.5) / 2
-    else:
-        x = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=shape)
-    return x.astype(dtype)
-
-
 # channel counts of 8 and up run numpy's vectorised inner loop, as the desk
 # and paper nets' pools do; 1-3 channels run its short scalar loop.  The
 # pool vjp gathers its corners up to _GATHER_MAX_C channels, so the draw
@@ -511,6 +498,33 @@ backward_cases = st.tuples(
 )
 
 
+def reference_strided_dx(w, up, in_shape, stride):
+    """The channel-first input gradient with a strided add per kernel offset:
+    w @ up.T planes added onto [Cin, B, H, W] views in (i, j) order."""
+    kh, kw, cin, cout = w.shape
+    bsz, hp, wp, _ = up.shape
+    dcol = (w.reshape(kh * kw * cin, cout) @ up.reshape(-1, cout).T).reshape(
+        kh, kw, cin, bsz, hp, wp)
+    dxc = np.zeros((cin, *in_shape[:3]), dtype=up.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxc[:, :, i : i + hp * stride : stride, j : j + wp * stride : stride] += dcol[i, j]
+    return np.ascontiguousarray(np.moveaxis(dxc, 0, 3))
+
+
+# stride 1 takes the contiguous scatter; H and W are drawn apart, so most
+# cases have H != W, and Cout 1 and 2 hit the BLAS's gemv paths
+stride1_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),  # batch
+    st.integers(3, 10), st.integers(3, 10),  # H and W
+    st.integers(1, 32),  # Cin
+    st.one_of(st.sampled_from([1, 2]), st.integers(1, 64)),  # Cout
+    st.integers(1, 3), st.integers(1, 3),  # kh, kw
+    st.sampled_from([np.float32, np.float64]),
+)
+
+
 class TestConvBackwardMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(backward_cases)
@@ -546,6 +560,37 @@ class TestConvBackwardMatchesReference:
         assert dx.shape == x.shape
         for got, want in zip((dx, dw, db), (ref[0][0], ref[1], ref[2])):
             assert got.tobytes() == want.tobytes()
+
+    # the examples have one output position, where the BLAS takes its gemv
+    # path; an upstream padded before the GEMM changed float32 dx there
+    @settings(max_examples=150, deadline=None)
+    @given(stride1_cases)
+    @example((0, 1, 3, 3, 1, 2, 3, 3, np.float32))
+    @example((0, 1, 3, 3, 1, 2, 3, 3, np.float64))
+    def test_contiguous_scatter_equals_strided(self, case):
+        seed, bsz, h, w, cin, cout, kh, kw, dtype = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(bsz, h, w, cin)).astype(dtype)
+        ks = layers.ConvKernelSet(rng.normal(size=(kh, kw, cin, cout)).astype(dtype),
+                                  rng.normal(size=cout).astype(dtype))
+        out, bwd = layers.conv2d_vjp(x, ks)
+        up = rng.normal(size=out.shape).astype(dtype)
+        dx, _, _ = bwd(up)
+        ref = reference_strided_dx(ks.weights, up, x.shape, 1)
+        assert dx.dtype == ref.dtype and dx.shape == ref.shape
+        assert dx.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_contiguous_scatter_with_signed_zeros(self, dtype):
+        # weights and upstream full of -0.0 and ties: dx starts at +0.0, so
+        # the border zeros the contiguous adds carry cannot flip a sign
+        w = tie_heavy(3, (3, 2, 2, 3), dtype, "signed_zeros")
+        ks = layers.ConvKernelSet(w, np.zeros(3, dtype))
+        out, bwd = layers.conv2d_vjp(np.zeros((5, 9, 5, 2), dtype), ks)
+        up = tie_heavy(4, out.shape, dtype, "signed_zeros")
+        dx, _, _ = bwd(up)
+        assert dx.tobytes() == reference_strided_dx(w, up, dx.shape, 1).tobytes()
+        assert not np.signbit(dx[dx == 0]).any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bias_gradient_is_the_sequential_row_sum(self, rng, dtype):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baggedcnn import layers, network
-from baggedcnn.errors import BuildError, DimensionError
-from conftest import max_rel_err, numeric_grad
+from baggedcnn.errors import BuildError, DimensionError, InputError
+from conftest import max_rel_err, numeric_grad, tie_heavy
 
 FULLSIZE_TRACE = [
     (222, 222, 32), (111, 111, 32), (109, 109, 64), (54, 54, 64),
@@ -146,6 +148,12 @@ class TestForwardBatch:
         with pytest.raises(DimensionError):
             network.forward_batch(m, params, np.zeros((2, 8, 8, 1)))
 
+    @pytest.mark.parametrize("run", [network.forward_batch, network.forward_vjp])
+    def test_empty_batch_refused(self, tiny, run):
+        m, params = tiny
+        with pytest.raises(InputError, match="no images"):
+            run(m, params, np.zeros((0, 16, 16, 1)))
+
 
 class TestForwardMatchesVjp:
     """forward_batch (planar im2col for narrow convs) gives the logits of
@@ -205,19 +213,23 @@ class TestBackwardBatch:
             assert max_rel_err(grads[k], numeric_grad(loss, params[k])) < 1e-4, k
 
 
-class TestBackwardSkipsBatchGradient:
-    def full_backward_grads(self, m, params, batch, up):
-        """Every layer's backward in full, layer 0's input gradient included."""
-        x, tape = batch, []
-        for layer, name in zip(m.layers, network.layer_names(m)):
-            if layer.kind == "conv2d":
-                ks = layers.ConvKernelSet(params[f"{name}/w"], params[f"{name}/b"])
-                x, bwd = layers.conv2d_vjp(x, ks, layer.stride)
-            elif layer.kind == "dense":
-                x, bwd = layers.dense_vjp(x, params[f"{name}/w"], params[f"{name}/b"])
-            else:
-                x, bwd = getattr(layers, f"{layer.kind}_vjp")(x)
-            tape.append((layer.kind, name, bwd))
+def spec_order_vjp(m, params, batch):
+    """The slow reference: every layer's vjp in spec order, relu before pool
+    as written.  Returns (logits, backward); backward(upstream) runs every
+    layer's backward in full, layer 0's input gradient included, and
+    returns the gradient dict."""
+    x, tape = batch, []
+    for layer, name in zip(m.layers, network.layer_names(m)):
+        if layer.kind == "conv2d":
+            ks = layers.ConvKernelSet(params[f"{name}/w"], params[f"{name}/b"])
+            x, bwd = layers.conv2d_vjp(x, ks, layer.stride)
+        elif layer.kind == "dense":
+            x, bwd = layers.dense_vjp(x, params[f"{name}/w"], params[f"{name}/b"])
+        else:
+            x, bwd = getattr(layers, f"{layer.kind}_vjp")(x)
+        tape.append((layer.kind, name, bwd))
+
+    def backward(up):
         grads, g = {}, up
         for kind, name, bwd in reversed(tape):
             if kind in ("conv2d", "dense"):
@@ -227,6 +239,92 @@ class TestBackwardSkipsBatchGradient:
         assert g.shape == batch.shape
         return grads
 
+    return x, backward
+
+
+def spec_order_forward(m, params, batch):
+    """Every layer's forward kernel in spec order on the whole batch."""
+    x = batch
+    for layer, name in zip(m.layers, network.layer_names(m)):
+        if layer.kind == "conv2d":
+            ks = layers.ConvKernelSet(params[f"{name}/w"], params[f"{name}/b"])
+            x = layers.conv2d_forward(x, ks, layer.stride)
+        elif layer.kind == "dense":
+            x = layers.dense_forward(x, params[f"{name}/w"], params[f"{name}/b"])
+        else:
+            x = {"relu": layers.relu, "maxpool2d": layers.maxpool2d_forward,
+                 "flatten": layers.flatten}[layer.kind](x)
+    return x
+
+
+relu_pool_cases = st.tuples(
+    st.integers(0, 2**31),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from(["scaled", "relu_first"]),
+    st.integers(1, 6),  # batch
+    st.sampled_from(["levels", "signed_zeros", "non_positive"]),  # images
+    st.sampled_from(["levels", "non_positive"]),  # conv biases
+)
+
+
+class TestPoolBeforeRelu:
+    """The network runs a relu that precedes a pool after the pool; the
+    logits and gradients are the bytes of the spec order."""
+
+    def net(self, arch):
+        if arch == "scaled":
+            return network.build_scaled_cnn((13, 12, 2), (3, 4), 3, dense_units=5)
+        # a relu and a pool straight on the images, so the drawn ties and
+        # signed zeros reach the pair unchanged
+        return network.ModelSpec((11, 10, 2), (
+            network.relu(), network.pool(), network.conv(2, 2, 3), network.relu(),
+            network.pool(), network.flat(), network.dense(4), network.relu(),
+            network.dense(3)), 3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(relu_pool_cases)
+    def test_bytes_equal_spec_order(self, case):
+        seed, dtype, arch, bsz, image_mode, bias_mode = case
+        m = self.net(arch)
+        params = {}
+        for k, (key, value) in enumerate(network.init_params(m, seed=0, dtype=dtype).items()):
+            mode = bias_mode if key.endswith("/b") and "conv" in key else "levels"
+            params[key] = tie_heavy(seed + k, value.shape, dtype, mode)
+        batch = tie_heavy(seed + 100, (bsz, *m.input_shape), dtype, image_mode)
+        up = tie_heavy(seed + 101, (bsz, m.n_classes), dtype, "signed_zeros")
+
+        logits, bwd = network.forward_vjp(m, params, batch)
+        ref_logits, ref_bwd = spec_order_vjp(m, params, batch)
+        assert logits.dtype == ref_logits.dtype and logits.tobytes() == ref_logits.tobytes()
+        grads, ref_grads = bwd(up), ref_bwd(up)
+        assert list(grads) == list(ref_grads)
+        for key in ref_grads:
+            assert grads[key].dtype == ref_grads[key].dtype, key
+            assert grads[key].tobytes() == ref_grads[key].tobytes(), key
+        out = network.forward_batch(m, params, batch)
+        assert out.tobytes() == spec_order_forward(m, params, batch).tobytes()
+
+    @pytest.mark.parametrize("kernel", ["relu", "relu_vjp"])
+    def test_relu_runs_on_the_pooled_image(self, rng, monkeypatch, kernel):
+        seen = []
+        relu = getattr(layers, kernel)
+
+        def spy(x):
+            seen.append(x.shape)
+            return relu(x)
+
+        monkeypatch.setattr(layers, kernel, spy)
+        m = network.build_scaled_cnn((16, 16, 1), [2, 3], 2, dense_units=4)
+        params = network.init_params(m, seed=0)
+        batch = rng.normal(size=(2, 16, 16, 1)).astype(np.float32)
+        if kernel == "relu":
+            network.forward_batch(m, params, batch)
+        else:
+            network.forward_vjp(m, params, batch)
+        assert seen == [(2, 7, 7, 2), (2, 2, 2, 3), (2, 4)]
+
+
+class TestBackwardSkipsBatchGradient:
     @pytest.mark.parametrize("first", ["conv", "pool"])
     def test_grads_equal_full_backward(self, rng, first):
         head = [network.pool()] if first == "pool" else []
@@ -238,7 +336,7 @@ class TestBackwardSkipsBatchGradient:
         batch = rng.normal(size=(4, 10, 10, 2))
         up = rng.normal(size=(4, 3))
         grads = network.backward_batch(m, params, batch, up)
-        full = self.full_backward_grads(m, params, batch, up)
+        full = spec_order_vjp(m, params, batch)[1](up)
         assert list(grads) == list(full)
         for k in full:
             assert np.array_equal(grads[k], full[k]), k

@@ -1,9 +1,12 @@
-"""The package's public surface: its exported names and the demo scripts."""
+"""The package's public surface: its exported names, the demo scripts and
+the allocator settings it applies at import."""
 
 import inspect
 import os
+import platform
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,36 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# 20 warm-up steps, then the page faults of 50 desk-net training steps
+# (batch 32); prints faults per step
+FAULTS_PER_STEP = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from baggedcnn import network, training
+
+    model = network.build_scaled_cnn((32, 32, 1), (8, 16), 5, dense_units=64)
+    params = network.init_params(model, 0)
+    state = training.AdamState.fresh(params)
+    rng = np.random.default_rng(0)
+    x = rng.random((32, 32, 32, 1), dtype=np.float32)
+    y = np.arange(32) % 5
+    for step in range(70):
+        if step == 20:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        logits, backward = network.forward_vjp(model, params, x)
+        _, _, dlogits = training.softmax_cce(logits, y)
+        params, state = training.adam_step(params, backward(dlogits), state)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
+def test_training_step_keeps_its_heap():
+    # at glibc's default thresholds this counted 55-82 faults a step
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 5

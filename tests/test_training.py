@@ -223,6 +223,17 @@ class TestTrainSubmodel:
             training.train_submodel(tiny_model, np.zeros((0, 16, 16, 1)), [],
                                     training.TrainConfig(epochs=1))
 
+    def test_integer_images_refused(self, tiny_model):
+        # uint8 parameters would follow the images' dtype into Adam
+        with pytest.raises(InputError, match="floating point"):
+            training.train_submodel(tiny_model, np.zeros((4, 16, 16, 1), np.uint8),
+                                    np.arange(4) % 2, training.TrainConfig(epochs=1))
+
+    def test_evaluate_empty_set(self, tiny_model):
+        params = network.init_params(tiny_model, 0)
+        with pytest.raises(InputError, match="empty"):
+            training.evaluate(tiny_model, params, np.zeros((0, 16, 16, 1), np.float32), [])
+
     def test_history_csv(self, tiny_model, rng, tmp_path):
         x, y = separable_dataset(rng, n=20)
         cfg = training.TrainConfig(epochs=2, seed=0)
