@@ -74,13 +74,16 @@ class EnsembleModel:
 
     model: network.ModelSpec
     param_sets: list  # one param dict per sub-model
-    n_classes: int
     combiner: str = "average"  # average | vote | stacking
     forest: object = None  # RandomForest when combiner == "stacking"
 
     @property
     def n_models(self):
         return len(self.param_sets)
+
+    @property
+    def n_classes(self):
+        return self.model.n_classes
 
 
 def submodel_seed(master_seed, index):
@@ -99,20 +102,16 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
         raise InputError("dataset is empty")
     assignment = assign_bags(len(labels), bagging)
     labels = np.asarray(labels)
-
-    def run(k):
-        bag = assignment.bags[k]
+    param_sets, histories = [], []
+    for k, bag in enumerate(assignment.bags):
         cfg = replace(train, seed=submodel_seed(bagging.seed, k))
         try:
-            return training.train_submodel(model, images[bag], labels[bag], cfg, val=val)
+            params, hist = training.train_submodel(model, images[bag], labels[bag], cfg, val=val)
         except BaggedCnnError as exc:  # library errors all take one message
             raise type(exc)(f"sub-model {k}: {exc}") from exc
-
-    results = [run(k) for k in range(bagging.n_models)]
-    param_sets = [p for p, _ in results]
-    histories = [h for _, h in results]
-    ensemble = EnsembleModel(model=model, param_sets=param_sets, n_classes=model.n_classes)
-    return ensemble, assignment, histories
+        param_sets.append(params)
+        histories.append(hist)
+    return EnsembleModel(model=model, param_sets=param_sets), assignment, histories
 
 
 def ensemble_predict_probs(ensemble: EnsembleModel, batch):

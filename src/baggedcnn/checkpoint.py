@@ -180,8 +180,6 @@ def load_checkpoint(path):
             blob = read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}",
                               CheckpointError)
             param_sets[m][name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
-    ensemble = bagging.EnsembleModel(
-        model=model, param_sets=param_sets, n_classes=model.n_classes,
-        combiner=combiner, forest=rf,
-    )
+    ensemble = bagging.EnsembleModel(model=model, param_sets=param_sets, combiner=combiner,
+                                     forest=rf)
     return ensemble, header.get("config", {})

@@ -21,9 +21,9 @@ cutoff.
 The conv input gradient is scattered channel-first: `W @ upstream.T` gives
 one contiguous [Cin, B, H', W'] plane per kernel offset, added into a
 [Cin, B, H, W] buffer that one copy turns channels-last.  A channels-last
-scatter moves Cin floats per run.  At stride 1 each plane goes through a
-zero-bordered buffer into one contiguous add (`_scatter_contiguous`), the
-same sums in the same order; stride 2 keeps the strided add.  The bias
+scatter moves Cin floats per run.  Each plane goes onto the stride grid of a
+zero-bordered buffer and into one contiguous add (`_scatter_contiguous`),
+the same sums in the same order as a strided add.  The bias
 gradient is an einsum row sum, which adds in the same order as
 `sum(axis=0)` but faster.  In float32 both give the bytes of the row-major
 backward (8832 shapes swept).  In float64 the input gradient can round
@@ -174,15 +174,14 @@ def _bias_grad(up_flat):
     return np.einsum("ij->j", up_flat)
 
 
-def _scatter_contiguous(dxc, dcol):
-    """dxc [Cin, B, H, W] += each stride-1 plane dcol[i, j] [Cin, B, H', W']
-    at offset (i, j), in (i, j) order, each as one contiguous add.
+def _scatter_contiguous(dxc, dcol, stride):
+    """dxc [Cin, B, H, W] += each plane dcol[i, j] [Cin, B, H', W'] on the
+    stride grid at offset (i, j), in (i, j) order, each as one contiguous add.
 
-    A plane is copied into the top-left corner of a zero-bordered buffer
-    shaped like dxc, and the flat buffer adds into flat dxc at offset i*W + j.
-    The border zeros change nothing: dxc starts at +0.0 and a sum is -0.0
-    only when both terms are, so adding +0.0 leaves every element as it was.
-    A strided add of the plane itself took about 7x as long (numpy 2.4.6).
+    A plane is copied onto the stride grid of a zero buffer shaped like dxc,
+    and the flat buffer adds into flat dxc at offset i*W + j.  The zeros
+    change nothing: dxc starts at +0.0 and a sum is -0.0 only when both terms
+    are.  A strided add of the plane took about 7x as long (numpy 2.4.6).
     """
     kh, kw, _, _, hp, wp = dcol.shape
     width = dxc.shape[3]
@@ -191,7 +190,7 @@ def _scatter_contiguous(dxc, dcol):
     buf_flat = buf.reshape(-1)
     for i in range(kh):
         for j in range(kw):
-            buf[:, :, :hp, :wp] = dcol[i, j]
+            buf[:, :, : hp * stride : stride, : wp * stride : stride] = dcol[i, j]
             offset = i * width + j
             flat[offset:] += buf_flat[: flat.size - offset]
 
@@ -227,12 +226,7 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
         # channel-first dx in the same (i, j) order as the row-major scatter
         dcol = (w.reshape(kh * kw * cin, cout) @ up_flat.T).reshape(kh, kw, cin, bsz, hp, wp)
         dxc = np.zeros((cin, *in_shape[:3]), dtype=in_dtype)
-        if stride == 1:
-            _scatter_contiguous(dxc, dcol)
-        else:
-            for i in range(kh):
-                for j in range(kw):
-                    dxc[:, :, i : i + hp * stride : stride, j : j + wp * stride : stride] += dcol[i, j]
+        _scatter_contiguous(dxc, dcol, stride)
         del dcol  # so the peak is dcol + dx, not dcol + dxc + dx
         dx = np.ascontiguousarray(np.moveaxis(dxc, 0, 3))
         return (dx[0], dw, db) if single else (dx, dw, db)

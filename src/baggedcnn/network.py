@@ -1,30 +1,84 @@
 """Model specs: composing layer kernels into a full CNN classifier.
 
-A ModelSpec is an ordered list of LayerSpecs validated for shape
-compatibility at build time.  Parameters live outside the spec in a flat
-dict mapping "layername/w" / "layername/b" to arrays, so the optimizer can
-treat them uniformly.
+A ModelSpec is an ordered list of LayerSpecs, walked once when it is built:
+the walk checks that the shapes fit and keeps each layer's running name,
+output shape and weight shape, which everything else here reads.  Each
+layer kind's rules sit in its row of _LAYER_TABLE.  Parameters live outside
+the spec in a flat dict mapping "layername/w" / "layername/b" to arrays, so
+the optimizer can treat them uniformly.
 """
 
 import ctypes
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BuildError, DimensionError, InputError
 from . import layers
 
-# kind -> (base of the keras-style running name, summary() label, forward kernel,
-# vjp kernel, extra kernel arguments from (layer, weights, bias) or None for a
-# layer without parameters).  The kernels are named, not bound, and looked up on
-# `layers` at call time, so a wrapper installed on the module is called.
+
+# Output-shape rules: (error prefix, layer, input shape) -> output shape, or
+# BuildError for a layer that does not fit its input.
+def _image_input(name, cur):
+    if len(cur) != 3:
+        raise BuildError(f"{name}: expects [H,W,C] input, got {cur}")
+    return cur
+
+
+def _conv_shape(name, layer, cur):
+    h, w, _ = _image_input(name, cur)
+    kh, kw = layer.kernel
+    if min(kh, kw, layer.stride, layer.out_channels) < 1:
+        raise BuildError(
+            f"{name}: kernel {layer.kernel}, stride {layer.stride} and "
+            f"out_channels {layer.out_channels} must all be >= 1")
+    oh = (h - kh) // layer.stride + 1
+    ow = (w - kw) // layer.stride + 1
+    if h < kh or w < kw or oh < 1 or ow < 1:
+        raise BuildError(f"{name}: kernel {layer.kernel} does not fit input {h}x{w}")
+    return (oh, ow, layer.out_channels)
+
+
+def _pool_shape(name, layer, cur):
+    h, w, c = _image_input(name, cur)
+    if h < 2 or w < 2:
+        raise BuildError(f"{name}: 2x2 window does not fit input {h}x{w}")
+    return (h // 2, w // 2, c)
+
+
+def _dense_shape(name, layer, cur):
+    if len(cur) != 1:
+        raise BuildError(f"{name}: expects flat input, got {cur}")
+    if layer.units < 1:
+        raise BuildError(f"{name}: units must be >= 1, got {layer.units}")
+    return (layer.units,)
+
+
+# The kernels are named, not bound, and looked up on `layers` at call time, so
+# a wrapper installed on the module is called.
+class _Kind(NamedTuple):
+    base: str  # base of the keras-style running name
+    label: str  # summary() label
+    forward: str  # forward kernel
+    vjp: str  # vjp kernel
+    out_shape: object  # output-shape rule
+    weight_shape: object = None  # (layer, input shape) -> weight shape; None: no parameters
+    args: object = None  # (layer, weights, bias) -> extra kernel arguments
+
+
 _LAYER_TABLE = {
-    "conv2d": ("conv2d", "Conv2D", "conv2d_forward", "conv2d_vjp",
-               lambda layer, w, b: (layers.ConvKernelSet(w, b), layer.stride)),
-    "maxpool2d": ("max_pooling2d", "MaxPooling2D", "maxpool2d_forward", "maxpool2d_vjp", None),
-    "relu": ("relu", "ReLU", "relu", "relu_vjp", None),
-    "flatten": ("flatten", "Flatten", "flatten", "flatten_vjp", None),
-    "dense": ("dense", "Dense", "dense_forward", "dense_vjp", lambda layer, w, b: (w, b)),
+    "conv2d": _Kind("conv2d", "Conv2D", "conv2d_forward", "conv2d_vjp", _conv_shape,
+                    lambda layer, cur: (*layer.kernel, cur[2], layer.out_channels),
+                    lambda layer, w, b: (layers.ConvKernelSet(w, b), layer.stride)),
+    "maxpool2d": _Kind("max_pooling2d", "MaxPooling2D", "maxpool2d_forward", "maxpool2d_vjp",
+                       _pool_shape),
+    "relu": _Kind("relu", "ReLU", "relu", "relu_vjp", lambda name, layer, cur: cur),
+    "flatten": _Kind("flatten", "Flatten", "flatten", "flatten_vjp",
+                     lambda name, layer, cur: (int(np.prod(cur)),)),
+    "dense": _Kind("dense", "Dense", "dense_forward", "dense_vjp", _dense_shape,
+                   lambda layer, cur: (cur[0], layer.units), lambda layer, w, b: (w, b)),
 }
 LAYER_KINDS = tuple(_LAYER_TABLE)
 
@@ -47,13 +101,33 @@ class ModelSpec:
     input_shape: tuple  # (H, W, C)
     layers: tuple  # LayerSpec sequence
     n_classes: int
+    # (running name, layer, output shape, weight shape or None) per layer,
+    # from the one walk that validates the spec
+    _rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        shapes = infer_shapes(self)
-        if shapes[-1] != (self.n_classes,):
-            raise BuildError(
-                f"final layer produces {shapes[-1]}, expected ({self.n_classes},)"
-            )
+        # tuples, so the rows cannot go stale
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "_rows", _walk(self))
+
+
+def _walk(model):
+    cur = model.input_shape
+    if len(cur) != 3 or min(cur) < 1:
+        raise BuildError(f"input shape must be positive [H,W,C], got {cur}")
+    rows, counts = [], {}
+    for li, layer in enumerate(model.layers):
+        kind = _LAYER_TABLE[layer.kind]
+        n = counts.get(kind.base, 0)
+        counts[kind.base] = n + 1
+        out = kind.out_shape(f"layer {li} ({layer.kind})", layer, cur)
+        weights = kind.weight_shape(layer, cur) if kind.weight_shape else None
+        rows.append((kind.base if n == 0 else f"{kind.base}_{n}", layer, out, weights))
+        cur = out
+    if cur != (model.n_classes,):
+        raise BuildError(f"final layer produces {cur}, expected ({model.n_classes},)")
+    return tuple(rows)
 
 
 def conv(kh, kw, out_channels, stride=1):
@@ -77,58 +151,13 @@ def dense(units):
 
 
 def infer_shapes(model):
-    """Per-layer output shapes (excluding the batch axis), validated."""
-    shapes = []
-    cur = tuple(model.input_shape)
-    if len(cur) != 3 or min(cur) < 1:
-        raise BuildError(f"input shape must be positive [H,W,C], got {cur}")
-    for li, layer in enumerate(model.layers):
-        name = f"layer {li} ({layer.kind})"
-        if layer.kind == "conv2d":
-            if len(cur) != 3:
-                raise BuildError(f"{name}: expects [H,W,C] input, got {cur}")
-            h, w, _ = cur
-            kh, kw = layer.kernel
-            if min(kh, kw, layer.stride, layer.out_channels) < 1:
-                raise BuildError(
-                    f"{name}: kernel {layer.kernel}, stride {layer.stride} and "
-                    f"out_channels {layer.out_channels} must all be >= 1")
-            oh = (h - kh) // layer.stride + 1
-            ow = (w - kw) // layer.stride + 1
-            if h < kh or w < kw or oh < 1 or ow < 1:
-                raise BuildError(f"{name}: kernel {layer.kernel} does not fit input {h}x{w}")
-            cur = (oh, ow, layer.out_channels)
-        elif layer.kind == "maxpool2d":
-            if len(cur) != 3:
-                raise BuildError(f"{name}: expects [H,W,C] input, got {cur}")
-            h, w, c = cur
-            if h < 2 or w < 2:
-                raise BuildError(f"{name}: 2x2 window does not fit input {h}x{w}")
-            cur = (h // 2, w // 2, c)
-        elif layer.kind == "relu":
-            pass
-        elif layer.kind == "flatten":
-            cur = (int(np.prod(cur)),)
-        elif layer.kind == "dense":
-            if len(cur) != 1:
-                raise BuildError(f"{name}: expects flat input, got {cur}")
-            if layer.units < 1:
-                raise BuildError(f"{name}: units must be >= 1, got {layer.units}")
-            cur = (layer.units,)
-        shapes.append(cur)
-    return shapes
+    """Per-layer output shapes (excluding the batch axis)."""
+    return [out for _, _, out, _ in model._rows]
 
 
 def layer_names(model):
     """Keras-style running names: conv2d, conv2d_1, ..., dense, dense_1, ..."""
-    counts = {}
-    names = []
-    for layer in model.layers:
-        b = _LAYER_TABLE[layer.kind][0]
-        n = counts.get(b, 0)
-        counts[b] = n + 1
-        names.append(b if n == 0 else f"{b}_{n}")
-    return names
+    return [name for name, *_ in model._rows]
 
 
 def build_paper_cnn(n_classes=10):
@@ -162,30 +191,16 @@ def build_scaled_cnn(input_shape, widths, n_classes, dense_units=64):
     for w in widths:
         seq += [conv(3, 3, w), relu(), pool()]
     seq += [flat(), dense(dense_units), relu(), dense(n_classes)]
-    return ModelSpec(input_shape=tuple(input_shape), layers=tuple(seq), n_classes=n_classes)
+    return ModelSpec(input_shape=input_shape, layers=seq, n_classes=n_classes)
 
 
 def _param_shapes(model):
     """name -> (w_shape, b_shape) for every parameterized layer."""
-    out = {}
-    cur = tuple(model.input_shape)
-    shapes = infer_shapes(model)
-    names = layer_names(model)
-    for layer, name, shape in zip(model.layers, names, shapes):
-        if layer.kind == "conv2d":
-            kh, kw = layer.kernel
-            out[name] = ((kh, kw, cur[2], layer.out_channels), (layer.out_channels,))
-        elif layer.kind == "dense":
-            out[name] = ((cur[0], layer.units), (layer.units,))
-        cur = shape
-    return out
+    return {name: (w, w[-1:]) for name, _, _, w in model._rows if w}
 
 
 def count_params(model):
-    total = 0
-    for wsh, bsh in _param_shapes(model).values():
-        total += int(np.prod(wsh)) + int(np.prod(bsh))
-    return total
+    return sum(count for _, _, count in summary_rows(model))
 
 
 def init_params(model, seed, dtype=np.float32):
@@ -216,7 +231,8 @@ def forward_batch(model, params, batch):
 
 def forward_vjp(model, params, batch):
     """(logits, backward) where backward(upstream [B,n_classes]) -> grad dict
-    with the same keys as params, summed over the batch."""
+    with the same keys as params, summed over the batch.  backward runs once:
+    it drops each layer's saved arrays as soon as it has used them."""
     return _forward(model, params, batch, want_vjp=True)
 
 
@@ -264,30 +280,29 @@ def _image_layers(model, itemsize):
     """(count of leading layers with [H,W,C] output, bytes per sample of the
     largest array one of them makes, im2col matrices included)."""
     count, largest = 0, 1
-    cur = model.input_shape
-    for layer, shape in zip(model.layers, infer_shapes(model)):
+    for _, _, shape, weights in model._rows:
         if len(shape) != 3:
             break
-        size = int(np.prod(shape))
-        if layer.kind == "conv2d":
-            size = max(size, shape[0] * shape[1] * int(np.prod(layer.kernel)) * cur[2])
+        size = math.prod(shape)
+        if weights:  # a conv: H' x W' rows of kh*kw*Cin
+            size = max(size, shape[0] * shape[1] * math.prod(weights[:3]))
         largest = max(largest, size)
-        count, cur = count + 1, shape
+        count += 1
     return count, largest * itemsize
 
 
 def _forward(model, params, batch, want_vjp):
-    if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(model.input_shape):
+    if batch.ndim != 4 or batch.shape[1:] != model.input_shape:
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {model.input_shape}"
         )
     if len(batch) == 0:
         raise InputError("batch holds no images")
     steps = []  # (parameter name prefix or None, kernel name, arguments)
-    for layer, name in zip(model.layers, layer_names(model)):
-        forward, vjp, param_args = _LAYER_TABLE[layer.kind][2:]
-        args = param_args(layer, params[f"{name}/w"], params[f"{name}/b"]) if param_args else ()
-        steps.append((name if param_args else None, vjp if want_vjp else forward, args))
+    for name, layer, _, weights in model._rows:
+        kind = _LAYER_TABLE[layer.kind]
+        args = kind.args(layer, params[f"{name}/w"], params[f"{name}/b"]) if weights else ()
+        steps.append((name if weights else None, kind.vjp if want_vjp else kind.forward, args))
     # A relu directly before a pool runs after it, on a quarter of the
     # elements, with the same bytes out: relu is monotone and never returns
     # -0.0, a positive window maximum keeps its first corner, and every other
@@ -309,11 +324,13 @@ def _forward(model, params, batch, want_vjp):
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match logits {logits.shape}"
             )
+        if not tape:
+            raise InputError("backward already ran for this forward pass")
         grads = {}
         g = upstream
-        for i in range(len(tape) - 1, -1, -1):
-            name, bwd = tape[i]
-            first = i == 0  # the gradient of the batch itself is never used
+        while tape:
+            name, bwd = tape.pop()
+            first = not tape  # the gradient of the batch itself is never used
             if name:
                 # a first layer with parameters is a conv: dense needs flat input
                 result = bwd(g, input_grad=False) if first else bwd(g)
@@ -354,33 +371,18 @@ def shape_trace(model):
 def summary_rows(model):
     """(display name, output shape, param count) per row; relu rows are folded
     into the preceding layer so the table mirrors a framework model summary."""
-    names = layer_names(model)
-    shapes = infer_shapes(model)
-    pshapes = _param_shapes(model)
-    rows = []
-    for layer, name, shape in zip(model.layers, names, shapes):
-        if layer.kind == "relu":
-            continue
-        if name in pshapes:
-            wsh, bsh = pshapes[name]
-            count = int(np.prod(wsh)) + int(np.prod(bsh))
-        else:
-            count = 0
-        rows.append((name, shape, count))
-    return rows
+    return [(name, shape, int(np.prod(w)) + int(w[-1]) if w else 0)
+            for name, layer, shape, w in model._rows if layer.kind != "relu"]
 
 
 def summary(model):
     """Three-column textual model summary: layer, output shape, param count."""
-    lines = []
     header = f"{'Layer (type)':<30}{'Output Shape':<22}{'Param #':>10}"
-    lines.append(header)
-    lines.append("=" * len(header))
-    kinds = {name: layer.kind for layer, name in zip(model.layers, layer_names(model))}
+    lines = [header, "=" * len(header)]
+    labels = {name: _LAYER_TABLE[layer.kind].label for name, layer, *_ in model._rows}
     for name, shape, count in summary_rows(model):
-        label = _LAYER_TABLE[kinds[name]][1]
         shape_s = "(None, " + ", ".join(str(s) for s in shape) + ")"
-        lines.append(f"{name + ' (' + label + ')':<30}{shape_s:<22}{count:>10}")
+        lines.append(f"{name + ' (' + labels[name] + ')':<30}{shape_s:<22}{count:>10}")
     lines.append("=" * len(header))
     lines.append(f"Total params: {count_params(model):,}")
     return "\n".join(lines)

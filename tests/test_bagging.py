@@ -179,7 +179,7 @@ class TestEnsemblePredictProbs:
             params = network.init_params(model, seed, dtype=dtype)
             param_sets.append({k: (v + rng.normal(0, 0.05, v.shape)).astype(dtype)
                                for k, v in params.items()})
-        ens = bagging.EnsembleModel(model=model, param_sets=param_sets, n_classes=5)
+        ens = bagging.EnsembleModel(model=model, param_sets=param_sets)
         x = rng.uniform(size=(n, 32, 32, 1)).astype(dtype)
         probs = bagging.ensemble_predict_probs(ens, x)
         for m, params in enumerate(param_sets):
@@ -191,6 +191,17 @@ class TestEnsemblePredictProbs:
         ens, _ = ensemble
         with pytest.raises(DimensionError):
             bagging.ensemble_predict_probs(ens, np.zeros((2, 8, 8, 1)))
+
+    def test_n_classes_follows_the_model(self, rng):
+        # the class count is read from the model, so it cannot disagree with
+        # the width of the logits
+        model = network.build_scaled_cnn((8, 8, 1), [2], 5, dense_units=3)
+        ens = bagging.EnsembleModel(model=model, param_sets=[network.init_params(model, 0)])
+        assert ens.n_classes == 5
+        probs = bagging.ensemble_predict_probs(ens, rng.uniform(size=(2, 8, 8, 1)))
+        assert probs.shape == (1, 2, 5)
+        with pytest.raises(TypeError):
+            bagging.EnsembleModel(model=model, param_sets=[], n_classes=3)
 
     def test_bag_csv(self, ensemble, tmp_path, rng):
         x, y, model = tiny_setup(rng, n=10)

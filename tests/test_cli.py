@@ -221,9 +221,11 @@ class TestCompareCombiners:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "x.bsec"
+        # the package is imported from src/, whether or not PYTHONPATH names it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "baggedcnn.cli", "dataset", "synth", str(path),
              "--n-per-class", "2", "--image-size", "16"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert path.exists()

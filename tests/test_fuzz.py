@@ -27,8 +27,8 @@ def _ensemble():
     rng = np.random.default_rng(0)
     rf = forest.fit_forest(rng.uniform(0, 1, (20, 10)), np.arange(20) % 5, n_trees=3,
                            max_depth=3, seed=0, n_classes=5)
-    return bagging.EnsembleModel(model=model, param_sets=param_sets, n_classes=5,
-                                 combiner="stacking", forest=rf)
+    return bagging.EnsembleModel(model=model, param_sets=param_sets, combiner="stacking",
+                                 forest=rf)
 
 
 @pytest.fixture(scope="module")

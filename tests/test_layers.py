@@ -512,15 +512,16 @@ def reference_strided_dx(w, up, in_shape, stride):
     return np.ascontiguousarray(np.moveaxis(dxc, 0, 3))
 
 
-# stride 1 takes the contiguous scatter; H and W are drawn apart, so most
-# cases have H != W, and Cout 1 and 2 hit the BLAS's gemv paths
-stride1_cases = st.tuples(
+# H and W are drawn apart, so most cases have H != W, and Cout 1 and 2 hit
+# the BLAS's gemv paths
+scatter_cases = st.tuples(
     st.integers(0, 2**32 - 1),
     st.integers(1, 40),  # batch
     st.integers(3, 10), st.integers(3, 10),  # H and W
     st.integers(1, 32),  # Cin
     st.one_of(st.sampled_from([1, 2]), st.integers(1, 64)),  # Cout
     st.integers(1, 3), st.integers(1, 3),  # kh, kw
+    st.integers(1, 3),  # stride
     st.sampled_from([np.float32, np.float64]),
 )
 
@@ -564,33 +565,34 @@ class TestConvBackwardMatchesReference:
     # the examples have one output position, where the BLAS takes its gemv
     # path; an upstream padded before the GEMM changed float32 dx there
     @settings(max_examples=150, deadline=None)
-    @given(stride1_cases)
-    @example((0, 1, 3, 3, 1, 2, 3, 3, np.float32))
-    @example((0, 1, 3, 3, 1, 2, 3, 3, np.float64))
+    @given(scatter_cases)
+    @example((0, 1, 3, 3, 1, 2, 3, 3, 1, np.float32))
+    @example((0, 1, 3, 3, 1, 2, 3, 3, 1, np.float64))
     def test_contiguous_scatter_equals_strided(self, case):
-        seed, bsz, h, w, cin, cout, kh, kw, dtype = case
+        seed, bsz, h, w, cin, cout, kh, kw, stride, dtype = case
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(bsz, h, w, cin)).astype(dtype)
         ks = layers.ConvKernelSet(rng.normal(size=(kh, kw, cin, cout)).astype(dtype),
                                   rng.normal(size=cout).astype(dtype))
-        out, bwd = layers.conv2d_vjp(x, ks)
+        out, bwd = layers.conv2d_vjp(x, ks, stride)
         up = rng.normal(size=out.shape).astype(dtype)
         dx, _, _ = bwd(up)
-        ref = reference_strided_dx(ks.weights, up, x.shape, 1)
+        ref = reference_strided_dx(ks.weights, up, x.shape, stride)
         assert dx.dtype == ref.dtype and dx.shape == ref.shape
         assert dx.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_contiguous_scatter_with_signed_zeros(self, dtype):
         # weights and upstream full of -0.0 and ties: dx starts at +0.0, so
-        # the border zeros the contiguous adds carry cannot flip a sign
+        # the zeros the contiguous adds carry cannot flip a sign
         w = tie_heavy(3, (3, 2, 2, 3), dtype, "signed_zeros")
         ks = layers.ConvKernelSet(w, np.zeros(3, dtype))
-        out, bwd = layers.conv2d_vjp(np.zeros((5, 9, 5, 2), dtype), ks)
-        up = tie_heavy(4, out.shape, dtype, "signed_zeros")
-        dx, _, _ = bwd(up)
-        assert dx.tobytes() == reference_strided_dx(w, up, dx.shape, 1).tobytes()
-        assert not np.signbit(dx[dx == 0]).any()
+        for stride in (1, 2, 3):
+            out, bwd = layers.conv2d_vjp(np.zeros((5, 9, 5, 2), dtype), ks, stride)
+            up = tie_heavy(4, out.shape, dtype, "signed_zeros")
+            dx, _, _ = bwd(up)
+            assert dx.tobytes() == reference_strided_dx(w, up, dx.shape, stride).tobytes()
+            assert not np.signbit(dx[dx == 0]).any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bias_gradient_is_the_sequential_row_sum(self, rng, dtype):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,24 @@ FULLSIZE_TRACE = [
     (52, 52, 128), (26, 26, 128), (24, 24, 128), (12, 12, 128),
     (18432,), (512,), (10,),
 ]
+
+
+PAPER_SUMMARY = """\
+Layer (type)                  Output Shape             Param #
+==============================================================
+conv2d (Conv2D)               (None, 222, 222, 32)         896
+max_pooling2d (MaxPooling2D)  (None, 111, 111, 32)           0
+conv2d_1 (Conv2D)             (None, 109, 109, 64)       18496
+max_pooling2d_1 (MaxPooling2D)(None, 54, 54, 64)             0
+conv2d_2 (Conv2D)             (None, 52, 52, 128)        73856
+max_pooling2d_2 (MaxPooling2D)(None, 26, 26, 128)            0
+conv2d_3 (Conv2D)             (None, 24, 24, 128)       147584
+max_pooling2d_3 (MaxPooling2D)(None, 12, 12, 128)            0
+flatten (Flatten)             (None, 18432)                  0
+dense (Dense)                 (None, 512)              9437696
+dense_1 (Dense)               (None, 10)                  5130
+==============================================================
+Total params: 9,683,658"""
 
 
 class TestPaperCnn:
@@ -34,6 +54,21 @@ class TestPaperCnn:
         text = network.summary(network.build_paper_cnn(10))
         assert "Total params: 9,683,658" in text
         assert "(None, 222, 222, 32)" in text
+
+    def test_summary_text(self):
+        assert network.summary(network.build_paper_cnn(10)) == PAPER_SUMMARY
+
+    def test_layer_names(self):
+        assert network.layer_names(network.build_paper_cnn(10)) == [
+            "conv2d", "relu", "max_pooling2d", "conv2d_1", "relu_1", "max_pooling2d_1",
+            "conv2d_2", "relu_2", "max_pooling2d_2", "conv2d_3", "relu_3", "max_pooling2d_3",
+            "flatten", "dense", "relu_4", "dense_1"]
+
+    def test_param_shapes(self):
+        assert network._param_shapes(network.build_paper_cnn(10)) == {
+            "conv2d": ((3, 3, 3, 32), (32,)), "conv2d_1": ((3, 3, 32, 64), (64,)),
+            "conv2d_2": ((3, 3, 64, 128), (128,)), "conv2d_3": ((3, 3, 128, 128), (128,)),
+            "dense": ((18432, 512), (512,)), "dense_1": ((512, 10), (10,))}
 
 
 class TestScaledCnn:
@@ -64,6 +99,41 @@ class TestScaledCnn:
             network.build_scaled_cnn((8, 8, 1), [2], 2, dense_units=units)
         with pytest.raises(BuildError, match=r"layer 0 \(conv2d\)"):
             network.build_scaled_cnn((8, 8, 1), [units], 2)
+
+    @pytest.mark.parametrize("input_shape,spec,message", [
+        ((8, 8, 1), (network.flat(), network.conv(3, 3, 2), network.flat(), network.dense(2)),
+         "layer 1 (conv2d): expects [H,W,C] input, got (64,)"),
+        ((8, 8, 1), (network.flat(), network.pool(), network.dense(2)),
+         "layer 1 (maxpool2d): expects [H,W,C] input, got (64,)"),
+        ((8, 8, 1), (network.dense(2),), "layer 0 (dense): expects flat input, got (8, 8, 1)"),
+        ((1, 8, 1), (network.pool(), network.flat(), network.dense(2)),
+         "layer 0 (maxpool2d): 2x2 window does not fit input 1x8"),
+        ((4, 8, 1), (network.conv(5, 3, 2), network.flat(), network.dense(2)),
+         "layer 0 (conv2d): kernel (5, 3) does not fit input 4x8"),
+        ((8, 4, 1), (network.conv(3, 5, 2), network.flat(), network.dense(2)),
+         "layer 0 (conv2d): kernel (3, 5) does not fit input 8x4"),
+        ((0, 8, 1), (network.flat(), network.dense(2)),
+         "input shape must be positive [H,W,C], got (0, 8, 1)"),
+        ((8, 8), (network.flat(), network.dense(2)),
+         "input shape must be positive [H,W,C], got (8, 8)"),
+        ((8, 8, 1), (network.flat(), network.dense(3)),
+         "final layer produces (3,), expected (2,)"),
+    ])
+    def test_build_error_text(self, input_shape, spec, message):
+        with pytest.raises(BuildError) as err:
+            network.ModelSpec(input_shape, spec, 2)
+        assert str(err.value) == message
+
+    def test_empty_spec_is_a_build_error(self):
+        with pytest.raises(BuildError, match=r"final layer produces \(8, 8, 1\), expected \(2,\)"):
+            network.ModelSpec((8, 8, 1), (), 2)
+
+    def test_spec_keeps_tuples(self):
+        # the walk is kept on the spec, so what it walked is frozen
+        m = network.ModelSpec([8, 8, 1], [network.flat(), network.dense(2)], 2)
+        assert m.input_shape == (8, 8, 1) and m.layers == (network.flat(), network.dense(2))
+        assert m == network.ModelSpec((8, 8, 1), (network.flat(), network.dense(2)), 2)
+        assert "_rows" not in repr(m)
 
     @pytest.mark.parametrize("input_shape,widths,n_classes", [
         ((32, 32, 1), [8, 16], 5),
@@ -211,6 +281,27 @@ class TestBackwardBatch:
 
         for k in grads:
             assert max_rel_err(grads[k], numeric_grad(loss, params[k])) < 1e-4, k
+
+    def test_backward_runs_once_and_frees_layer_state(self, tiny, rng, monkeypatch):
+        # the layer closures keep the im2col matrices and masks; the network's
+        # backward drops each one once used, so none outlives the call
+        closures = []
+        for name in ("conv2d_vjp", "maxpool2d_vjp", "relu_vjp", "dense_vjp"):
+            kernel = getattr(layers, name)
+
+            def spy(*args, _kernel=kernel):
+                out, bwd = _kernel(*args)
+                closures.append(weakref.ref(bwd))
+                return out, bwd
+
+            monkeypatch.setattr(layers, name, spy)
+        m, params = tiny
+        logits, bwd = network.forward_vjp(m, params, rng.normal(size=(2, 8, 8, 1)))
+        assert len(closures) == 6 and all(ref() is not None for ref in closures)
+        bwd(np.ones((2, 2)))
+        assert all(ref() is None for ref in closures)
+        with pytest.raises(InputError, match="backward already ran"):
+            bwd(np.ones((2, 2)))
 
 
 def spec_order_vjp(m, params, batch):
@@ -371,6 +462,25 @@ class TestForwardChunks:
             network.pool(), network.conv(3, 3, 5), network.relu(), network.conv(2, 2, 4, stride=2),
             network.relu(), network.flat(), network.dense(6), network.relu(),
             network.dense(3)), 3)
+
+    def test_walk_pins(self):
+        m = self.model()
+        assert network.summary(m) == "\n".join([
+            "Layer (type)                  Output Shape             Param #",
+            "=" * 62,
+            "max_pooling2d (MaxPooling2D)  (None, 5, 6, 2)                0",
+            "conv2d (Conv2D)               (None, 3, 4, 5)               95",
+            "conv2d_1 (Conv2D)             (None, 1, 2, 4)               84",
+            "flatten (Flatten)             (None, 8)                      0",
+            "dense (Dense)                 (None, 6)                     54",
+            "dense_1 (Dense)               (None, 3)                     21",
+            "=" * 62,
+            "Total params: 254"])
+        assert network.layer_names(m) == ["max_pooling2d", "conv2d", "relu", "conv2d_1",
+                                          "relu_1", "flatten", "dense", "relu_2", "dense_1"]
+        assert network._param_shapes(m) == {
+            "conv2d": ((3, 3, 2, 5), (5,)), "conv2d_1": ((2, 2, 5, 4), (4,)),
+            "dense": ((8, 6), (6,)), "dense_1": ((6, 3), (3,))}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
