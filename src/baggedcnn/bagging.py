@@ -10,8 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network, training
-from .errors import BaggedCnnError, DimensionError, InputError
-from .layers import softmax
+from .errors import BaggedCnnError, InputError
 
 
 @dataclass(frozen=True)
@@ -116,16 +115,8 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
 
 def ensemble_predict_probs(ensemble: EnsembleModel, batch):
     """Stacked softmax outputs of every sub-model: [n_models, B, C]."""
-    if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(ensemble.model.input_shape):
-        raise DimensionError(
-            f"batch shape {batch.shape} does not match model input {ensemble.model.input_shape}"
-        )
-    out = np.empty((ensemble.n_models, batch.shape[0], ensemble.n_classes))
-    step = network.PREDICT_BATCH
+    out = np.empty((ensemble.n_models, len(batch), ensemble.n_classes))
     for m, params in enumerate(ensemble.param_sets):
-        for lo in range(0, batch.shape[0], step):
-            xb = batch[lo : lo + step]
-            out[m, lo : lo + step] = softmax(
-                network.forward_batch(ensemble.model, params, xb)
-            )
+        for rows, probs in network.predict_probs(ensemble.model, params, batch):
+            out[m, rows] = probs
     return out

@@ -179,17 +179,13 @@ def _labels_for(view, n_classes):
     return view.labels_binary if n_classes == 2 else view.labels_multi
 
 
-def _dtype(cfg):
-    return np.float64 if cfg.precision == 64 else np.float32
-
-
 def run_pipeline(cfg):
     """Load data, train the ensemble, fit the combiner; returns the pieces
     every command needs."""
     ds = data.load_container(cfg.dataset)
     train_v, val_v, stack_v, test_v = data.split(ds, cfg.split, seed=cfg.seed)
     model = build_model(cfg, ds.images.shape[1:])
-    dtype = _dtype(cfg)
+    dtype = np.float64 if cfg.precision == 64 else np.float32  # the training dtype
     bag_cfg = bagging.BaggingConfig(n_models=cfg.n_models,
                                     bagging_ratio=cfg.bagging_ratio, seed=cfg.seed)
     train_cfg = training.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
@@ -205,16 +201,17 @@ def run_pipeline(cfg):
     ensemble.combiner = cfg.combiner
     if cfg.combiner == "stacking":
         ensemble.forest = combiners.fit_stacking(
-            ensemble, stack_v.images.astype(dtype), _labels_for(stack_v, cfg.n_classes),
+            ensemble, stack_v.images, _labels_for(stack_v, cfg.n_classes),
             n_trees=cfg.n_trees, max_depth=cfg.max_depth, seed=cfg.seed)
     return ds, (train_v, val_v, stack_v, test_v), ensemble, assignment, histories
 
 
 def evaluate_ensemble(cfg, ensemble, view):
-    dtype = _dtype(cfg)
-    x = view.images.astype(dtype)
+    """(confusion, predictions, probabilities, labels) of the ensemble on a
+    view.  Prediction runs in the ensemble's own dtype, whatever
+    cfg.precision says."""
     y = _labels_for(view, ensemble.n_classes)
-    probs = bagging.ensemble_predict_probs(ensemble, x)
+    probs = bagging.ensemble_predict_probs(ensemble, view.images)
     preds = combiners.combine(ensemble, probs)
     cm = metrics.confusion(preds, y, ensemble.n_classes)
     return cm, preds, probs, y
@@ -261,10 +258,6 @@ def cmd_train(cfg):
 def cmd_eval(cfg, checkpoint_path, dataset_path):
     ensemble, _ = checkpoint.load_checkpoint(checkpoint_path)
     ds = data.load_container(dataset_path)
-    if tuple(ds.images.shape[1:]) != tuple(ensemble.model.input_shape):
-        raise CheckpointError(
-            f"dataset images {ds.images.shape[1:]} do not match model input "
-            f"{ensemble.model.input_shape}")
     view = data.DatasetView(dataset=ds, indices=np.arange(len(ds)))
     cm, _, _, _ = evaluate_ensemble(cfg, ensemble, view)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -306,7 +299,7 @@ def cmd_compare_combiners(cfg):
     validate_config(base)  # the stacking split must not be empty
     _, views, ensemble, _, _ = run_pipeline(base)
     test_v = views[3]
-    probs = bagging.ensemble_predict_probs(ensemble, test_v.images.astype(_dtype(cfg)))
+    probs = bagging.ensemble_predict_probs(ensemble, test_v.images)
     y = _labels_for(test_v, ensemble.n_classes)
     rows = []
     for method in combiners.COMBINERS:
@@ -356,7 +349,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--precision", type=int, choices=(32, 64),
-                        help="scalar precision for training/inference")
+                        help="dtype the sub-models train in; eval predicts in the "
+                             "checkpoint's dtype")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="train an ensemble end to end")
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -409,7 +403,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, InputError, LabelError, DimensionError, CheckpointError,
-            MetricError, FileNotFoundError) as exc:
+            MetricError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

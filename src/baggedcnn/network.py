@@ -164,21 +164,7 @@ def build_paper_cnn(n_classes=10):
     """The reference architecture: 224x224x3 in, four conv/pool blocks
     (32, 64, 128, 128 filters of 3x3), dense 512, dense n_classes.
     Total parameter count for n_classes=10 is 9,683,658."""
-    if n_classes < 2:
-        raise InputError("n_classes must be >= 2")
-    return ModelSpec(
-        input_shape=(224, 224, 3),
-        layers=(
-            conv(3, 3, 32), relu(), pool(),
-            conv(3, 3, 64), relu(), pool(),
-            conv(3, 3, 128), relu(), pool(),
-            conv(3, 3, 128), relu(), pool(),
-            flat(),
-            dense(512), relu(),
-            dense(n_classes),
-        ),
-        n_classes=n_classes,
-    )
+    return build_scaled_cnn((224, 224, 3), (32, 64, 128, 128), n_classes, dense_units=512)
 
 
 def build_scaled_cnn(input_shape, widths, n_classes, dense_units=64):
@@ -236,10 +222,31 @@ def forward_vjp(model, params, batch):
     return _forward(model, params, batch, want_vjp=True)
 
 
-# Images per forward pass in `training.evaluate` and `bagging.ensemble_predict_probs`.
-# Not a tuning value: a GEMM over another number of rows can round some rows
-# differently, so another size changes the bytes of the predictions.
+# Images per forward pass in `predict_probs`.  Not a tuning value: a GEMM
+# over another number of rows can round some rows differently, so another
+# size changes the bytes of the predictions.
 PREDICT_BATCH = 64
+
+
+def predict_probs(model, params, images):
+    """Softmax probabilities of images [B,H,W,C] under one parameter set.
+
+    The images are checked against the model input and cast to the
+    parameters' dtype (a model without parameters keeps theirs).  Yields
+    (row slice, probabilities [rows, n_classes]) per PREDICT_BATCH images.
+    """
+    if images.ndim != 4 or images.shape[1:] != model.input_shape:
+        raise DimensionError(
+            f"batch shape {images.shape} does not match model input {model.input_shape}"
+        )
+    if params:
+        images = images.astype(next(iter(params.values())).dtype, copy=False)
+    # forward_batch and softmax are looked up per slice, so a wrapper
+    # installed on either module is called
+    return ((rows, layers.softmax(forward_batch(model, params, images[rows])))
+            for rows in (slice(lo, lo + PREDICT_BATCH)
+                         for lo in range(0, len(images), PREDICT_BATCH)))
+
 
 # glibc's malloc serves a block of at least _MMAP_THRESHOLD bytes with mmap and
 # returns the heap top to the kernel once _TRIM_THRESHOLD bytes of it are free.

@@ -132,17 +132,17 @@ class TrainHistory:
 
 
 def evaluate(model, params, images, labels):
-    """(mean loss, accuracy) over a labeled set, `network.PREDICT_BATCH` at a time."""
+    """(mean loss, accuracy) over a labeled set; the loss is summed per
+    `network.predict_probs` slice."""
     labels = check_labels(labels, model.n_classes)
     if len(labels) == 0:
         raise InputError("evaluation set is empty")
+    if len(images) != len(labels):
+        raise InputError(f"{len(images)} images but {len(labels)} labels")
     losses = []
     correct = 0
-    step = network.PREDICT_BATCH
-    for lo in range(0, len(labels), step):
-        xb = images[lo : lo + step]
-        yb = labels[lo : lo + step]
-        probs = softmax(network.forward_batch(model, params, xb))
+    for rows, probs in network.predict_probs(model, params, images):
+        yb = labels[rows]
         losses.append(sparse_cce(probs, yb) * len(yb))
         correct += int((probs.argmax(axis=1) == yb).sum())
     n = len(labels)
@@ -175,8 +175,8 @@ def train_submodel(model, images, labels, config: TrainConfig, val=None):
             xb, yb = images[sel], labels[sel]
             logits, bwd = network.forward_vjp(model, params, xb)
             loss, probs, dlogits = softmax_cce(logits, yb)
-            grads = bwd(dlogits)
-            params, state = adam_step(params, grads, state)
+            # no name holds the gradients, so they are freed before the next forward pass
+            params, state = adam_step(params, bwd(dlogits), state)
             epoch_loss += loss * len(sel)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
         history.train_loss.append(epoch_loss / n)

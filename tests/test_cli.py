@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from baggedcnn import cli, data
+from baggedcnn import bagging, cli, data, network, training
 
 
 @pytest.fixture
@@ -79,6 +80,10 @@ class TestDatasetCommands:
         bad = tmp_path / "bad.bsec"
         bad.write_bytes(b"garbage data here")
         assert run_cli(["dataset", "inspect", bad]) == 3
+
+    def test_inspect_directory(self, tmp_path, capsys):
+        assert run_cli(["dataset", "inspect", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 class TestTrain:
@@ -182,6 +187,59 @@ class TestEval:
         other = tmp_path / "other.bsec"
         data.save_container(data.synth_dataset(4, image_size=24, seed=0), other)
         assert run_cli(["--config", cfg_path, "eval", ck, other]) == 3
+
+    def test_eval_directory_checkpoint(self, workspace, capsys):
+        tmp_path, ds_path, cfg_path = workspace
+        assert run_cli(["--config", cfg_path, "eval", tmp_path, ds_path]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_predicts_in_the_checkpoint_dtype(self, workspace):
+        # --precision sets the training dtype only: a float64 ensemble
+        # predicts float32 dataset images as float64 images
+        _, ds_path, _ = workspace
+        ds = data.load_container(ds_path)
+        model = network.build_scaled_cnn((16, 16, 1), [4], 5, dense_units=8)
+        ensemble, _, _ = bagging.train_ensemble(
+            ds.images.astype(np.float64), ds.labels_multi, model,
+            bagging.BaggingConfig(n_models=2, seed=0), training.TrainConfig(epochs=1))
+        view = data.DatasetView(dataset=ds, indices=np.arange(len(ds)))
+        _, _, probs, _ = cli.evaluate_ensemble(cli.RunConfig(precision=32), ensemble, view)
+        want = bagging.ensemble_predict_probs(ensemble, view.images.astype(np.float64))
+        assert probs.tobytes() == want.tobytes()
+
+
+def _blas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+# sha256 of checkpoint.bin from the small train below, per precision, with the
+# numpy and BLAS build they were recorded on; another build may round differently
+RECORDED_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0")
+CHECKPOINT_SHA256 = {
+    32: "ae28347d42b236c404bdaba0814f7f7c4b657e749792fd443b97a910ebd6ae1e",
+    64: "408d9923508c06f6b78c15b0c7df130c1a9330897b1840b33faef9c3a931fbf4",
+}
+
+
+class TestCheckpointBytes:
+    @pytest.mark.skipif((np.__version__, _blas()) != RECORDED_BUILD,
+                        reason="checkpoint bytes were recorded on another numpy or BLAS build")
+    @pytest.mark.parametrize("precision", [32, 64])
+    def test_train_checkpoint_sha256(self, tmp_path, monkeypatch, precision):
+        # desk-shaped layers on 100 images; the checkpoint records the dataset
+        # path, so it is relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        data.save_container(data.synth_dataset(20, image_size=32, seed=0), "ds.bsec")
+        (tmp_path / "run.cfg").write_text(
+            "[dataset]\npath = ds.bsec\n"
+            "[model]\nwidths = 8,16\ndense_units = 64\n"
+            "[bagging]\nn_models = 2\n"
+            "[train]\nepochs = 2\n"
+            "[combiner]\nn_trees = 10\n")
+        assert run_cli(["--config", "run.cfg", "--precision", precision, "train"]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "checkpoint.bin").read_bytes()).hexdigest()
+        assert digest == CHECKPOINT_SHA256[precision]
 
 
 class TestSweep:

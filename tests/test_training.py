@@ -243,3 +243,37 @@ class TestTrainSubmodel:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert len(lines) == 3
+
+
+def reference_evaluate(model, params, images, labels):
+    """evaluate as a plain 64-image slice loop, the loss summed per slice."""
+    losses, correct = [], 0
+    for lo in range(0, len(labels), 64):
+        yb = labels[lo:lo + 64]
+        probs = softmax(network.forward_batch(model, params, images[lo:lo + 64]))
+        losses.append(training.sparse_cce(probs, yb) * len(yb))
+        correct += int((probs.argmax(axis=1) == yb).sum())
+    return sum(losses) / len(labels), correct / len(labels)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [65, 129, 200])
+    def test_matches_the_slice_loop(self, n, dtype):
+        # a mean over the whole set would round differently from the
+        # per-slice sums, so pin (loss, accuracy) byte for byte
+        model = network.build_scaled_cnn((32, 32, 1), [8, 16], 5, dense_units=64)
+        rng = np.random.default_rng(n)
+        params = {k: (v + rng.normal(0, 0.05, v.shape)).astype(dtype)
+                  for k, v in network.init_params(model, 0, dtype=dtype).items()}
+        x = rng.uniform(size=(n, 32, 32, 1)).astype(dtype)
+        y = rng.integers(0, 5, size=n)
+        got = training.evaluate(model, params, x, y)
+        want = reference_evaluate(model, params, x, y)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_count_mismatch(self):
+        model = network.build_scaled_cnn((16, 16, 1), [4], 2, dense_units=8)
+        params = network.init_params(model, 0)
+        with pytest.raises(InputError, match="3 images but 2 labels"):
+            training.evaluate(model, params, np.zeros((3, 16, 16, 1), np.float32), [0, 1])
