@@ -116,7 +116,6 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
 def ensemble_predict_probs(ensemble: EnsembleModel, batch):
     """Stacked softmax outputs of every sub-model: [n_models, B, C]."""
     out = np.empty((ensemble.n_models, len(batch), ensemble.n_classes))
-    for m, params in enumerate(ensemble.param_sets):
-        for rows, probs in network.predict_probs(ensemble.model, params, batch):
-            out[m, rows] = probs
+    for rows, probs in network.predict_probs(ensemble.model, ensemble.param_sets, batch):
+        out[:, rows] = probs
     return out

@@ -87,7 +87,8 @@ def _forest_from_dict(d):
 
 def _check_manifest(model, n_models, manifest):
     """Every sub-model must store exactly the model's arrays, with its shapes,
-    in one dtype, float32 or float64."""
+    and every array must have one dtype, float32 or float64: sub-models of two
+    dtypes could not share the prediction's wide first conv."""
     if n_models < 1:
         raise CheckpointError(f"checkpoint holds {n_models} sub-models")
     expected = {}
@@ -110,8 +111,9 @@ def _check_manifest(model, n_models, manifest):
         missing = sorted(set(expected) - set(dtypes))
         if missing:
             raise CheckpointError(f"sub-model {m}: missing arrays {missing}")
-        if len(set(dtypes.values())) > 1:
-            raise CheckpointError(f"sub-model {m}: arrays mix dtypes")
+    mixed = sorted({str(dtype) for dtypes in stored for dtype in dtypes.values()})
+    if len(mixed) > 1:
+        raise CheckpointError(f"arrays mix dtypes {mixed}")
 
 
 def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):

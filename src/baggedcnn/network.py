@@ -10,6 +10,7 @@ the optimizer can treat them uniformly.
 
 import ctypes
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -211,15 +212,50 @@ def init_params(model, seed, dtype=np.float32):
 
 
 def forward_batch(model, params, batch):
-    """Logits [B, n_classes] for batch [B,H,W,C]."""
-    return _forward(model, params, batch, want_vjp=False)
+    """Logits [B, n_classes] for batch [B,H,W,C] under one parameter dict, or
+    [M, B, n_classes] under a sequence of M dicts, which must share one dtype."""
+    single = isinstance(params, Mapping)
+    param_sets = [params] if single else list(params)
+    if not single:
+        _param_dtype(param_sets)
+    _check_batch(model, batch)
+    logits = _run_forward(model, [_steps(model, p, want_vjp=False) for p in param_sets], batch)
+    return logits[0] if single else np.stack(logits)
 
 
 def forward_vjp(model, params, batch):
     """(logits, backward) where backward(upstream [B,n_classes]) -> grad dict
     with the same keys as params, summed over the batch.  backward runs once:
     it drops each layer's saved arrays as soon as it has used them."""
-    return _forward(model, params, batch, want_vjp=True)
+    _check_batch(model, batch)
+    x = batch
+    tape = []  # (parameter name prefix or None, backward)
+    for name, vjp, args in _steps(model, params, want_vjp=True):
+        x, bwd = getattr(layers, vjp)(x, *args)
+        tape.append((name, bwd))
+    logits = x
+
+    def backward(upstream):
+        if upstream.shape != logits.shape:
+            raise DimensionError(
+                f"upstream shape {upstream.shape} does not match logits {logits.shape}"
+            )
+        if not tape:
+            raise InputError("backward already ran for this forward pass")
+        grads = {}
+        g = upstream
+        while tape:
+            name, bwd = tape.pop()
+            first = not tape  # the gradient of the batch itself is never used
+            if name:
+                # a first layer with parameters is a conv: dense needs flat input
+                result = bwd(g, input_grad=False) if first else bwd(g)
+                g, grads[f"{name}/w"], grads[f"{name}/b"] = result
+            elif not first:
+                g = bwd(g)
+        return grads
+
+    return logits, backward
 
 
 # Images per forward pass in `predict_probs`.  Not a tuning value: a GEMM
@@ -229,23 +265,41 @@ PREDICT_BATCH = 64
 
 
 def predict_probs(model, params, images):
-    """Softmax probabilities of images [B,H,W,C] under one parameter set.
+    """Softmax probabilities of images [B,H,W,C] under one parameter dict, or
+    under each of a sequence of M dicts, which must share one dtype.
 
     The images are checked against the model input and cast to the
     parameters' dtype (a model without parameters keeps theirs).  Yields
-    (row slice, probabilities [rows, n_classes]) per PREDICT_BATCH images.
+    (row slice, probabilities [rows, n_classes], or [M, rows, n_classes] for
+    a sequence) per PREDICT_BATCH images.
     """
     if images.ndim != 4 or images.shape[1:] != model.input_shape:
         raise DimensionError(
             f"batch shape {images.shape} does not match model input {model.input_shape}"
         )
-    if params:
-        images = images.astype(next(iter(params.values())).dtype, copy=False)
+    single = isinstance(params, Mapping)
+    if not single:
+        params = list(params)  # read here and again per slice
+    dtype = _param_dtype([params] if single else params)
+    if dtype is not None:
+        images = images.astype(dtype, copy=False)
     # forward_batch and softmax are looked up per slice, so a wrapper
     # installed on either module is called
     return ((rows, layers.softmax(forward_batch(model, params, images[rows])))
             for rows in (slice(lo, lo + PREDICT_BATCH)
                          for lo in range(0, len(images), PREDICT_BATCH)))
+
+
+def _param_dtype(param_sets):
+    """The one dtype of every array in param_sets, or None when they hold
+    none.  Sub-models of two dtypes cannot share the first conv: its
+    concatenated kernels would take the wider one."""
+    if not param_sets:
+        raise InputError("no parameter sets")
+    dtypes = {value.dtype for params in param_sets for value in params.values()}
+    if len(dtypes) > 1:
+        raise InputError(f"parameter sets mix dtypes {sorted(map(str, dtypes))}")
+    return next(iter(dtypes), None)
 
 
 # glibc's malloc serves a block of at least _MMAP_THRESHOLD bytes with mmap and
@@ -278,8 +332,9 @@ def _keep_heap_resident():
 # batch whose largest per-layer array (an im2col matrix included) would pass
 # this runs its image layers a few samples at a time.  Arrays at or above
 # _MMAP_THRESHOLD come from fresh pages that the kernel zeroes on every call;
-# chunks below it reuse the previous chunk's heap memory.  The dense layers
-# still see the whole batch.
+# chunks below it reuse the previous chunk's heap memory.  Sub-models that run
+# their first conv as one share the budget, on smaller chunks.  The dense
+# layers still see the whole batch.
 _CHUNK_BYTES = _MMAP_THRESHOLD // 2
 
 
@@ -298,14 +353,18 @@ def _image_layers(model, itemsize):
     return count, largest * itemsize
 
 
-def _forward(model, params, batch, want_vjp):
+def _check_batch(model, batch):
     if batch.ndim != 4 or batch.shape[1:] != model.input_shape:
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {model.input_shape}"
         )
     if len(batch) == 0:
         raise InputError("batch holds no images")
-    steps = []  # (parameter name prefix or None, kernel name, arguments)
+
+
+def _steps(model, params, want_vjp):
+    """(parameter name prefix or None, kernel name, arguments) per layer."""
+    steps = []
     for name, layer, _, weights in model._rows:
         kind = _LAYER_TABLE[layer.kind]
         args = kind.args(layer, params[f"{name}/w"], params[f"{name}/b"]) if weights else ()
@@ -317,51 +376,72 @@ def _forward(model, params, batch, want_vjp):
     for i in range(len(steps) - 1):
         if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
-    if not want_vjp:
-        return _run_forward(model, steps, batch)
-    x = batch
-    tape = []  # (parameter name prefix or None, backward)
-    for name, vjp, args in steps:
-        x, bwd = getattr(layers, vjp)(x, *args)
-        tape.append((name, bwd))
-    logits = x
-
-    def backward(upstream):
-        if upstream.shape != logits.shape:
-            raise DimensionError(
-                f"upstream shape {upstream.shape} does not match logits {logits.shape}"
-            )
-        if not tape:
-            raise InputError("backward already ran for this forward pass")
-        grads = {}
-        g = upstream
-        while tape:
-            name, bwd = tape.pop()
-            first = not tape  # the gradient of the batch itself is never used
-            if name:
-                # a first layer with parameters is a conv: dense needs flat input
-                result = bwd(g, input_grad=False) if first else bwd(g)
-                g, grads[f"{name}/w"], grads[f"{name}/b"] = result
-            elif not first:
-                g = bwd(g)
-        return grads
-
-    return logits, backward
+    return steps
 
 
-def _run_forward(model, steps, batch):
+def _first_stage(model):
+    """Count of leading layers that every sub-model can run as one wide
+    layer: a first conv and the relus and pools straight after it, which act
+    on each channel alone.  0 when the first layer is not a conv."""
+    if model.layers[0].kind != "conv2d":
+        return 0
+    n = 1
+    while model.layers[n].kind in ("relu", "maxpool2d"):
+        n += 1
+    return n
+
+
+def _widen(step_sets, n_wide):
+    """The first n_wide steps of every step list as one: the first conv's
+    kernels side by side along Cout, in step-list order."""
+    if len(step_sets) == 1:
+        return step_sets[0][:n_wide]
+    # a conv step is (name, kernel name, (ConvKernelSet, stride))
+    (name, forward, (_, stride)), *rest = step_sets[0][:n_wide]
+    kernels = [steps[0][2][0] for steps in step_sets]
+    wide = layers.ConvKernelSet(np.concatenate([k.weights for k in kernels], axis=3),
+                                np.concatenate([k.bias for k in kernels]))
+    return [(name, forward, (wide, stride)), *rest]
+
+
+def _run_forward(model, step_sets, batch):
+    """Logits [B, n_classes] of each step list in step_sets.
+
+    The image layers run on chunks of the batch and the dense layers on the
+    whole batch: a conv's output rows came out the same bytes at every chunk
+    size tried, a dense layer's did not.  One model may run `fits` images
+    at once.  Sub-models run in groups of up to `fits`; a group runs its
+    first stage (`_first_stage`) once per chunk, on every model's kernels
+    side by side, and its chunks hold 1/group of the images one model would
+    run, so the wide arrays stay about one model's size.  Each model then
+    runs its other image layers on its own channels of the same chunk.  A
+    lone model takes the chunks and kernel calls of a model run alone.
+    """
     def run(x, part):
         for _, forward, args in part:
             x = getattr(layers, forward)(x, *args)
         return x
 
     n_image, sample_bytes = _image_layers(model, batch.dtype.itemsize)
-    chunk = max(1, _CHUNK_BYTES // sample_bytes)
-    if chunk >= len(batch):
-        return run(batch, steps)
-    x = np.concatenate([run(batch[lo : lo + chunk], steps[:n_image])
-                        for lo in range(0, len(batch), chunk)])
-    return run(x, steps[n_image:])
+    n_wide = _first_stage(model)
+    fits = max(1, _CHUNK_BYTES // sample_bytes)
+    group = min(len(step_sets), fits) if n_wide else 1
+    chunk = -(-min(len(batch), fits) // group)
+    logits = []
+    for g in range(0, len(step_sets), group):
+        sets = step_sets[g : g + group]
+        first = _widen(sets, n_wide)
+        parts = [[] for _ in sets]  # per model, its image-layer output per chunk
+        for lo in range(0, len(batch), chunk):
+            y = run(batch[lo : lo + chunk], first)
+            # one copy makes the channel groups model-major; a view for one model
+            y = np.ascontiguousarray(np.moveaxis(y.reshape(*y.shape[:3], len(sets), -1), 3, 0))
+            for part, steps, x in zip(parts, sets, y):
+                part.append(run(x, steps[n_wide:n_image]))
+        for steps, part in zip(sets, parts):
+            x = part[0] if len(part) == 1 else np.concatenate(part)
+            logits.append(run(x, steps[n_image:]))
+    return logits
 
 
 def backward_batch(model, params, batch, upstream):

@@ -187,6 +187,13 @@ class TestEnsemblePredictProbs:
                                      for lo in range(0, n, 64)])
             assert probs[m].tobytes() == sliced.astype(np.float64).tobytes()
 
+    def test_mixed_dtypes_refused(self, ensemble):
+        # the sub-models share one wide first conv, which would upcast float32
+        ens, x = ensemble
+        ens.param_sets[0] = {k: v.astype(np.float64) for k, v in ens.param_sets[0].items()}
+        with pytest.raises(InputError, match="mix dtypes"):
+            bagging.ensemble_predict_probs(ens, x[:4])
+
     def test_shape_mismatch(self, ensemble):
         ens, _ = ensemble
         with pytest.raises(DimensionError):

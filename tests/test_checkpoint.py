@@ -185,6 +185,18 @@ class TestHeaderValidation:
         with pytest.raises(CheckpointError, match="dtype"):
             checkpoint.load_checkpoint(saved)
 
+    def test_sub_models_mix_dtypes(self, trained, tmp_path):
+        # each sub-model is in one dtype, but not both in the same one
+        ens, images = trained
+        ens.param_sets[1] = {k: v.astype(np.float64) for k, v in ens.param_sets[1].items()}
+        path = tmp_path / "ck.bin"
+        checkpoint.save_checkpoint(path, ens)
+        with pytest.raises(CheckpointError, match=r"mix dtypes \['float32', 'float64'\]"):
+            checkpoint.load_checkpoint(path)
+        ds = tmp_path / "ds.bsec"
+        data.save_container(data.synth_dataset(2, image_size=16, seed=0), ds)
+        assert cli.main(["--out", str(tmp_path / "out"), "eval", str(path), str(ds)]) == 3
+
     def test_declared_arrays_exceed_file(self, saved):
         rewrite(saved, lambda h: None, drop_tail=1)
         with pytest.raises(CheckpointError, match="truncated"):

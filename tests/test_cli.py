@@ -242,6 +242,46 @@ class TestCheckpointBytes:
         assert digest == CHECKPOINT_SHA256[precision]
 
 
+class TestBlasThreads:
+    """Checkpoint bytes hold per BLAS build and BLAS thread count, and the
+    probabilities a checkpoint predicts hold per BLAS build.  conv2d_1's
+    weight gradient, `col.T @ upstream`, sums B*H'*W' products, and OpenBLAS
+    splits that sum by thread count: on this config's 42-image bags the
+    trailing batch of 10 images rounds it differently at one and two
+    threads.  The variable is set for the child processes only."""
+
+    def child(self, cwd, threads, args):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_train_repeats_and_predictions_do_not_depend_on_threads(self, tmp_path):
+        digests = []
+        for run, threads in enumerate(("1", "2", "2")):
+            cwd = tmp_path / str(run)
+            cwd.mkdir()
+            data.save_container(data.synth_dataset(20, image_size=32, seed=0), cwd / "ds.bsec")
+            (cwd / "run.cfg").write_text(
+                "[dataset]\npath = ds.bsec\n"
+                "[model]\nwidths = 8,16\ndense_units = 64\n"
+                "[bagging]\nn_models = 2\n"
+                "[train]\nepochs = 2\n"
+                "[combiner]\nn_trees = 10\n")
+            self.child(cwd, threads, ["-m", "baggedcnn.cli", "--config", "run.cfg", "train"])
+            digests.append(hashlib.sha256((cwd / "out" / "checkpoint.bin").read_bytes()).hexdigest())
+        assert digests[1] == digests[2]
+        predict = ("import hashlib\n"
+                   "from baggedcnn import bagging, checkpoint, data\n"
+                   "ensemble, _ = checkpoint.load_checkpoint('out/checkpoint.bin')\n"
+                   "probs = bagging.ensemble_predict_probs(ensemble, data.load_container('ds.bsec').images)\n"
+                   "print(hashlib.sha256(probs.tobytes()).hexdigest())\n")
+        assert len({self.child(tmp_path / "0", threads, ["-c", predict])
+                    for threads in ("1", "2")}) == 1
+
+
 class TestSweep:
     def test_table_layout(self, workspace, capsys):
         tmp_path, _, cfg_path = workspace

@@ -523,3 +523,141 @@ class TestForwardChunks:
         # a desk-size net runs a 64-image request whole
         desk = network.build_scaled_cnn((32, 32, 1), [8, 16], 5, dense_units=64)
         assert 64 * network._image_layers(desk, 4)[1] <= network._CHUNK_BYTES
+
+
+def perturbed_sets(m, n_models, dtype, seed=0):
+    """n_models parameter sets moved off init_params' zero head and biases."""
+    rng = np.random.default_rng(seed)
+    return [{k: (v + rng.normal(0, 0.05, v.shape)).astype(dtype)
+             for k, v in network.init_params(m, s, dtype=dtype).items()}
+            for s in range(n_models)]
+
+
+def reference_probs(m, param_sets, images):
+    """[M, B, C]: each sub-model on its own, every layer kernel in spec order
+    on 64-image slices, the whole slice at once."""
+    images = images.astype(param_sets[0]["dense/w"].dtype)
+    return np.stack([
+        np.concatenate([layers.softmax(spec_order_forward(m, params, images[lo:lo + 64]))
+                        for lo in range(0, len(images), 64)])
+        for params in param_sets])
+
+
+def predicted(m, params, images):
+    """predict_probs' slices joined along the image axis."""
+    parts = [probs for _, probs in network.predict_probs(m, params, images)]
+    return np.concatenate(parts, axis=-2)
+
+
+class TestPredictTogether:
+    """A sequence of parameter sets runs its first conv, relu and pool once,
+    on every set's kernels side by side, with each set's bytes out."""
+
+    DESK = network.build_scaled_cnn((32, 32, 1), [8, 16], 5, dense_units=64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 7, 13, 64, 65, 200])
+    def test_desk_bytes_equal_reference(self, dtype, batch):
+        sets = perturbed_sets(self.DESK, 20, dtype)
+        images = np.random.default_rng(batch).uniform(size=(batch, 32, 32, 1))
+        want = reference_probs(self.DESK, sets, images)
+        for n in range(1, 21):
+            got = predicted(self.DESK, sets[:n], images)
+            assert got.dtype == want.dtype and got.shape == (n, batch, 5)
+            assert got.tobytes() == want[:n].tobytes(), n
+        assert predicted(self.DESK, sets[0], images).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk_bytes", [None, 1 << 30])
+    def test_paper_conv1_bytes_equal_reference(self, monkeypatch, dtype, chunk_bytes):
+        # the paper net's first conv; by default a float32 pair of sets shares
+        # one wide conv per image, and float64 sets run alone
+        m = network.ModelSpec((224, 224, 3), (
+            network.conv(3, 3, 32), network.relu(), network.pool(), network.conv(3, 3, 2, stride=8),
+            network.relu(), network.flat(), network.dense(4), network.relu(),
+            network.dense(3)), 3)
+        if chunk_bytes:
+            monkeypatch.setattr(network, "_CHUNK_BYTES", chunk_bytes)
+        sets = perturbed_sets(m, 3, dtype)
+        images = np.random.default_rng(3).uniform(size=(2, 224, 224, 3))
+        want = reference_probs(m, sets, images)
+        for n in range(1, 4):
+            assert predicted(m, sets[:n], images).tobytes() == want[:n].tobytes(), n
+
+    def spy_calls(self, monkeypatch, run):
+        """(kernel, input shape, conv Cout) per kernel call made by run()."""
+        seen = []
+        with monkeypatch.context() as patch:
+            for name in ("conv2d_forward", "maxpool2d_forward", "relu", "flatten",
+                         "dense_forward"):
+                kernel = getattr(layers, name)
+
+                def spy(x, *args, _kernel=kernel, _name=name):
+                    cout = args[0].weights.shape[3] if _name == "conv2d_forward" else None
+                    seen.append((_name, x.shape, cout))
+                    return _kernel(x, *args)
+
+                patch.setattr(layers, name, spy)
+            run()
+        return seen
+
+    def test_first_conv_once_per_chunk_dense_whole(self, rng, monkeypatch):
+        m = network.build_scaled_cnn((10, 10, 1), [3, 4], 2, dense_units=5)
+        sets = perturbed_sets(m, 3, np.float64)
+        images = rng.normal(size=(7, 10, 10, 1))
+        _, sample_bytes = network._image_layers(m, 8)
+        monkeypatch.setattr(network, "_CHUNK_BYTES", 4 * sample_bytes)
+        # one model may run 4 images: the 3 sets run as one group on chunks of
+        # ceil(4 / 3) = 2 images
+        seen = self.spy_calls(monkeypatch, lambda: network.forward_batch(m, sets, images))
+        chunks = [2, 2, 2, 1]
+        want = []
+        for n in chunks:
+            want += [("conv2d_forward", (n, 10, 10, 1), 9),
+                     ("maxpool2d_forward", (n, 8, 8, 9), None), ("relu", (n, 4, 4, 9), None)]
+            for _ in sets:
+                want += [("conv2d_forward", (n, 4, 4, 3), 4),
+                         ("maxpool2d_forward", (n, 2, 2, 4), None), ("relu", (n, 1, 1, 4), None)]
+        for _ in sets:
+            want += [("flatten", (7, 1, 1, 4), None), ("dense_forward", (7, 4), None),
+                     ("relu", (7, 5), None), ("dense_forward", (7, 5), None)]
+        assert seen == want
+        # a single dict runs the kernels of a model run alone: its own convs
+        # on chunks of 4 images, its dense layers on the whole batch
+        seen = self.spy_calls(monkeypatch, lambda: network.forward_batch(m, sets[0], images))
+        want = []
+        for n in (4, 3):
+            want += [("conv2d_forward", (n, 10, 10, 1), 3),
+                     ("maxpool2d_forward", (n, 8, 8, 3), None), ("relu", (n, 4, 4, 3), None),
+                     ("conv2d_forward", (n, 4, 4, 3), 4),
+                     ("maxpool2d_forward", (n, 2, 2, 4), None), ("relu", (n, 1, 1, 4), None)]
+        want += [("flatten", (7, 1, 1, 4), None), ("dense_forward", (7, 4), None),
+                 ("relu", (7, 5), None), ("dense_forward", (7, 5), None)]
+        assert seen == want
+
+    def test_groups_and_first_layer_not_a_conv(self, rng, monkeypatch):
+        # 5 sets in groups of 2, 2 and 1; a model that opens with a pool runs
+        # each set alone
+        for m in (network.build_scaled_cnn((10, 10, 2), [3, 4], 2, dense_units=5),
+                  network.ModelSpec((10, 10, 2), (
+                      network.pool(), network.conv(3, 3, 3), network.relu(), network.flat(),
+                      network.dense(2)), 2)):
+            sets = perturbed_sets(m, 5, np.float32)
+            images = rng.normal(size=(9, 10, 10, 2)).astype(np.float32)
+            _, sample_bytes = network._image_layers(m, 4)
+            monkeypatch.setattr(network, "_CHUNK_BYTES", 2 * sample_bytes)
+            got = network.forward_batch(m, sets, images)
+            assert got.shape == (5, 9, 2)
+            for params, logits in zip(sets, got):
+                assert logits.tobytes() == spec_order_forward(m, params, images).tobytes()
+
+    def test_mixed_dtypes_refused(self, rng):
+        m = network.build_scaled_cnn((10, 10, 1), [3], 2, dense_units=5)
+        sets = [network.init_params(m, 0), network.init_params(m, 1, dtype=np.float64)]
+        images = rng.uniform(size=(2, 10, 10, 1))
+        with pytest.raises(InputError, match="mix dtypes"):
+            network.predict_probs(m, sets, images)
+        with pytest.raises(InputError, match="mix dtypes"):
+            network.forward_batch(m, sets, images)
+        with pytest.raises(InputError, match="no parameter sets"):
+            network.predict_probs(m, [], images)
