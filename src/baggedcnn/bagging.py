@@ -114,8 +114,6 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
 
 
 def ensemble_predict_probs(ensemble: EnsembleModel, batch):
-    """Stacked softmax outputs of every sub-model: [n_models, B, C]."""
-    out = np.empty((ensemble.n_models, len(batch), ensemble.n_classes))
-    for rows, probs in network.predict_probs(ensemble.model, ensemble.param_sets, batch):
-        out[:, rows] = probs
-    return out
+    """Stacked softmax outputs of every sub-model: [n_models, B, C], float64."""
+    probs = network.predict_probs(ensemble.model, ensemble.param_sets, batch)
+    return probs.astype(np.float64, copy=False)

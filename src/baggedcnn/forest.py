@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .errors import InputError
+from .metrics import check_labels
 
 
 def gini_impurity(label_counts):
@@ -158,15 +159,14 @@ def fit_forest(features, labels, n_trees=100, max_depth=12, seed=0,
     once per tree (handy for oracle comparisons).
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
         raise InputError(f"features must be a non-empty 2-d matrix, got shape {features.shape}")
     if len(labels) != len(features):
         raise InputError("features and labels disagree in length")
     if n_trees < 1:
         raise InputError(f"n_trees must be >= 1, got {n_trees}")
-    if labels.min() < 0:
-        raise InputError("labels must be non-negative")
+    # without n_classes, any non-negative whole number is a label
+    labels = check_labels(labels, math.inf if n_classes is None else n_classes)
     if n_classes is None:
         n_classes = int(labels.max()) + 1
     d = features.shape[1]

@@ -213,11 +213,11 @@ def init_params(model, seed, dtype=np.float32):
 
 def forward_batch(model, params, batch):
     """Logits [B, n_classes] for batch [B,H,W,C] under one parameter dict, or
-    [M, B, n_classes] under a sequence of M dicts, which must share one dtype."""
+    [M, B, n_classes] under a sequence of M dicts; every array must share
+    one dtype."""
     single = isinstance(params, Mapping)
     param_sets = [params] if single else list(params)
-    if not single:
-        _param_dtype(param_sets)
+    _param_dtype(param_sets)
     _check_batch(model, batch)
     logits = _run_forward(model, [_steps(model, p, want_vjp=False) for p in param_sets], batch)
     return logits[0] if single else np.stack(logits)
@@ -264,30 +264,29 @@ def forward_vjp(model, params, batch):
 PREDICT_BATCH = 64
 
 
-def predict_probs(model, params, images):
-    """Softmax probabilities of images [B,H,W,C] under one parameter dict, or
-    under each of a sequence of M dicts, which must share one dtype.
+def predict_probs(model, param_sets, images):
+    """Softmax probabilities [M, B, n_classes] of images [B,H,W,C] under each
+    of a sequence of M parameter dicts, which must share one dtype.
 
     The images are checked against the model input and cast to the
-    parameters' dtype (a model without parameters keeps theirs).  Yields
-    (row slice, probabilities [rows, n_classes], or [M, rows, n_classes] for
-    a sequence) per PREDICT_BATCH images.
+    parameters' dtype, which the result takes (a model without parameters
+    keeps theirs, made floating).  They run PREDICT_BATCH at a time; no
+    images give [M, 0, n_classes].
     """
-    if images.ndim != 4 or images.shape[1:] != model.input_shape:
-        raise DimensionError(
-            f"batch shape {images.shape} does not match model input {model.input_shape}"
-        )
-    single = isinstance(params, Mapping)
-    if not single:
-        params = list(params)  # read here and again per slice
-    dtype = _param_dtype([params] if single else params)
+    _check_shape(model, images)
+    if isinstance(param_sets, Mapping):
+        raise InputError("predict_probs takes a sequence of parameter dicts")
+    param_sets = list(param_sets)  # read here and again per slice
+    dtype = _param_dtype(param_sets)
     if dtype is not None:
         images = images.astype(dtype, copy=False)
+    out = np.empty((len(param_sets), len(images), model.n_classes), np.result_type(images, 1.0))
     # forward_batch and softmax are looked up per slice, so a wrapper
     # installed on either module is called
-    return ((rows, layers.softmax(forward_batch(model, params, images[rows])))
-            for rows in (slice(lo, lo + PREDICT_BATCH)
-                         for lo in range(0, len(images), PREDICT_BATCH)))
+    for lo in range(0, len(images), PREDICT_BATCH):
+        rows = slice(lo, lo + PREDICT_BATCH)
+        out[:, rows] = layers.softmax(forward_batch(model, param_sets, images[rows]))
+    return out
 
 
 def _param_dtype(param_sets):
@@ -353,11 +352,15 @@ def _image_layers(model, itemsize):
     return count, largest * itemsize
 
 
-def _check_batch(model, batch):
+def _check_shape(model, batch):
     if batch.ndim != 4 or batch.shape[1:] != model.input_shape:
         raise DimensionError(
             f"batch shape {batch.shape} does not match model input {model.input_shape}"
         )
+
+
+def _check_batch(model, batch):
+    _check_shape(model, batch)
     if len(batch) == 0:
         raise InputError("batch holds no images")
 

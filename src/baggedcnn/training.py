@@ -5,6 +5,7 @@ over the batch, so the fused softmax+loss gradient is (probs - onehot)/B.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +109,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise InputError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
+        for name, value, low in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1)):
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, value in (("eta", self.eta), ("epsilon", self.epsilon)):
+            if not 0 < value < math.inf:  # NaN fails too
+                raise InputError(f"{name} must be a finite number above 0, got {value}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise InputError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass
@@ -133,20 +139,17 @@ class TrainHistory:
 
 def evaluate(model, params, images, labels):
     """(mean loss, accuracy) over a labeled set; the loss is summed per
-    `network.predict_probs` slice."""
+    `network.PREDICT_BATCH` rows."""
     labels = check_labels(labels, model.n_classes)
     if len(labels) == 0:
         raise InputError("evaluation set is empty")
     if len(images) != len(labels):
         raise InputError(f"{len(images)} images but {len(labels)} labels")
-    losses = []
-    correct = 0
-    for rows, probs in network.predict_probs(model, params, images):
-        yb = labels[rows]
-        losses.append(sparse_cce(probs, yb) * len(yb))
-        correct += int((probs.argmax(axis=1) == yb).sum())
-    n = len(labels)
-    return sum(losses) / n, correct / n
+    probs = network.predict_probs(model, [params], images)[0]
+    n, step = len(labels), network.PREDICT_BATCH
+    loss = sum(sparse_cce(probs[rows], labels[rows]) * len(labels[rows])
+               for rows in (slice(lo, lo + step) for lo in range(0, n, step)))
+    return loss / n, int((probs.argmax(axis=1) == labels).sum()) / n
 
 
 def train_submodel(model, images, labels, config: TrainConfig, val=None):

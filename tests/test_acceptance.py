@@ -7,6 +7,7 @@ import math
 import os
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,9 +351,9 @@ def test_criterion_9_report_formats(cli_workspace, tmp_path):
     assert cli.main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
     assert cli.main(["--config", str(cfg), "--out", str(out), "compare-combiners"]) == 0
     sweep_masked = _mask_numbers((out / "sweep.csv").read_text())
-    sweep_golden = open(os.path.join(GOLDEN, "sweep_layout.csv")).read()
+    sweep_golden = Path(GOLDEN, "sweep_layout.csv").read_text()
     comb_masked = _mask_numbers((out / "combiners.csv").read_text())
-    comb_golden = open(os.path.join(GOLDEN, "combiners_layout.csv")).read()
+    comb_golden = Path(GOLDEN, "combiners_layout.csv").read_text()
     ok = sweep_masked == sweep_golden and comb_masked == comb_golden
     report(9, ok, f"sweep layout match {sweep_masked == sweep_golden}, "
                   f"combiner layout match {comb_masked == comb_golden}")

@@ -150,6 +150,8 @@ class TestEnsemblePredictProbs:
         probs = bagging.ensemble_predict_probs(ens, x[:7])
         assert probs.shape == (2, 7, 2)
         assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-5)
+        empty = bagging.ensemble_predict_probs(ens, x[:0])
+        assert empty.shape == (2, 0, 2) and empty.dtype == np.float64
 
     def test_single_model_matches_forward(self, ensemble, rng):
         ens, x = ensemble
@@ -182,6 +184,7 @@ class TestEnsemblePredictProbs:
         ens = bagging.EnsembleModel(model=model, param_sets=param_sets)
         x = rng.uniform(size=(n, 32, 32, 1)).astype(dtype)
         probs = bagging.ensemble_predict_probs(ens, x)
+        assert probs.dtype == np.float64 and probs.shape == (2, n, 5)
         for m, params in enumerate(param_sets):
             sliced = np.concatenate([softmax(network.forward_batch(model, params, x[lo:lo + 64]))
                                      for lo in range(0, n, 64)])

@@ -117,7 +117,41 @@ class TestContainerIO:
                                   labels_binary=np.array([0]))
 
 
+def reference_synth(n_per_class, n_classes, image_size, channels, noise, seed=0):
+    """synth_dataset's (images, labels) as a per-image loop: one noise draw
+    per image, on float64 templates drawn here."""
+    s, c = image_size, image_size // 2
+    templates = []
+    for k in range(n_classes):
+        img = np.full((s, s), 0.1)
+        if k in (1, 2):
+            data._draw_disk(img, c, c, s // 8 if k == 1 else s // 3, 0.9)
+        elif k in (3, 4):
+            data._draw_cross(img, c, c, s // 8 if k == 3 else s // 3, max(1, s // 16), 0.9)
+        templates.append(img)
+    rng = np.random.default_rng(seed)
+    images, labels = [], []
+    for k in range(n_classes):
+        for _ in range(n_per_class):
+            img = templates[k][:, :, None].repeat(channels, axis=2)
+            if noise > 0:
+                img = img + rng.normal(0, noise, size=img.shape)
+            images.append(np.clip(img, 0, 1).astype(np.float32))
+            labels.append(k)
+    return np.stack(images), np.array(labels, dtype=np.uint8)
+
+
 class TestSynthDataset:
+    @pytest.mark.parametrize("n_per_class,n_classes,size,channels,noise", [
+        (200, 5, 32, 1, 0.1), (7, 5, 16, 3, 0.6), (5, 2, 20, 1, 0.0)])
+    def test_bytes_equal_per_image_loop(self, n_per_class, n_classes, size, channels, noise):
+        ds = data.synth_dataset(n_per_class, n_classes, size, seed=3, noise=noise,
+                                channels=channels)
+        images, labels = reference_synth(n_per_class, n_classes, size, channels, noise, seed=3)
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.labels_multi.dtype == np.uint8
+        assert ds.labels_multi.tobytes() == labels.tobytes()
+
     def test_noiseless_within_class_identical(self):
         ds = data.synth_dataset(3, n_classes=5, image_size=24, seed=0, noise=0.0)
         for k in range(5):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baggedcnn import forest
-from baggedcnn.errors import InputError
+from baggedcnn.errors import InputError, LabelError
 
 
 class TestGini:
@@ -100,6 +100,23 @@ class TestFitForest:
     def test_no_trees_rejected(self, n_trees):
         with pytest.raises(InputError, match="n_trees"):
             forest.fit_forest(np.zeros((3, 1)), np.array([0, 1, 0]), n_trees=n_trees)
+
+    @pytest.mark.parametrize("labels,n_classes,match", [
+        ([0, 1, 5], 2, "5 out of range"),  # would grow leaves holding label 5
+        ([0, -1, 1], None, "-1 out of range"),
+        ([0.0, 1.9, 1.2], None, "not a whole number"),  # would be truncated
+        ([0.0, 1.9, 1.2], 3, "not a whole number"),
+        ([0.0, np.nan, 1.0], None, "not a whole number"),
+    ])
+    def test_bad_labels_refused(self, labels, n_classes, match):
+        with pytest.raises(LabelError, match=match):
+            forest.fit_forest(np.arange(3.0)[:, None], labels, n_trees=2, n_classes=n_classes)
+
+    def test_whole_float_labels_infer_classes(self):
+        rf = forest.fit_forest(np.arange(3.0)[:, None], [0.0, 2.0, 1.0], n_trees=2,
+                               bootstrap=False)
+        assert rf.n_classes == 3
+        assert all(t.label.dtype == np.int64 for t in rf.trees)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_exhaustive_oracle(self, seed):

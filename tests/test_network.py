@@ -543,12 +543,6 @@ def reference_probs(m, param_sets, images):
         for params in param_sets])
 
 
-def predicted(m, params, images):
-    """predict_probs' slices joined along the image axis."""
-    parts = [probs for _, probs in network.predict_probs(m, params, images)]
-    return np.concatenate(parts, axis=-2)
-
-
 class TestPredictTogether:
     """A sequence of parameter sets runs its first conv, relu and pool once,
     on every set's kernels side by side, with each set's bytes out."""
@@ -562,10 +556,9 @@ class TestPredictTogether:
         images = np.random.default_rng(batch).uniform(size=(batch, 32, 32, 1))
         want = reference_probs(self.DESK, sets, images)
         for n in range(1, 21):
-            got = predicted(self.DESK, sets[:n], images)
+            got = network.predict_probs(self.DESK, sets[:n], images)
             assert got.dtype == want.dtype and got.shape == (n, batch, 5)
             assert got.tobytes() == want[:n].tobytes(), n
-        assert predicted(self.DESK, sets[0], images).tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk_bytes", [None, 1 << 30])
@@ -582,7 +575,7 @@ class TestPredictTogether:
         images = np.random.default_rng(3).uniform(size=(2, 224, 224, 3))
         want = reference_probs(m, sets, images)
         for n in range(1, 4):
-            assert predicted(m, sets[:n], images).tobytes() == want[:n].tobytes(), n
+            assert network.predict_probs(m, sets[:n], images).tobytes() == want[:n].tobytes(), n
 
     def spy_calls(self, monkeypatch, run):
         """(kernel, input shape, conv Cout) per kernel call made by run()."""
@@ -661,3 +654,34 @@ class TestPredictTogether:
             network.forward_batch(m, sets, images)
         with pytest.raises(InputError, match="no parameter sets"):
             network.predict_probs(m, [], images)
+        # one dict of two dtypes is refused by both, as two sets are
+        mixed = {**sets[0], "dense/b": sets[1]["dense/b"]}
+        for run in (network.predict_probs, network.forward_batch):
+            with pytest.raises(InputError, match="mix dtypes"):
+                run(m, [mixed], images)
+        with pytest.raises(InputError, match="mix dtypes"):
+            network.forward_batch(m, mixed, images)
+
+    def test_takes_only_a_sequence(self, rng):
+        m = network.build_scaled_cnn((10, 10, 1), [3], 2, dense_units=5)
+        with pytest.raises(InputError, match="sequence of parameter dicts"):
+            network.predict_probs(m, network.init_params(m, 0), rng.uniform(size=(2, 10, 10, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_images(self, dtype):
+        # forward_batch refuses an empty batch; predict_probs gives [M, 0, C]
+        m = network.build_scaled_cnn((10, 10, 1), [3], 2, dense_units=5)
+        sets = perturbed_sets(m, 3, dtype)
+        got = network.predict_probs(m, sets, np.zeros((0, 10, 10, 1)))
+        assert got.shape == (3, 0, 2) and got.dtype == dtype
+        with pytest.raises(DimensionError):
+            network.predict_probs(m, sets, np.zeros((0, 10, 10, 2)))
+        with pytest.raises(InputError, match="no images"):
+            network.forward_batch(m, sets, np.zeros((0, 10, 10, 1)))
+
+    def test_model_without_parameters_predicts_floats(self):
+        m = network.ModelSpec((1, 1, 3), (network.flat(),), 3)
+        images = np.arange(6).reshape(2, 1, 1, 3)
+        got = network.predict_probs(m, [{}], images)
+        assert got.dtype == np.float64
+        assert got[0].tobytes() == layers.softmax(images.reshape(2, 3)).tobytes()

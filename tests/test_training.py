@@ -182,6 +182,25 @@ def separable_dataset(rng, n=200, size=16):
     return images, labels
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("eta", -0.01), ("eta", 0.0), ("eta", math.nan), ("eta", math.inf),
+        ("epsilon", 0.0), ("epsilon", -1e-8), ("epsilon", math.nan),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", -0.1),
+        ("epochs", 1.5), ("epochs", -1), ("epochs", "2"),
+        ("batch_size", 2.5), ("batch_size", 0), ("batch_size", None),
+    ])
+    def test_out_of_range_refused(self, field, value):
+        with pytest.raises(InputError, match=field):
+            training.TrainConfig(**{field: value})
+
+    def test_edges_and_numpy_integers_accepted(self):
+        cfg = training.TrainConfig(epochs=np.int64(0), batch_size=np.int32(1), beta1=0.0,
+                                   beta2=0.0, eta=np.float32(1e-3))
+        assert cfg.epochs == 0 and cfg.batch_size == 1
+
+
 class TestTrainSubmodel:
     @pytest.fixture
     def tiny_model(self):
@@ -258,7 +277,7 @@ def reference_evaluate(model, params, images, labels):
 
 class TestEvaluate:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [65, 129, 200])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 200])
     def test_matches_the_slice_loop(self, n, dtype):
         # a mean over the whole set would round differently from the
         # per-slice sums, so pin (loss, accuracy) byte for byte
