@@ -20,8 +20,8 @@ class BaggingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_models < 1:
-            raise InputError("n_models must be >= 1")
+        training.check_integer("n_models", self.n_models, 1)
+        training.check_integer("seed", self.seed, 0)
         if not 0 < self.bagging_ratio <= 1:
             raise InputError("bagging_ratio must be in (0, 1]")
 

@@ -32,6 +32,12 @@ differently, by at most 1e-13 of its largest element (4.6e-16 seen).
 `relu` is monotone and never returns -0.0, so a relu then a max pool gives
 the bytes of the pool then the relu, backward included; a network runs
 the pair in the second order, its relu on a quarter of the elements.
+
+A forward-only conv that feeds a pool can build its im2col rows in 2x2
+window-corner order and return [2, 2, B, H'//2, W'//2, Cout], which
+`maxpool2d_forward` reads as four contiguous slabs; the rows the pool's
+floor drops are never built.  Only the GEMM's row order changes, and each
+row came out the bytes of the plain order's.
 """
 
 from dataclasses import dataclass
@@ -69,14 +75,6 @@ def _as_batch(x, name):
     raise DimensionError(f"{name} must be 3-d [H,W,C] or 4-d [B,H,W,C], got {x.ndim}-d")
 
 
-def _patches(x, kh, kw, stride):
-    """Sliding windows of x [B,H,W,C] -> [B,H',W',kh,kw,C]."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    # sliding_window_view yields [B, H-kh+1, W-kw+1, C, kh, kw]
-    win = win[:, ::stride, ::stride]
-    return np.moveaxis(win, 3, 5)  # -> [B, H', W', kh, kw, C]
-
-
 def _check_conv_shapes(xb, w, kh, kw):
     if xb.shape[3] != w.shape[2]:
         raise DimensionError(
@@ -91,73 +89,94 @@ def _check_conv_shapes(xb, w, kh, kw):
 
 # A forward-only conv whose input has at most this many channels builds its
 # im2col matrix planar.  A row-major copy moves Cin floats per run, so for a
-# narrow input it is mostly per-run overhead; the planar fill moves whole
+# narrow input it is mostly per-run overhead; the planar copy runs along
 # image rows.  Measured per conv, GEMM included (2 vCPU, OpenBLAS 0.3.31): at
 # Cin 1 to 3 the planar layout took 0.3-0.9x the time of the row-major one, at
 # Cin 8 1.2-1.3x and at Cin 16 1.3-2.2x.  Cin 4 was still faster, but there the
-# planar GEMM rounded differently from the row-major one in float32.
+# planar GEMM rounded differently from the row-major one in float32.  With
+# the planes copied from one window view, in either row order, Cin 1 to 3
+# took 0.45-1.0x at desk and paper conv1 shapes, with two runs of 1.3x.
 _PLANAR_MAX_CIN = 3
 
 
-def _im2col(xb, kh, kw, stride):
-    """Row-major im2col matrix [B*H'*W', kh*kw*Cin] of x [B,H,W,C]; returns
-    (matrix, (B, H', W')).
+def _windows(xb, kh, kw, stride, corners):
+    """Sliding windows of x [B,H,W,C] as a read-only view [*rows, kh, kw, C].
+    The rows are the output positions [B, H', W'], or with corners those a
+    2x2 pool reads, in window-corner order [2, 2, B, H'//2, W'//2]: row
+    (r, c, b, y, x) is output position (2y + r, 2x + c) of image b."""
+    bsz, h, w, cin = xb.shape
+    hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sb, sh, sw, sc = xb.strides
+    rows, steps = (bsz, hp, wp), (sb, sh * stride, sw * stride)
+    if corners:
+        rows = (2, 2, bsz, hp // 2, wp // 2)
+        steps = (sh * stride, sw * stride, sb, 2 * sh * stride, 2 * sw * stride)
+    # the last window starts at row (H'-1)*stride <= H-kh, so every read is in x
+    return np.lib.stride_tricks.as_strided(xb, (*rows, kh, kw, cin), (*steps, sh, sw, sc),
+                                           writeable=False)
+
+
+def _im2col(xb, kh, kw, stride, corners=False):
+    """Row-major im2col matrix [rows, kh*kw*Cin] of x [B,H,W,C]; returns
+    (matrix, row shape), the rows as `_windows` orders them.
 
     At Cin 1 a window copy moves kw floats per run, so the matrix is filled
     one kernel offset at a time instead, each offset one strided image copy.
     Measured per build (float32, 2 vCPU): 0.35-0.56x the time of the window
     copy at Cin 1, but 2.4-3.3x at Cin 2, 3 and 8, so wider inputs keep it.
     """
+    win = _windows(xb, kh, kw, stride, corners)
     if xb.shape[3] == 1:
-        bsz, h, w, _ = xb.shape
-        hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
-        col = np.empty((bsz, hp, wp, kh, kw, 1), dtype=xb.dtype)
+        col = np.empty(win.shape[:-1], dtype=xb.dtype)
         for i in range(kh):
             for j in range(kw):
-                win = xb[:, i : i + hp * stride : stride, j : j + wp * stride : stride]
-                col[:, :, :, i, j] = win
-        return col.reshape(bsz * hp * wp, kh * kw), (bsz, hp, wp)
-    pat = _patches(xb, kh, kw, stride)
-    bsz, hp, wp = pat.shape[:3]
-    col = np.ascontiguousarray(pat).reshape(bsz * hp * wp, kh * kw * xb.shape[3])
-    return col, (bsz, hp, wp)
+                col[..., i, j] = win[..., i, j, 0]
+    else:
+        col = np.ascontiguousarray(win)
+    return col.reshape(-1, kh * kw * xb.shape[3]), win.shape[:-3]
 
 
-def _im2col_planar(xb, kh, kw, stride):
-    """The same matrix as _im2col, built as planes [kh, kw, Cin, B*H'*W'] and
-    returned as the transposed view of their [kh*kw*Cin, B*H'*W'] reshape."""
-    bsz, h, w, cin = xb.shape
-    hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
-    xc = np.ascontiguousarray(np.moveaxis(xb, 3, 0))  # [Cin, B, H, W]
-    planes = np.empty((kh, kw, cin, bsz, hp, wp), dtype=xb.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            planes[i, j] = xc[:, :, i : i + hp * stride : stride, j : j + wp * stride : stride]
-    return planes.reshape(kh * kw * cin, bsz * hp * wp).T, (bsz, hp, wp)
+def _im2col_planar(xb, kh, kw, stride, corners=False):
+    """The same matrix as _im2col, copied from the window view as planes
+    [kh, kw, Cin, rows] and returned as the transposed view of their
+    [kh*kw*Cin, rows] reshape."""
+    win = _windows(xb, kh, kw, stride, corners)
+    planes = np.ascontiguousarray(np.moveaxis(win, (-3, -2, -1), (0, 1, 2)))
+    return planes.reshape(kh * kw * xb.shape[3], -1).T, win.shape[:-3]
 
 
-def _conv_core(xb, w, b, stride, im2col):
-    """im2col forward: returns (out [B,H',W',Cout], col [B*H'*W', kh*kw*Cin])."""
+def _conv_core(xb, w, b, stride, im2col, corners=False):
+    """im2col forward: returns (out [*rows, Cout], col [rows, kh*kw*Cin])."""
     kh, kw, cin, cout = w.shape
-    col, (bsz, hp, wp) = im2col(xb, kh, kw, stride)
+    col, rows = im2col(xb, kh, kw, stride, corners)
     out = col @ w.reshape(kh * kw * cin, cout)
     # the adds of `out += b`, run along rows of W'*Cout values rather than Cout
-    rows = out.reshape(bsz * hp, wp * cout)
-    rows += np.tile(b, wp)
-    return out.reshape(bsz, hp, wp, cout).astype(xb.dtype, copy=False), col
+    lines = out.reshape(-1, rows[-1] * cout)
+    lines += np.tile(b, rows[-1])
+    return out.reshape(*rows, cout).astype(xb.dtype, copy=False), col
 
 
-def conv2d_forward(x, kernels: ConvKernelSet, stride=1):
+def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False):
     """Valid cross-correlation of x [(B,)H,W,Cin] with kernels -> [(B,)H',W',Cout].
 
-    A narrow input (Cin <= _PLANAR_MAX_CIN) takes the planar im2col matrix.
+    With corners the output comes in the order a 2x2 max pool reads it,
+    [2, 2, (B,) H'//2, W'//2, Cout]: corner (r, c) of pool window (y, x) is
+    output position (2y + r, 2x + c), and an odd last output row or column,
+    which the pool drops, is never computed.  Each row is the bytes of the
+    plain order's.  A narrow input (Cin <= _PLANAR_MAX_CIN) takes the planar
+    im2col matrix.
     """
     xb, single = _as_batch(x, "conv input")
     w, b = kernels.weights, kernels.bias
     _check_conv_shapes(xb, w, w.shape[0], w.shape[1])
+    if corners:
+        _check_pool_window((xb.shape[1] - w.shape[0]) // stride + 1,
+                           (xb.shape[2] - w.shape[1]) // stride + 1)
     im2col = _im2col_planar if w.shape[2] <= _PLANAR_MAX_CIN else _im2col
-    out, _ = _conv_core(xb, w, b, stride, im2col)
-    return out[0] if single else out
+    out, _ = _conv_core(xb, w, b, stride, im2col, corners)
+    if single:
+        return out[:, :, 0] if corners else out[0]
+    return out
 
 
 def _bias_grad(up_flat):
@@ -248,14 +267,18 @@ _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _GATHER_MAX_C = 16
 
 
+def _check_pool_window(h, w):
+    if h < 2 or w < 2:
+        axis = "height" if h < 2 else "width"
+        raise DimensionError(f"pool window 2x2 larger than input on {axis} axis ({h}x{w})")
+
+
 def _pool_corners(x, gather_max_c=0):
     """The four window corners of x [B,H2,W2,C] in row-major order: stride-2
     views, or slices of one contiguous copy when C <= gather_max_c."""
     xb, single = _as_batch(x, "pool input")
     bsz, h, w, c = xb.shape
-    if h < 2 or w < 2:
-        axis = "height" if h < 2 else "width"
-        raise DimensionError(f"pool window 2x2 larger than input on {axis} axis ({h}x{w})")
+    _check_pool_window(h, w)
     h2, w2 = h // 2, w // 2
     if c <= gather_max_c:
         win = xb[:, : 2 * h2, : 2 * w2].reshape(bsz, h2, 2, w2, 2, c)
@@ -268,8 +291,14 @@ def _pool_corners(x, gather_max_c=0):
 
 
 def maxpool2d_forward(x):
-    """2x2/stride-2 max pooling; odd trailing rows/cols dropped."""
-    (a, b, c, d), _, single = _pool_corners(x)
+    """2x2/stride-2 max pooling; odd trailing rows/cols dropped.  Also takes a
+    conv's corner-order output [2, 2, (B,) H2, W2, C] (`conv2d_forward` with
+    corners), whose corners are contiguous slabs."""
+    if x.ndim in (5, 6) and x.shape[:2] == (2, 2):
+        (a, b), (c, d) = x
+        single = False
+    else:
+        (a, b, c, d), _, single = _pool_corners(x)
     # np.maximum returns its second argument on a tie (which only shows for
     # -0.0 against +0.0), so the earlier corner goes second throughout
     out = np.maximum(b, a)

@@ -327,11 +327,11 @@ def _keep_heap_resident():
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-# Bytes one image layer may allocate for a chunk of a forward-only batch.  A
+# Bytes one image layer may allocate for a span of a forward-only batch.  A
 # batch whose largest per-layer array (an im2col matrix included) would pass
 # this runs its image layers a few samples at a time.  Arrays at or above
 # _MMAP_THRESHOLD come from fresh pages that the kernel zeroes on every call;
-# chunks below it reuse the previous chunk's heap memory.  Sub-models that run
+# spans below it reuse the previous span's heap memory.  Sub-models that run
 # their first conv as one share the budget, on smaller chunks.  The dense
 # layers still see the whole batch.
 _CHUNK_BYTES = _MMAP_THRESHOLD // 2
@@ -379,6 +379,12 @@ def _steps(model, params, want_vjp):
     for i in range(len(steps) - 1):
         if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
+    # Forward only: a conv whose next step is a pool returns the pool's window
+    # corners, which the pool reads as contiguous slabs.
+    for i in range(len(steps) - 1):
+        (name, kernel, args), (_, after, _) = steps[i : i + 2]
+        if kernel == "conv2d_forward" and after == "maxpool2d_forward":
+            steps[i] = (name, kernel, (*args, True))
     return steps
 
 
@@ -399,26 +405,26 @@ def _widen(step_sets, n_wide):
     kernels side by side along Cout, in step-list order."""
     if len(step_sets) == 1:
         return step_sets[0][:n_wide]
-    # a conv step is (name, kernel name, (ConvKernelSet, stride))
-    (name, forward, (_, stride)), *rest = step_sets[0][:n_wide]
+    # a conv step is (name, kernel name, (ConvKernelSet, stride[, corners]))
+    (name, forward, (_, *options)), *rest = step_sets[0][:n_wide]
     kernels = [steps[0][2][0] for steps in step_sets]
     wide = layers.ConvKernelSet(np.concatenate([k.weights for k in kernels], axis=3),
                                 np.concatenate([k.bias for k in kernels]))
-    return [(name, forward, (wide, stride)), *rest]
+    return [(name, forward, (wide, *options)), *rest]
 
 
 def _run_forward(model, step_sets, batch):
     """Logits [B, n_classes] of each step list in step_sets.
 
-    The image layers run on chunks of the batch and the dense layers on the
-    whole batch: a conv's output rows came out the same bytes at every chunk
+    The image layers run on spans of the batch and the dense layers on the
+    whole batch: a conv's output rows came out the same bytes at every span
     size tried, a dense layer's did not.  One model may run `fits` images
     at once.  Sub-models run in groups of up to `fits`; a group runs its
-    first stage (`_first_stage`) once per chunk, on every model's kernels
-    side by side, and its chunks hold 1/group of the images one model would
-    run, so the wide arrays stay about one model's size.  Each model then
-    runs its other image layers on its own channels of the same chunk.  A
-    lone model takes the chunks and kernel calls of a model run alone.
+    first stage (`_first_stage`) on every model's kernels side by side, in
+    chunks of 1/group of a span, so the wide arrays stay about one model's
+    size.  The chunks fill one model-major array for the span, and each
+    model runs its other image layers once on its own channels of it.  A
+    lone model takes the spans and kernel calls of a model run alone.
     """
     def run(x, part):
         for _, forward, args in part:
@@ -429,17 +435,22 @@ def _run_forward(model, step_sets, batch):
     n_wide = _first_stage(model)
     fits = max(1, _CHUNK_BYTES // sample_bytes)
     group = min(len(step_sets), fits) if n_wide else 1
-    chunk = -(-min(len(batch), fits) // group)
+    span = min(len(batch), fits)
+    chunk = -(-span // group)
     logits = []
     for g in range(0, len(step_sets), group):
         sets = step_sets[g : g + group]
         first = _widen(sets, n_wide)
-        parts = [[] for _ in sets]  # per model, its image-layer output per chunk
-        for lo in range(0, len(batch), chunk):
-            y = run(batch[lo : lo + chunk], first)
-            # one copy makes the channel groups model-major; a view for one model
-            y = np.ascontiguousarray(np.moveaxis(y.reshape(*y.shape[:3], len(sets), -1), 3, 0))
-            for part, steps, x in zip(parts, sets, y):
+        parts = [[] for _ in sets]  # per model, its image-layer output per span
+        for lo in range(0, len(batch), span):
+            images = batch[lo : lo + span]
+            for c in range(0, len(images), chunk):
+                y = run(images[c : c + chunk], first)
+                y = np.moveaxis(y.reshape(*y.shape[:3], len(sets), -1), 3, 0)
+                if c == 0:
+                    wide = np.empty((len(sets), len(images), *y.shape[2:]), y.dtype)
+                wide[:, c : c + chunk] = y  # model-major: each model's channels contiguous
+            for part, steps, x in zip(parts, sets, wide):
                 part.append(run(x, steps[n_wide:n_image]))
         for steps, part in zip(sets, parts):
             x = part[0] if len(part) == 1 else np.concatenate(part)

@@ -98,6 +98,12 @@ def adam_step(params, grads, state: AdamState):
     return out, state
 
 
+def check_integer(name, value, low):
+    """InputError unless value is a Python or numpy integer >= low."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
@@ -109,9 +115,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value, low in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1)):
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, value, low in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1),
+                                 ("seed", self.seed, 0)):
+            check_integer(name, value, low)
         for name, value in (("eta", self.eta), ("epsilon", self.epsilon)):
             if not 0 < value < math.inf:  # NaN fails too
                 raise InputError(f"{name} must be a finite number above 0, got {value}")

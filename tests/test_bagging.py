@@ -46,6 +46,20 @@ class TestBootstrapSample:
             bagging.bootstrap_sample(5, 1.5, rng)
 
 
+class TestBaggingConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("n_models", 0), ("n_models", 2.0), ("n_models", 2.5), ("n_models", "3"),
+        ("seed", -3), ("seed", 1.5), ("seed", None),
+    ])
+    def test_refused_when_built(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be an integer >= "):
+            bagging.BaggingConfig(**{field: value})
+
+    def test_edges_and_numpy_integers_accepted(self):
+        cfg = bagging.BaggingConfig(n_models=np.int64(1), seed=np.uint32(0))
+        assert len(bagging.assign_bags(5, cfg).bags) == 1
+
+
 def tiny_setup(rng, n=40):
     images = rng.uniform(0, 0.3, size=(n, 16, 16, 1)).astype(np.float32)
     labels = (np.arange(n) % 2).astype(np.int64)

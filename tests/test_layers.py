@@ -460,6 +460,86 @@ class TestPlanarIm2col:
             assert dw.tobytes() == ref.tobytes(), bsz
 
 
+# -- pool-corner order: a conv's output rows as the next pool reads them -----
+
+def corner_rows(a):
+    """a [B, H', W', ...] cut to even H', W' and reordered [2, 2, B, H'//2,
+    W'//2, ...]: entry [r, c, b, y, x] is a[b, 2y + r, 2x + c]."""
+    h2, w2 = a.shape[1] // 2, a.shape[2] // 2
+    return np.stack([np.stack([a[:, r : 2 * h2 : 2, c : 2 * w2 : 2] for c in (0, 1)])
+                     for r in (0, 1)])
+
+
+corner_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),  # batch
+    st.integers(5, 10), st.integers(5, 10),  # H and W, odd and even
+    st.sampled_from([1, 2, 3, 4, 8]),  # Cin: the planar and the row-major builder
+    st.integers(1, 3), st.integers(1, 3),  # kh, kw
+    st.sampled_from([1, 2]),  # stride
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([1, 3, 8, 40]),  # Cout
+    st.sampled_from(["levels", "signed_zeros", "non_positive"]),  # images
+    st.sampled_from(["levels", "signed_zeros", "non_positive"]),  # conv biases
+)
+
+
+class TestCornerOrder:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("cin", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("build", [layers._im2col, layers._im2col_planar])
+    def test_im2col_rows_in_corner_order(self, rng, build, cin, stride, dtype):
+        for h, w in ((9, 8), (10, 11), (12, 12), (7, 7)):
+            x = rng.normal(size=(3, h, w, cin)).astype(dtype)
+            plain, (bsz, hp, wp) = build(x, 3, 3, stride)
+            col, rows = build(x, 3, 3, stride, True)
+            want = corner_rows(np.ascontiguousarray(plain).reshape(bsz, hp, wp, -1))
+            assert rows == (2, 2, bsz, hp // 2, wp // 2)
+            assert col.dtype == want.dtype and col.shape == (want.size // col.shape[1], 9 * cin)
+            assert np.ascontiguousarray(col).tobytes() == want.tobytes(), (h, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corner_cases)
+    def test_pool_of_corners_equals_pool_of_plain_conv(self, case):
+        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout, image_mode, bias_mode = case
+        x = tie_heavy(seed, (bsz, h, w, cin), dtype, image_mode)
+        ks = layers.ConvKernelSet(tie_heavy(seed + 1, (kh, kw, cin, cout), dtype, "levels"),
+                                  tie_heavy(seed + 2, (cout,), dtype, bias_mode))
+        plain = layers.conv2d_forward(x, ks, stride)
+        out = layers.conv2d_forward(x, ks, stride, corners=True)
+        assert out.dtype == plain.dtype and out.tobytes() == corner_rows(plain).tobytes()
+        # the pool reads the corners as slabs, with the tie rule of the plain
+        # pool, on the conv output and on its relu (all ties then at +0.0)
+        for act in (lambda a: a, layers.relu):
+            got = layers.maxpool2d_forward(act(out))
+            want, _ = reference_maxpool_with_argmax(act(plain))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases)
+    def test_pool_of_corner_array_bytes_equal(self, case):
+        # the GEMM behind a conv gave no -0.0 in any case tried (its products
+        # add onto +0.0), so the +-0.0 ties are drawn on a corner array itself
+        x = tie_heavy(*case)
+        xb = x[None] if x.ndim == 3 else x
+        ref, _ = reference_maxpool_with_argmax(xb)
+        out = layers.maxpool2d_forward(corner_rows(xb))
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    def test_single_image_and_too_small_output(self, rng):
+        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
+        x = rng.normal(size=(7, 6, 2))
+        out = layers.conv2d_forward(x, ks, corners=True)
+        assert out.shape == (2, 2, 2, 2, 4)
+        assert out.tobytes() == corner_rows(layers.conv2d_forward(x[None], ks))[:, :, 0].tobytes()
+        assert layers.maxpool2d_forward(out).tobytes() == layers.maxpool2d_forward(
+            layers.conv2d_forward(x, ks)).tobytes()
+        with pytest.raises(DimensionError, match="pool window 2x2 larger than input on width"):
+            layers.conv2d_forward(rng.normal(size=(1, 6, 3, 2)), ks, corners=True)
+
+
 # -- channel-first conv backward against the row-major scatter ---------------
 
 def reference_conv2d_backward(x, w, up, stride):

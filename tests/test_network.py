@@ -577,6 +577,32 @@ class TestPredictTogether:
         for n in range(1, 4):
             assert network.predict_probs(m, sets[:n], images).tobytes() == want[:n].tobytes(), n
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fits", [None, 3])
+    @pytest.mark.parametrize("arch", ["stride2", "odd"])
+    def test_corner_order_bytes_equal_reference(self, monkeypatch, arch, fits, dtype):
+        # each conv feeds a pool, so it runs in pool-corner order: at stride 2,
+        # and on odd output sizes whose last row and column the pool drops
+        if arch == "stride2":  # 21 -> conv 10 -> pool 5 -> conv 2 -> pool 1
+            m = network.ModelSpec((21, 21, 2), (
+                network.conv(3, 3, 4, stride=2), network.relu(), network.pool(),
+                network.conv(2, 2, 3, stride=2), network.relu(), network.pool(), network.flat(),
+                network.dense(5), network.relu(), network.dense(3)), 3)
+        else:  # 16x15 -> conv 13x12 -> pool 6x6 -> conv 5x5 -> pool 2x2
+            m = network.ModelSpec((16, 15, 1), (
+                network.conv(4, 4, 3), network.relu(), network.pool(),
+                network.conv(2, 2, 5), network.relu(), network.pool(), network.flat(),
+                network.dense(4), network.relu(), network.dense(3)), 3)
+        if fits:  # spans of 3 images, in wide chunks of 1 to 3
+            sample_bytes = network._image_layers(m, np.dtype(dtype).itemsize)[1]
+            monkeypatch.setattr(network, "_CHUNK_BYTES", fits * sample_bytes)
+        sets = perturbed_sets(m, 4, dtype)
+        images = np.random.default_rng(5).uniform(size=(70, *m.input_shape))
+        want = reference_probs(m, sets, images)
+        for n in range(1, 5):
+            got = network.predict_probs(m, sets[:n], images)
+            assert got.dtype == want.dtype and got.tobytes() == want[:n].tobytes(), n
+
     def spy_calls(self, monkeypatch, run):
         """(kernel, input shape, conv Cout) per kernel call made by run()."""
         seen = []
@@ -599,34 +625,35 @@ class TestPredictTogether:
         sets = perturbed_sets(m, 3, np.float64)
         images = rng.normal(size=(7, 10, 10, 1))
         _, sample_bytes = network._image_layers(m, 8)
-        monkeypatch.setattr(network, "_CHUNK_BYTES", 4 * sample_bytes)
-        # one model may run 4 images: the 3 sets run as one group on chunks of
-        # ceil(4 / 3) = 2 images
-        seen = self.spy_calls(monkeypatch, lambda: network.forward_batch(m, sets, images))
-        chunks = [2, 2, 2, 1]
-        want = []
-        for n in chunks:
-            want += [("conv2d_forward", (n, 10, 10, 1), 9),
-                     ("maxpool2d_forward", (n, 8, 8, 9), None), ("relu", (n, 4, 4, 9), None)]
-            for _ in sets:
-                want += [("conv2d_forward", (n, 4, 4, 3), 4),
-                         ("maxpool2d_forward", (n, 2, 2, 4), None), ("relu", (n, 1, 1, 4), None)]
-        for _ in sets:
-            want += [("flatten", (7, 1, 1, 4), None), ("dense_forward", (7, 4), None),
-                     ("relu", (7, 5), None), ("dense_forward", (7, 5), None)]
-        assert seen == want
-        # a single dict runs the kernels of a model run alone: its own convs
-        # on chunks of 4 images, its dense layers on the whole batch
-        seen = self.spy_calls(monkeypatch, lambda: network.forward_batch(m, sets[0], images))
-        want = []
-        for n in (4, 3):
-            want += [("conv2d_forward", (n, 10, 10, 1), 3),
-                     ("maxpool2d_forward", (n, 8, 8, 3), None), ("relu", (n, 4, 4, 3), None),
-                     ("conv2d_forward", (n, 4, 4, 3), 4),
-                     ("maxpool2d_forward", (n, 2, 2, 4), None), ("relu", (n, 1, 1, 4), None)]
-        want += [("flatten", (7, 1, 1, 4), None), ("dense_forward", (7, 4), None),
+
+        def first(n, cout=9):  # the first conv, in pool-corner order, pool and relu
+            return [("conv2d_forward", (n, 10, 10, 1), cout),
+                    ("maxpool2d_forward", (2, 2, n, 4, 4, cout), None),
+                    ("relu", (n, 4, 4, cout), None)]
+
+        def later(n):  # one model's second conv, pool and relu
+            return [("conv2d_forward", (n, 4, 4, 3), 4),
+                    ("maxpool2d_forward", (2, 2, n, 1, 1, 4), None), ("relu", (n, 1, 1, 4), None)]
+
+        dense = [("flatten", (7, 1, 1, 4), None), ("dense_forward", (7, 4), None),
                  ("relu", (7, 5), None), ("dense_forward", (7, 5), None)]
-        assert seen == want
+
+        def seen_at(fits, params):
+            monkeypatch.setattr(network, "_CHUNK_BYTES", fits * sample_bytes)
+            return self.spy_calls(monkeypatch, lambda: network.forward_batch(m, params, images))
+
+        # one model may run all 7 images: the 3 sets run their first stage as
+        # one group on chunks of ceil(7 / 3) = 3 images, then each set its
+        # second conv once on the whole batch
+        assert seen_at(7, sets) == first(3) + first(3) + first(1) + later(7) * 3 + dense * 3
+        # one model may run 4: spans of 4 and 3 images, each in wide chunks of
+        # ceil(4 / 3) = 2, and each set's second conv once per span
+        assert seen_at(4, sets) == (first(2) + first(2) + later(4) * 3
+                                    + first(2) + first(1) + later(3) * 3 + dense * 3)
+        # a single dict runs the kernels of a model run alone: its own convs
+        # on spans of 4 images, its dense layers on the whole batch
+        assert seen_at(4, sets[0]) == (first(4, 3) + later(4) + first(3, 3) + later(3)
+                                       + dense)
 
     def test_groups_and_first_layer_not_a_conv(self, rng, monkeypatch):
         # 5 sets in groups of 2, 2 and 1; a model that opens with a pool runs

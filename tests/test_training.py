@@ -190,6 +190,7 @@ class TestTrainConfig:
         ("beta2", 1.0), ("beta2", -0.1),
         ("epochs", 1.5), ("epochs", -1), ("epochs", "2"),
         ("batch_size", 2.5), ("batch_size", 0), ("batch_size", None),
+        ("seed", -1), ("seed", 1.5), ("seed", "0"),
     ])
     def test_out_of_range_refused(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -197,8 +198,8 @@ class TestTrainConfig:
 
     def test_edges_and_numpy_integers_accepted(self):
         cfg = training.TrainConfig(epochs=np.int64(0), batch_size=np.int32(1), beta1=0.0,
-                                   beta2=0.0, eta=np.float32(1e-3))
-        assert cfg.epochs == 0 and cfg.batch_size == 1
+                                   beta2=0.0, eta=np.float32(1e-3), seed=np.uint32(0))
+        assert cfg.epochs == 0 and cfg.batch_size == 1 and cfg.seed == 0
 
 
 class TestTrainSubmodel:
