@@ -99,6 +99,7 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
     """
     if len(labels) == 0:
         raise InputError("dataset is empty")
+    training.check_lengths(images, labels)
     assignment = assign_bags(len(labels), bagging)
     labels = np.asarray(labels)
     param_sets, histories = [], []

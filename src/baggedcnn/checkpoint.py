@@ -5,7 +5,8 @@ UTF-8 JSON header | concatenated raw parameter blobs in header manifest
 order.  The JSON header carries the model spec, combiner, the forest as one
 list of [feature, threshold, left, right, label] node rows per tree, the
 run-config snapshot, and the array manifest.  Loading validates the header,
-the forest and the parameter names, shapes and dtypes against the model.
+the combiner, the forest and the parameter names, shapes and dtypes against
+the model.
 """
 
 import json
@@ -14,7 +15,7 @@ import struct
 
 import numpy as np
 
-from . import bagging, forest, network
+from . import bagging, combiners, forest, network
 from .data import read_exact
 from .errors import BaggedCnnError, CheckpointError
 
@@ -85,35 +86,58 @@ def _forest_from_dict(d):
     return forest.RandomForest(trees=trees, n_classes=n_classes, n_features=n_features)
 
 
-def _check_manifest(model, n_models, manifest):
+def _check_manifest(model, n_models, manifest, header_bytes):
     """Every sub-model must store exactly the model's arrays, with its shapes,
     and every array must have one dtype, float32 or float64: sub-models of two
-    dtypes could not share the prediction's wide first conv."""
-    if n_models < 1:
-        raise CheckpointError(f"checkpoint holds {n_models} sub-models")
+    dtypes could not share the prediction's wide first conv.
+
+    n_models is bounded before any per-sub-model list is built: the manifest
+    must list n_models times the model's arrays, and since a model without
+    parameters lists none, no checkpoint may hold more sub-models than its
+    header has bytes.
+    """
+    if type(n_models) is not int or not 1 <= n_models <= header_bytes:
+        raise CheckpointError(
+            f"checkpoint holds {n_models!r} sub-models in a {header_bytes}-byte header")
     expected = {}
     for name, (wsh, bsh) in network._param_shapes(model).items():
         expected[f"{name}/w"] = tuple(wsh)
         expected[f"{name}/b"] = tuple(bsh)
-    stored = [{} for _ in range(n_models)]  # name -> dtype per sub-model
+    need = n_models * len(expected)
+    if len(manifest) != need:
+        kind = "missing" if len(manifest) < need else "extra"
+        raise CheckpointError(f"{n_models} sub-models of {len(expected)} arrays need {need}, "
+                              f"manifest lists {len(manifest)}: arrays {kind}")
+    stored = {}  # (sub-model, name) -> dtype
     for m, name, dtype, shape in manifest:
-        if not 0 <= m < n_models:
-            raise CheckpointError(f"array {name} belongs to sub-model {m} of {n_models}")
-        if name not in expected or name in stored[m]:
+        if type(m) is not int or not 0 <= m < n_models:
+            raise CheckpointError(f"array {name} belongs to sub-model {m!r} of {n_models}")
+        if name not in expected or (m, name) in stored:
             raise CheckpointError(f"sub-model {m}: unexpected or repeated array {name}")
         if shape != expected[name]:
             raise CheckpointError(
                 f"sub-model {m}: {name} has shape {shape}, model needs {expected[name]}")
         if dtype not in (np.float32, np.float64):
             raise CheckpointError(f"sub-model {m}: {name} has dtype {dtype}")
-        stored[m][name] = dtype
-    for m, dtypes in enumerate(stored):
-        missing = sorted(set(expected) - set(dtypes))
-        if missing:
-            raise CheckpointError(f"sub-model {m}: missing arrays {missing}")
-    mixed = sorted({str(dtype) for dtypes in stored for dtype in dtypes.values()})
+        stored[m, name] = dtype
+    # n_models * len(expected) distinct (sub-model, name) pairs: none is missing
+    mixed = sorted({str(dtype) for dtype in stored.values()})
     if len(mixed) > 1:
         raise CheckpointError(f"arrays mix dtypes {mixed}")
+
+
+def _check_combiner(model, n_models, combiner, rf):
+    """The combiner must be known, stacking needs a forest, and a forest must
+    read the model's classes from n_models * n_classes meta-features."""
+    if combiner not in combiners.COMBINERS:
+        raise CheckpointError(f"unknown combiner {combiner!r}")
+    if combiner == "stacking" and rf is None:
+        raise CheckpointError("stacking combiner without a forest")
+    need = (model.n_classes, n_models * model.n_classes)
+    if rf is not None and (rf.n_classes, rf.n_features) != need:
+        raise CheckpointError(
+            f"forest has {rf.n_classes} classes and {rf.n_features} features, "
+            f"{n_models} sub-models of {model.n_classes} classes need {need[0]} and {need[1]}")
 
 
 def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
@@ -166,8 +190,8 @@ def load_checkpoint(path):
                 layers=tuple(_layer_from_dict(d) for d in header["model"]["layers"]),
                 n_classes=header["model"]["n_classes"],
             )
-            n_models = int(header["n_models"])
-            manifest = [(int(e["model"]), str(e["name"]), np.dtype(e["dtype"]),
+            n_models = header["n_models"]
+            manifest = [(e["model"], str(e["name"]), np.dtype(e["dtype"]),
                          tuple(int(x) for x in e["shape"])) for e in header["arrays"]]
             combiner = header["combiner"]
             rf = _forest_from_dict(header["forest"])
@@ -176,7 +200,8 @@ def load_checkpoint(path):
         except (KeyError, IndexError, TypeError, ValueError, ArithmeticError,
                 BaggedCnnError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-        _check_manifest(model, n_models, manifest)
+        _check_manifest(model, n_models, manifest, hlen)
+        _check_combiner(model, n_models, combiner, rf)
         param_sets = [{} for _ in range(n_models)]
         for m, name, dtype, shape in manifest:
             blob = read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}",

@@ -1,9 +1,11 @@
 """Dense n-d array kernels: forward and backward passes for every layer type.
 
-All image tensors are channels-last, row-major: [H, W, C] for a single sample
-or [B, H, W, C] for a batch.  Every op accepts either form and returns the
-matching one.  Convolution is valid (unpadded) sliding-window
-cross-correlation; pooling is 2x2/stride-2 max with floor semantics.
+Every kernel takes a batch: images channels-last and row-major as
+[B, H, W, C], dense inputs as [B, n].  An input of any other rank raises
+DimensionError naming it; a lone sample is a batch of one, `x[None]`.
+Convolution is valid (unpadded) sliding-window cross-correlation; pooling is
+2x2/stride-2 max with floor semantics.  `relu` and `softmax` are elementwise
+and last-axis, so they take any shape.
 
 Each `*_vjp` function returns `(output, backward)` where `backward` maps an
 upstream gradient of the output's shape to gradients of the inputs, summed
@@ -66,13 +68,9 @@ class ConvKernelSet:
             )
 
 
-def _as_batch(x, name):
-    """Promote [H,W,C] to [1,H,W,C]; return (batched, was_single)."""
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise DimensionError(f"{name} must be 3-d [H,W,C] or 4-d [B,H,W,C], got {x.ndim}-d")
+def _check_batch(x, name, ndim=4):
+    if x.ndim != ndim:
+        raise DimensionError(f"{name} must be a {ndim}-d batch, got shape {x.shape}")
 
 
 def _check_conv_shapes(xb, w, kh, kw):
@@ -157,26 +155,23 @@ def _conv_core(xb, w, b, stride, im2col, corners=False):
 
 
 def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False):
-    """Valid cross-correlation of x [(B,)H,W,Cin] with kernels -> [(B,)H',W',Cout].
+    """Valid cross-correlation of x [B,H,W,Cin] with kernels -> [B,H',W',Cout].
 
     With corners the output comes in the order a 2x2 max pool reads it,
-    [2, 2, (B,) H'//2, W'//2, Cout]: corner (r, c) of pool window (y, x) is
+    [2, 2, B, H'//2, W'//2, Cout]: corner (r, c) of pool window (y, x) is
     output position (2y + r, 2x + c), and an odd last output row or column,
     which the pool drops, is never computed.  Each row is the bytes of the
     plain order's.  A narrow input (Cin <= _PLANAR_MAX_CIN) takes the planar
     im2col matrix.
     """
-    xb, single = _as_batch(x, "conv input")
+    _check_batch(x, "conv input")
     w, b = kernels.weights, kernels.bias
-    _check_conv_shapes(xb, w, w.shape[0], w.shape[1])
+    _check_conv_shapes(x, w, w.shape[0], w.shape[1])
     if corners:
-        _check_pool_window((xb.shape[1] - w.shape[0]) // stride + 1,
-                           (xb.shape[2] - w.shape[1]) // stride + 1)
+        _check_pool_window((x.shape[1] - w.shape[0]) // stride + 1,
+                           (x.shape[2] - w.shape[1]) // stride + 1)
     im2col = _im2col_planar if w.shape[2] <= _PLANAR_MAX_CIN else _im2col
-    out, _ = _conv_core(xb, w, b, stride, im2col, corners)
-    if single:
-        return out[:, :, 0] if corners else out[0]
-    return out
+    return _conv_core(x, w, b, stride, im2col, corners)[0]
 
 
 def _bias_grad(up_flat):
@@ -220,22 +215,21 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
     input_grad=False skips dInput, the costliest part of the backward pass,
     and returns None in its place.
     """
-    xb, single = _as_batch(x, "conv input")
+    _check_batch(x, "conv input")
     w, b = kernels.weights, kernels.bias
     kh, kw, cin, cout = w.shape
-    _check_conv_shapes(xb, w, kh, kw)
+    _check_conv_shapes(x, w, kh, kw)
     # row-major always: the dW GEMM on the planar matrix rounds differently
-    out, col = _conv_core(xb, w, b, stride, _im2col)
-    in_shape, in_dtype, out_shape = xb.shape, xb.dtype, out.shape
+    out, col = _conv_core(x, w, b, stride, _im2col)
+    in_shape, in_dtype, out_shape = x.shape, x.dtype, out.shape
 
     def backward(upstream, input_grad=True):
-        up, _ = _as_batch(upstream, "conv upstream")
-        if up.shape != out_shape:
+        if upstream.shape != out_shape:
             raise DimensionError(
-                f"upstream shape {up.shape} does not match forward output {out_shape}"
+                f"upstream shape {upstream.shape} does not match forward output {out_shape}"
             )
-        bsz, hp, wp, _ = up.shape
-        up_flat = up.reshape(bsz * hp * wp, cout)
+        bsz, hp, wp, _ = out_shape
+        up_flat = upstream.reshape(bsz * hp * wp, cout)
         dw = (col.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
         db = _bias_grad(up_flat).astype(w.dtype, copy=False)
         if not input_grad:
@@ -247,10 +241,9 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
         dxc = np.zeros((cin, *in_shape[:3]), dtype=in_dtype)
         _scatter_contiguous(dxc, dcol, stride)
         del dcol  # so the peak is dcol + dx, not dcol + dxc + dx
-        dx = np.ascontiguousarray(np.moveaxis(dxc, 0, 3))
-        return (dx[0], dw, db) if single else (dx, dw, db)
+        return np.ascontiguousarray(np.moveaxis(dxc, 0, 3)), dw, db
 
-    return (out[0] if single else out), backward
+    return out, backward
 
 
 # the corners of a 2x2 window in row-major order; a tie goes to the first
@@ -274,42 +267,40 @@ def _check_pool_window(h, w):
 
 
 def _pool_corners(x, gather_max_c=0):
-    """The four window corners of x [B,H2,W2,C] in row-major order: stride-2
+    """The four window corners of x [B,H,W,C] in row-major order: stride-2
     views, or slices of one contiguous copy when C <= gather_max_c."""
-    xb, single = _as_batch(x, "pool input")
-    bsz, h, w, c = xb.shape
+    _check_batch(x, "pool input")
+    bsz, h, w, c = x.shape
     _check_pool_window(h, w)
     h2, w2 = h // 2, w // 2
     if c <= gather_max_c:
-        win = xb[:, : 2 * h2, : 2 * w2].reshape(bsz, h2, 2, w2, 2, c)
-        g = np.empty((2, 2, bsz, h2, w2, c), dtype=xb.dtype)
+        win = x[:, : 2 * h2, : 2 * w2].reshape(bsz, h2, 2, w2, 2, c)
+        g = np.empty((2, 2, bsz, h2, w2, c), dtype=x.dtype)
         np.copyto(g, win.transpose(2, 4, 0, 1, 3, 5))
-        corners = [g[i, j] for i, j in _CORNERS]
-    else:
-        corners = [xb[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
-    return corners, xb.shape, single
+        return [g[i, j] for i, j in _CORNERS]
+    return [x[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
 
 
 def maxpool2d_forward(x):
-    """2x2/stride-2 max pooling; odd trailing rows/cols dropped.  Also takes a
-    conv's corner-order output [2, 2, (B,) H2, W2, C] (`conv2d_forward` with
-    corners), whose corners are contiguous slabs."""
-    if x.ndim in (5, 6) and x.shape[:2] == (2, 2):
+    """2x2/stride-2 max pooling of x [B,H,W,C]; odd trailing rows/cols
+    dropped.  Also takes a conv's corner-order output [2, 2, B, H2, W2, C]
+    (`conv2d_forward` with corners), whose corners are contiguous slabs."""
+    if x.ndim == 6 and x.shape[:2] == (2, 2):
         (a, b), (c, d) = x
-        single = False
     else:
-        (a, b, c, d), _, single = _pool_corners(x)
+        a, b, c, d = _pool_corners(x)
     # np.maximum returns its second argument on a tie (which only shows for
     # -0.0 against +0.0), so the earlier corner goes second throughout
     out = np.maximum(b, a)
     np.maximum(np.maximum(d, c), out, out=out)
-    return out[0] if single else out
+    return out
 
 
 def maxpool2d_vjp(x):
     """Forward pass plus backward(upstream) -> dInput, routed to the first
     maximum of each window in row-major order."""
-    (a, b, c, d), in_shape, single = _pool_corners(x, _GATHER_MAX_C)
+    a, b, c, d = _pool_corners(x, _GATHER_MAX_C)
+    in_shape = x.shape
     top, bottom = np.maximum(b, a), np.maximum(d, c)
     # corner index (row << 1) | col of the first maximum, kept as uint8; strict
     # comparisons keep ties in the top row and the left column
@@ -324,20 +315,19 @@ def maxpool2d_vjp(x):
     h2, w2 = idx.shape[1:3]
 
     def backward(upstream):
-        up, _ = _as_batch(upstream, "pool upstream")
-        if up.shape != idx.shape:
+        if upstream.shape != idx.shape:
             raise DimensionError(
-                f"upstream shape {up.shape} does not match pooled output {idx.shape}"
+                f"upstream shape {upstream.shape} does not match pooled output {idx.shape}"
             )
-        dx = np.empty(in_shape, dtype=up.dtype)
+        dx = np.empty(in_shape, dtype=upstream.dtype)
         dx[:, 2 * h2 :] = 0
         dx[:, :, 2 * w2 :] = 0
         for k, (i, j) in enumerate(_CORNERS):
             # a multiply, so a negative upstream leaves -0.0 off the maximum
-            np.multiply(up, idx == k, out=dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2])
-        return dx[0] if single else dx
+            np.multiply(upstream, idx == k, out=dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2])
+        return dx
 
-    return (out[0] if single else out), backward
+    return out, backward
 
 
 def relu(x):
@@ -360,10 +350,11 @@ def relu_vjp(x):
 
 
 def dense_forward(x, weights, bias):
-    """x [(B,)n] @ weights [n,m] + bias [m]."""
-    if x.shape[-1] != weights.shape[0]:
+    """x [B,n] @ weights [n,m] + bias [m] -> [B,m]."""
+    _check_batch(x, "dense input", 2)
+    if x.shape[1] != weights.shape[0]:
         raise DimensionError(
-            f"inner axis mismatch: input {x.shape[-1]} vs weights {weights.shape[0]}"
+            f"inner axis mismatch: input {x.shape[1]} vs weights {weights.shape[0]}"
         )
     if bias.shape != (weights.shape[1],):
         raise DimensionError(f"bias shape {bias.shape} does not match units {weights.shape[1]}")
@@ -379,21 +370,15 @@ def dense_vjp(x, weights, bias):
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match output {out.shape}"
             )
-        dx = upstream @ weights.T
-        if x.ndim == 1:
-            return dx, np.outer(x, upstream), upstream.copy()
-        return dx, x.T @ upstream, upstream.sum(axis=0)
+        return upstream @ weights.T, x.T @ upstream, upstream.sum(axis=0)
 
     return out, backward
 
 
 def flatten(x):
-    """Row-major linearization of the trailing [H,W,C] axes."""
-    if x.ndim == 3:
-        return x.reshape(-1)
-    if x.ndim == 4:
-        return x.reshape(x.shape[0], -1)
-    raise DimensionError(f"flatten expects 3-d or 4-d input, got {x.ndim}-d")
+    """Row-major linearization of x [B,H,W,C] -> [B, H*W*C]."""
+    _check_batch(x, "flatten input")
+    return x.reshape(x.shape[0], -1)
 
 
 def flatten_vjp(x):

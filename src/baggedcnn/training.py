@@ -104,6 +104,12 @@ def check_integer(name, value, low):
         raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_lengths(images, labels):
+    """InputError unless there is one label per image."""
+    if len(images) != len(labels):
+        raise InputError(f"{len(images)} images but {len(labels)} labels")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
@@ -149,8 +155,7 @@ def evaluate(model, params, images, labels):
     labels = check_labels(labels, model.n_classes)
     if len(labels) == 0:
         raise InputError("evaluation set is empty")
-    if len(images) != len(labels):
-        raise InputError(f"{len(images)} images but {len(labels)} labels")
+    check_lengths(images, labels)
     probs = network.predict_probs(model, [params], images)[0]
     n, step = len(labels), network.PREDICT_BATCH
     loss = sum(sparse_cce(probs[rows], labels[rows]) * len(labels[rows])
@@ -167,6 +172,7 @@ def train_submodel(model, images, labels, config: TrainConfig, val=None):
     """
     if len(labels) == 0:
         raise InputError("training set is empty")
+    check_lengths(images, labels)
     if not np.issubdtype(images.dtype, np.floating):
         raise InputError(f"training images must be floating point, got {images.dtype}")
     labels = check_labels(labels, model.n_classes)

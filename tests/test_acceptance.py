@@ -50,8 +50,8 @@ def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(7)
     worst = 0.0
 
-    # conv
-    x = rng.normal(size=(6, 6, 2))
+    # conv, pool and dense take batches: each case is a batch of one
+    x = rng.normal(size=(6, 6, 2))[None]
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=3)
     out, bwd = layers.conv2d_vjp(x, layers.ConvKernelSet(w, b))
@@ -63,7 +63,7 @@ def test_criterion_2_gradient_correctness():
                 max_rel_err(db, numeric_grad(loss, b)))
 
     # pool (continuous values: no ties)
-    x = rng.normal(size=(6, 4, 2))
+    x = rng.normal(size=(6, 4, 2))[None]
     out, bwd = layers.maxpool2d_vjp(x)
     up = rng.normal(size=out.shape)
     dx = bwd(up)
@@ -79,11 +79,11 @@ def test_criterion_2_gradient_correctness():
     worst = max(worst, max_rel_err(dx, numeric_grad(loss, x)))
 
     # dense
-    x = rng.normal(size=6)
+    x = rng.normal(size=6)[None]
     w = rng.normal(size=(6, 3))
     b = rng.normal(size=3)
     out, bwd = layers.dense_vjp(x, w, b)
-    up = rng.normal(size=3)
+    up = rng.normal(size=3)[None]
     dx, dw, db = bwd(up)
     loss = lambda: float((layers.dense_forward(x, w, b) * up).sum())
     worst = max(worst, max_rel_err(dx, numeric_grad(loss, x)),

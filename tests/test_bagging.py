@@ -117,6 +117,15 @@ class TestTrainEnsemble:
         p1, p2 = e1.param_sets[0], e2.param_sets[0]
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
 
+    @pytest.mark.parametrize("n_images", [10, 20])
+    def test_images_and_labels_differ_in_length(self, rng, n_images):
+        # fewer images once indexed past the end, more trained on a prefix
+        x, _, model = tiny_setup(rng, n=n_images)
+        with pytest.raises(InputError, match=f"^{n_images} images but 12 labels$"):
+            bagging.train_ensemble(x, np.arange(12) % 2, model,
+                                   bagging.BaggingConfig(n_models=2),
+                                   training.TrainConfig(epochs=1))
+
     def test_empty_dataset(self, rng):
         _, _, model = tiny_setup(rng)
         with pytest.raises(InputError):

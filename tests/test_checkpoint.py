@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -207,3 +208,78 @@ class TestHeaderValidation:
         ds = tmp_path / "ds.bsec"
         data.save_container(data.synth_dataset(2, image_size=16, seed=0), ds)
         assert cli.main(["--out", str(tmp_path / "out"), "eval", str(saved), str(ds)]) == 3
+
+
+class TestSubModelCount:
+    def test_huge_n_models_refused_at_once(self, saved, tmp_path):
+        rewrite(saved, lambda h: h.__setitem__("n_models", 10**12))
+        start = time.perf_counter()
+        with pytest.raises(CheckpointError, match="sub-models"):
+            checkpoint.load_checkpoint(saved)
+        assert time.perf_counter() - start < 1.0
+        ds = tmp_path / "ds.bsec"
+        data.save_container(data.synth_dataset(2, image_size=16, seed=0), ds)
+        assert cli.main(["--out", str(tmp_path / "out"), "eval", str(saved), str(ds)]) == 3
+
+    @pytest.mark.parametrize("n_models", [0, 2.5, True, "2", None])
+    def test_n_models_must_be_a_positive_integer(self, saved, n_models):
+        rewrite(saved, lambda h: h.__setitem__("n_models", n_models))
+        with pytest.raises(CheckpointError, match="sub-models in a"):
+            checkpoint.load_checkpoint(saved)
+
+    @pytest.mark.parametrize("index", [1.5, True, "1", 2, -1])
+    def test_array_sub_model_index_must_be_in_range(self, saved, index):
+        # 1.5 read as sub-model 1 before
+        def edit(h):
+            h["arrays"][-1]["model"] = index
+        rewrite(saved, edit)
+        with pytest.raises(CheckpointError, match="belongs to sub-model"):
+            checkpoint.load_checkpoint(saved)
+
+    @pytest.mark.parametrize("n_models,kind", [(3, "missing"), (1, "extra")])
+    def test_manifest_length_must_match(self, saved, n_models, kind):
+        # the model has 6 arrays: conv2d, dense and dense_1, each w and b
+        rewrite(saved, lambda h: h.__setitem__("n_models", n_models))
+        with pytest.raises(CheckpointError, match=f"need {n_models * 6}, manifest lists 12: "
+                                                  f"arrays {kind}"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_parameter_free_model_bounded_by_header_bytes(self, tmp_path):
+        # no arrays bound the count, so the header's byte count does
+        model = network.ModelSpec((4, 4, 1), (network.pool(), network.flat()), n_classes=4)
+        path = tmp_path / "ck.bin"
+        checkpoint.save_checkpoint(path, bagging.EnsembleModel(model=model, param_sets=[{}, {}]))
+        loaded, _ = checkpoint.load_checkpoint(path)
+        assert loaded.model == model and loaded.param_sets == [{}, {}]
+        hlen = struct.unpack("<I", path.read_bytes()[8:12])[0]
+        rewrite(path, lambda h: h.__setitem__("n_models", 10**12))
+        with pytest.raises(CheckpointError, match="sub-models in a"):
+            checkpoint.load_checkpoint(path)
+        rewrite(path, lambda h: h.__setitem__("n_models", hlen))
+        assert checkpoint.load_checkpoint(path)[0].n_models == hlen
+
+
+class TestCombinerValidation:
+    def test_unknown_combiner(self, saved):
+        rewrite(saved, lambda h: h.__setitem__("combiner", "median"))
+        with pytest.raises(CheckpointError, match="unknown combiner 'median'"):
+            checkpoint.load_checkpoint(saved)
+
+    def test_stacking_without_forest(self, saved):
+        rewrite(saved, lambda h: h.__setitem__("forest", None))
+        with pytest.raises(CheckpointError, match="without a forest"):
+            checkpoint.load_checkpoint(saved)
+
+    @pytest.mark.parametrize("key,value", [("n_classes", 7), ("n_features", 9)])
+    def test_forest_must_fit_the_model(self, saved, key, value):
+        # 2 sub-models of 2 classes: the forest reads 2 classes from 4 features
+        rewrite(saved, lambda h: h["forest"].__setitem__(key, value))
+        with pytest.raises(CheckpointError, match="need 2 and 4"):
+            checkpoint.load_checkpoint(saved)
+
+    @pytest.mark.parametrize("combiner", ["average", "vote"])
+    def test_other_combiners_load_with_or_without_forest(self, saved, combiner):
+        rewrite(saved, lambda h: h.__setitem__("combiner", combiner))
+        assert checkpoint.load_checkpoint(saved)[0].forest is not None
+        rewrite(saved, lambda h: h.__setitem__("forest", None))
+        assert checkpoint.load_checkpoint(saved)[0].combiner == combiner

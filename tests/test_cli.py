@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from baggedcnn import bagging, cli, data, network, training
+from baggedcnn import bagging, checkpoint, cli, data, network, training
 
 
 @pytest.fixture
@@ -179,6 +179,15 @@ class TestEval:
         assert run_cli(["--config", cfg_path, "--out", e1, "eval", ck, ds_path]) == 0
         assert run_cli(["--config", cfg_path, "--out", e2, "eval", ck, ds_path]) == 0
         assert (e1 / "metrics.csv").read_bytes() == (e2 / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["average", "vote", "stacking"])
+    def test_train_checkpoint_loads_with_its_combiner(self, workspace, method):
+        tmp_path, _, cfg_path = workspace
+        cfg_path.write_text(cfg_path.read_text().replace("method = stacking", f"method = {method}"))
+        assert run_cli(["--config", cfg_path, "train"]) == 0
+        ensemble, _ = checkpoint.load_checkpoint(tmp_path / "out" / "checkpoint.bin")
+        assert ensemble.combiner == method
+        assert (ensemble.forest is not None) == (method == "stacking")
 
     def test_eval_shape_mismatch(self, workspace, tmp_path):
         tmp_path_, _, cfg_path = workspace

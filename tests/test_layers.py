@@ -12,25 +12,49 @@ def kernels(w, b):
     return layers.ConvKernelSet(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
+CIN3 = kernels(np.ones((1, 1, 3, 1)), [0.0])
+DENSE_W, DENSE_B = np.ones((3, 2)), np.zeros(2)
+
+
+@pytest.mark.parametrize("kernel,name,ndim", [
+    (lambda x: layers.conv2d_forward(x, CIN3), "conv input", 4),
+    (lambda x: layers.conv2d_forward(x, CIN3, corners=True), "conv input", 4),
+    (lambda x: layers.conv2d_vjp(x, CIN3), "conv input", 4),
+    (layers.maxpool2d_forward, "pool input", 4),
+    (layers.maxpool2d_vjp, "pool input", 4),
+    (layers.flatten, "flatten input", 4),
+    (layers.flatten_vjp, "flatten input", 4),
+    (lambda x: layers.dense_forward(x, DENSE_W, DENSE_B), "dense input", 2),
+    (lambda x: layers.dense_vjp(x, DENSE_W, DENSE_B), "dense input", 2),
+])
+def test_kernels_take_batches_only(kernel, name, ndim):
+    # a lone [H,W,C] sample or [n] vector is refused, as is every other rank
+    for rank in range(1, 7):
+        if rank != ndim:
+            with pytest.raises(DimensionError, match=f"{name} must be a {ndim}-d batch"):
+                kernel(np.ones((3,) * rank))
+    kernel(np.ones((3,) * ndim))
+
+
 class TestConvForward:
     def test_identity_kernel(self):
-        x = np.array([[[5.0]]])
+        x = np.array([[[[5.0]]]])
         out = layers.conv2d_forward(x, kernels([[[[1.0]]]], [0.0]))
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 5.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 5.0
 
     def test_sum_of_nine_ones(self):
-        x = np.ones((3, 3, 1))
+        x = np.ones((1, 3, 3, 1))
         w = np.ones((3, 3, 1, 1))
         out = layers.conv2d_forward(x, kernels(w, [0.0]))
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 9.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 9.0
 
     def test_fullsize_input_shape(self):
-        x = np.zeros((224, 224, 3), dtype=np.float32)
+        x = np.zeros((1, 224, 224, 3), dtype=np.float32)
         w = np.zeros((3, 3, 3, 32), dtype=np.float32)
         out = layers.conv2d_forward(x, kernels(w, np.zeros(32)))
-        assert out.shape == (222, 222, 32)
+        assert out.shape == (1, 222, 222, 32)
 
     def test_output_shape_formula_exhaustive(self, rng):
         for h in range(1, 9):
@@ -38,44 +62,45 @@ class TestConvForward:
                 for kh in range(1, h + 1):
                     for kw in range(1, w_ + 1):
                         for stride in (1, 2, 3):
-                            x = rng.normal(size=(h, w_, 1))
+                            x = rng.normal(size=(1, h, w_, 1))
                             wt = rng.normal(size=(kh, kw, 1, 2))
                             out = layers.conv2d_forward(x, kernels(wt, np.zeros(2)), stride)
                             assert out.shape == (
+                                1,
                                 (h - kh) // stride + 1,
                                 (w_ - kw) // stride + 1,
                                 2,
                             )
 
     def test_channel_mismatch_raises(self):
-        x = np.zeros((4, 4, 2))
+        x = np.zeros((1, 4, 4, 2))
         w = np.zeros((3, 3, 3, 4))
         with pytest.raises(DimensionError, match="channel"):
             layers.conv2d_forward(x, kernels(w, np.zeros(4)))
 
     def test_kernel_too_large_raises(self):
         with pytest.raises(DimensionError, match="height|width"):
-            layers.conv2d_forward(np.zeros((2, 2, 1)), kernels(np.zeros((3, 3, 1, 1)), [0.0]))
+            layers.conv2d_forward(np.zeros((1, 2, 2, 1)), kernels(np.zeros((3, 3, 1, 1)), [0.0]))
 
 
 class TestConvBackward:
     def test_zero_upstream(self, rng):
-        x = rng.normal(size=(5, 5, 2))
+        x = rng.normal(size=(1, 5, 5, 2))
         ks = kernels(rng.normal(size=(3, 3, 2, 3)), rng.normal(size=3))
         out, bwd = layers.conv2d_vjp(x, ks)
         dx, dw, db = bwd(np.zeros_like(out))
         assert not dx.any() and not dw.any() and not db.any()
 
     def test_scalar_chain_rule(self):
-        x = np.array([[[5.0]]])
+        x = np.array([[[[5.0]]]])
         out, bwd = layers.conv2d_vjp(x, kernels([[[[2.0]]]], [0.0]))
-        dx, dw, db = bwd(np.array([[[1.0]]]))
+        dx, dw, db = bwd(np.array([[[[1.0]]]]))
         assert dw[0, 0, 0, 0] == 5.0
-        assert dx[0, 0, 0] == 2.0
+        assert dx[0, 0, 0, 0] == 2.0
         assert db[0] == 1.0
 
     def test_finite_difference_oracle(self, rng):
-        x = rng.normal(size=(6, 6, 2))
+        x = rng.normal(size=(1, 6, 6, 2))
         w = rng.normal(size=(3, 3, 2, 4))
         b = rng.normal(size=4)
         out, bwd = layers.conv2d_vjp(x, kernels(w, b))
@@ -90,41 +115,41 @@ class TestConvBackward:
         assert max_rel_err(db, numeric_grad(loss, b)) < 1e-4
 
     def test_upstream_shape_mismatch(self, rng):
-        x = rng.normal(size=(5, 5, 1))
+        x = rng.normal(size=(1, 5, 5, 1))
         _, bwd = layers.conv2d_vjp(x, kernels(rng.normal(size=(3, 3, 1, 2)), np.zeros(2)))
         with pytest.raises(DimensionError, match="upstream"):
-            bwd(np.zeros((2, 2, 2)))
+            bwd(np.zeros((1, 2, 2, 2)))
 
 
 class TestMaxPool:
     def test_max_of_four(self):
-        out = layers.maxpool2d_forward(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 4.0
+        out = layers.maxpool2d_forward(np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None])
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 4.0
 
     def test_fullsize_odd_dimension(self):
-        x = np.zeros((109, 109, 64), dtype=np.float32)
-        assert layers.maxpool2d_forward(x).shape == (54, 54, 64)
+        x = np.zeros((1, 109, 109, 64), dtype=np.float32)
+        assert layers.maxpool2d_forward(x).shape == (1, 54, 54, 64)
 
     def test_constant_input(self):
-        x = np.full((4, 4, 2), 3.5)
+        x = np.full((1, 4, 4, 2), 3.5)
         assert np.all(layers.maxpool2d_forward(x) == 3.5)
 
     def test_window_too_large(self):
         with pytest.raises(DimensionError):
-            layers.maxpool2d_forward(np.zeros((1, 4, 1)))
+            layers.maxpool2d_forward(np.zeros((1, 1, 4, 1)))
 
     def test_backward_routes_to_argmax(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])[None, :, :, None]
         _, bwd = layers.maxpool2d_vjp(x)
-        dx = bwd(np.array([[[1.0]]]))
-        assert dx[:, :, 0].tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        dx = bwd(np.array([[[[1.0]]]]))
+        assert dx[0, :, :, 0].tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
     def test_tie_breaks_first_row_major(self):
-        x = np.ones((2, 2, 1))
+        x = np.ones((1, 2, 2, 1))
         _, bwd = layers.maxpool2d_vjp(x)
-        dx = bwd(np.array([[[1.0]]]))
-        assert dx[0, 0, 0] == 1.0
+        dx = bwd(np.array([[[[1.0]]]]))
+        assert dx[0, 0, 0, 0] == 1.0
         assert dx.sum() == 1.0
 
     def test_gradient_mass_conserved(self, rng):
@@ -135,7 +160,7 @@ class TestMaxPool:
         assert np.isclose(dx.sum(), up.sum())
 
     def test_finite_difference_away_from_ties(self, rng):
-        x = rng.normal(size=(6, 6, 2))  # continuous values: ties have measure zero
+        x = rng.normal(size=(1, 6, 6, 2))  # continuous values: ties have measure zero
         out, bwd = layers.maxpool2d_vjp(x)
         up = rng.normal(size=out.shape)
         dx = bwd(up)
@@ -168,19 +193,19 @@ class TestRelu:
 
 class TestDense:
     def test_identity_map(self):
-        out = layers.dense_forward(np.array([1.0, 0.0]), np.eye(2), np.zeros(2))
-        assert out.tolist() == [1.0, 0.0]
+        out = layers.dense_forward(np.array([[1.0, 0.0]]), np.eye(2), np.zeros(2))
+        assert out.tolist() == [[1.0, 0.0]]
 
     def test_fullsize_dense_size(self):
         w = np.zeros((18432, 512), dtype=np.float32)
         assert w.size + 512 == 9437696
 
     def test_finite_difference_oracle(self, rng):
-        x = rng.normal(size=8)
+        x = rng.normal(size=(1, 8))
         w = rng.normal(size=(8, 4))
         b = rng.normal(size=4)
         out, bwd = layers.dense_vjp(x, w, b)
-        up = rng.normal(size=4)
+        up = rng.normal(size=(1, 4))
         dx, dw, db = bwd(up)
 
         def loss():
@@ -192,7 +217,7 @@ class TestDense:
 
     def test_inner_mismatch(self):
         with pytest.raises(DimensionError, match="inner"):
-            layers.dense_forward(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
+            layers.dense_forward(np.zeros((1, 3)), np.zeros((4, 2)), np.zeros(2))
 
 
 class TestSoftmax:
@@ -227,13 +252,13 @@ class TestSoftmax:
 
 class TestFlatten:
     def test_fullsize_flatten_length(self):
-        assert layers.flatten(np.zeros((12, 12, 128))).shape == (18432,)
+        assert layers.flatten(np.zeros((1, 12, 12, 128))).shape == (1, 18432)
 
     def test_singleton(self):
-        assert layers.flatten(np.zeros((1, 1, 1))).shape == (1,)
+        assert layers.flatten(np.zeros((1, 1, 1, 1))).shape == (1, 1)
 
     def test_inverse_pair(self, rng):
-        x = rng.normal(size=(3, 4, 2))
+        x = rng.normal(size=(1, 3, 4, 2))
         out, bwd = layers.flatten_vjp(x)
         assert np.array_equal(bwd(out), x)
 
@@ -241,27 +266,26 @@ class TestFlatten:
 # -- slow references for the fast pool and relu kernels ----------------------
 
 def reference_maxpool_with_argmax(x):
-    """Argmax max pooling, the slow reference for the strided kernel: (out, backward)."""
-    xb = x[None] if x.ndim == 3 else x
-    b, h, w, c = xb.shape
+    """Argmax max pooling of x [B,H,W,C], the slow reference for the strided
+    kernel: (out, backward)."""
+    b, h, w, c = x.shape
     h2, w2 = h // 2, w // 2
-    win = xb[:, : 2 * h2, : 2 * w2, :].reshape(b, h2, 2, w2, 2, c)
+    win = x[:, : 2 * h2, : 2 * w2, :].reshape(b, h2, 2, w2, 2, c)
     # window flattened row-major, so argmax ties break to the first position
     flat = win.transpose(0, 1, 3, 5, 2, 4).reshape(b, h2, w2, c, 4)
     idx = flat.argmax(axis=4)
     out = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
 
     def backward(upstream):
-        up = upstream[None] if x.ndim == 3 else upstream
-        grad = np.zeros((b, h2, w2, c, 4), dtype=up.dtype)
-        np.put_along_axis(grad, idx[..., None], up[..., None], axis=4)
-        dx = np.zeros(xb.shape, dtype=up.dtype)
+        grad = np.zeros((b, h2, w2, c, 4), dtype=upstream.dtype)
+        np.put_along_axis(grad, idx[..., None], upstream[..., None], axis=4)
+        dx = np.zeros(x.shape, dtype=upstream.dtype)
         dx[:, : 2 * h2, : 2 * w2, :] = (
             grad.reshape(b, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
             .reshape(b, 2 * h2, 2 * w2, c))
-        return dx[0] if x.ndim == 3 else dx
+        return dx
 
-    return (out[0] if x.ndim == 3 else out), backward
+    return out, backward
 
 
 def reference_relu_backward(x, upstream):
@@ -276,9 +300,7 @@ pool_channels = st.sampled_from(sorted({1, 2, 3, 8, 16, 32, layers._GATHER_MAX_C
                                         layers._GATHER_MAX_C + 1}))
 pool_cases = st.tuples(
     st.integers(0, 2**32 - 1),
-    st.one_of(st.tuples(st.integers(2, 7), st.integers(2, 7), pool_channels),
-              st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7),
-                        pool_channels)),
+    st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7), pool_channels),
     st.sampled_from([np.float32, np.float64]),
     st.sampled_from(["relu", "levels", "signed_zeros"]),
 )
@@ -523,17 +545,16 @@ class TestCornerOrder:
         # the GEMM behind a conv gave no -0.0 in any case tried (its products
         # add onto +0.0), so the +-0.0 ties are drawn on a corner array itself
         x = tie_heavy(*case)
-        xb = x[None] if x.ndim == 3 else x
-        ref, _ = reference_maxpool_with_argmax(xb)
-        out = layers.maxpool2d_forward(corner_rows(xb))
+        ref, _ = reference_maxpool_with_argmax(x)
+        out = layers.maxpool2d_forward(corner_rows(x))
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
     def test_single_image_and_too_small_output(self, rng):
         ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
-        x = rng.normal(size=(7, 6, 2))
+        x = rng.normal(size=(1, 7, 6, 2))
         out = layers.conv2d_forward(x, ks, corners=True)
-        assert out.shape == (2, 2, 2, 2, 4)
-        assert out.tobytes() == corner_rows(layers.conv2d_forward(x[None], ks))[:, :, 0].tobytes()
+        assert out.shape == (2, 2, 1, 2, 2, 4)
+        assert out.tobytes() == corner_rows(layers.conv2d_forward(x, ks)).tobytes()
         assert layers.maxpool2d_forward(out).tobytes() == layers.maxpool2d_forward(
             layers.conv2d_forward(x, ks)).tobytes()
         with pytest.raises(DimensionError, match="pool window 2x2 larger than input on width"):
@@ -631,15 +652,16 @@ class TestConvBackwardMatchesReference:
             assert np.max(np.abs(dx - ref_dx)) <= F64_DX_TOL * np.max(np.abs(ref_dx))
 
     def test_single_sample_backward(self, rng):
-        x = rng.normal(size=(7, 6, 3)).astype(np.float32)
+        # a batch of one image, at stride 2 and Cin 3
+        x = rng.normal(size=(7, 6, 3)).astype(np.float32)[None]
         ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 3, 5)).astype(np.float32),
                                   np.zeros(5, np.float32))
         out, bwd = layers.conv2d_vjp(x, ks, 2)
         up = rng.normal(size=out.shape).astype(np.float32)
         dx, dw, db = bwd(up)
-        ref = reference_conv2d_backward(x[None], ks.weights, up[None], 2)
+        ref = reference_conv2d_backward(x, ks.weights, up, 2)
         assert dx.shape == x.shape
-        for got, want in zip((dx, dw, db), (ref[0][0], ref[1], ref[2])):
+        for got, want in zip((dx, dw, db), ref):
             assert got.tobytes() == want.tobytes()
 
     # the examples have one output position, where the BLAS takes its gemv

@@ -243,6 +243,13 @@ class TestTrainSubmodel:
             training.train_submodel(tiny_model, np.zeros((0, 16, 16, 1)), [],
                                     training.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("n_images", [10, 20])
+    def test_images_and_labels_differ_in_length(self, tiny_model, n_images):
+        # fewer images once indexed past the end, more trained on a prefix
+        with pytest.raises(InputError, match=f"{n_images} images but 12 labels"):
+            training.train_submodel(tiny_model, np.zeros((n_images, 16, 16, 1), np.float32),
+                                    np.arange(12) % 2, training.TrainConfig(epochs=1))
+
     def test_integer_images_refused(self, tiny_model):
         # uint8 parameters would follow the images' dtype into Adam
         with pytest.raises(InputError, match="floating point"):
