@@ -185,6 +185,9 @@ def run_pipeline(cfg):
     ds = data.load_container(cfg.dataset)
     train_v, val_v, stack_v, test_v = data.split(ds, cfg.split, seed=cfg.seed)
     model = build_model(cfg, ds.images.shape[1:])
+    if ds.images.shape[1:] != model.input_shape:
+        raise DimensionError(f"dataset images are {ds.images.shape[1:]}, but the "
+                             f"{cfg.model_size} model takes {model.input_shape}")
     dtype = np.float64 if cfg.precision == 64 else np.float32  # the training dtype
     bag_cfg = bagging.BaggingConfig(n_models=cfg.n_models,
                                     bagging_ratio=cfg.bagging_ratio, seed=cfg.seed)

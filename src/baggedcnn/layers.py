@@ -14,32 +14,23 @@ over the batch for parameter gradients.  The conv backward takes
 never needs.  The conv, pool and relu backward closures keep masks, indices
 and shapes rather than forward activations.
 
-At Cin 1 the row-major im2col matrix is filled one kernel offset at a time,
-and a pool vjp on at most _GATHER_MAX_C channels works on a contiguous copy of
-its window corners.  Both are chosen by channel count and change no
-arithmetic; `_im2col` and `_GATHER_MAX_C` give the measurements behind each
-cutoff.
+A conv that feeds a pool builds its im2col rows in 2x2 window-corner order
+and returns [2, 2, B, H'//2, W'//2, Cout], which the pool reads as four
+contiguous slabs and returns its gradient in; the rows the pool's floor
+drops are never built.  Both conv kernels build the im2col matrix planar at
+Cin <= _PLANAR_MAX_CIN and row-major above it.
 
-The conv input gradient is scattered channel-first: `W @ upstream.T` gives
-one contiguous [Cin, B, H', W'] plane per kernel offset, added into a
-[Cin, B, H, W] buffer that one copy turns channels-last.  A channels-last
-scatter moves Cin floats per run.  Each plane goes onto the stride grid of a
-zero-bordered buffer and into one contiguous add (`_scatter_contiguous`),
-the same sums in the same order as a strided add.  The bias
-gradient is an einsum row sum, which adds in the same order as
-`sum(axis=0)` but faster.  In float32 both give the bytes of the row-major
-backward (8832 shapes swept).  In float64 the input gradient can round
-differently, by at most 1e-13 of its largest element (4.6e-16 seen).
+The conv input gradient is built channel-first, one contiguous plane per
+kernel offset added into a zero-bordered buffer as one contiguous add
+(`_scatter_contiguous`, `_corner_input_grad`), then made channels-last by
+one copy.  The bias gradient is an einsum row sum in the order of
+`sum(axis=0)`.  In float32 the input gradient is the bytes of the row-major
+backward at the desk and paper conv shapes; in float64 it can round
+differently, by at most 1e-13 of its largest element.
 
 `relu` is monotone and never returns -0.0, so a relu then a max pool gives
 the bytes of the pool then the relu, backward included; a network runs
 the pair in the second order, its relu on a quarter of the elements.
-
-A forward-only conv that feeds a pool can build its im2col rows in 2x2
-window-corner order and return [2, 2, B, H'//2, W'//2, Cout], which
-`maxpool2d_forward` reads as four contiguous slabs; the rows the pool's
-floor drops are never built.  Only the GEMM's row order changes, and each
-row came out the bytes of the plain order's.
 """
 
 from dataclasses import dataclass
@@ -73,27 +64,14 @@ def _check_batch(x, name, ndim=4):
         raise DimensionError(f"{name} must be a {ndim}-d batch, got shape {x.shape}")
 
 
-def _check_conv_shapes(xb, w, kh, kw):
-    if xb.shape[3] != w.shape[2]:
-        raise DimensionError(
-            f"channel axis mismatch: input has {xb.shape[3]} channels, kernels expect {w.shape[2]}"
-        )
-    if xb.shape[1] < kh or xb.shape[2] < kw:
-        axis = "height" if xb.shape[1] < kh else "width"
-        raise DimensionError(
-            f"{axis} axis smaller than kernel: input {xb.shape[1:3]}, kernel {(kh, kw)}"
-        )
-
-
-# A forward-only conv whose input has at most this many channels builds its
-# im2col matrix planar.  A row-major copy moves Cin floats per run, so for a
-# narrow input it is mostly per-run overhead; the planar copy runs along
-# image rows.  Measured per conv, GEMM included (2 vCPU, OpenBLAS 0.3.31): at
-# Cin 1 to 3 the planar layout took 0.3-0.9x the time of the row-major one, at
-# Cin 8 1.2-1.3x and at Cin 16 1.3-2.2x.  Cin 4 was still faster, but there the
-# planar GEMM rounded differently from the row-major one in float32.  With
-# the planes copied from one window view, in either row order, Cin 1 to 3
-# took 0.45-1.0x at desk and paper conv1 shapes, with two runs of 1.3x.
+# A conv whose input has at most this many channels builds its im2col
+# matrix planar: a row-major copy moves Cin floats per run, mostly per-run
+# overhead for a narrow input, while the planar copy runs along image rows.
+# Per conv, GEMM included (2 vCPU, OpenBLAS 0.3.31), planar took 0.3-1.0x
+# the row-major time at Cin 1 to 3 but 1.2-2.2x at Cin 8 and 16; Cin 4 was
+# faster but rounded differently in float32.  A corner-order training step
+# (conv and pool vjps and backwards) took 0.55-0.65x at desk conv1, 0.9x at
+# paper conv1 and 1.2x at desk conv2.
 _PLANAR_MAX_CIN = 3
 
 
@@ -115,43 +93,42 @@ def _windows(xb, kh, kw, stride, corners):
 
 
 def _im2col(xb, kh, kw, stride, corners=False):
-    """Row-major im2col matrix [rows, kh*kw*Cin] of x [B,H,W,C]; returns
-    (matrix, row shape), the rows as `_windows` orders them.
-
-    At Cin 1 a window copy moves kw floats per run, so the matrix is filled
-    one kernel offset at a time instead, each offset one strided image copy.
-    Measured per build (float32, 2 vCPU): 0.35-0.56x the time of the window
-    copy at Cin 1, but 2.4-3.3x at Cin 2, 3 and 8, so wider inputs keep it.
-    """
+    """Row-major im2col matrix [rows, kh*kw*Cin] of x [B,H,W,C], one window
+    copy; returns (matrix, row shape), the rows as `_windows` orders them."""
     win = _windows(xb, kh, kw, stride, corners)
-    if xb.shape[3] == 1:
-        col = np.empty(win.shape[:-1], dtype=xb.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                col[..., i, j] = win[..., i, j, 0]
-    else:
-        col = np.ascontiguousarray(win)
-    return col.reshape(-1, kh * kw * xb.shape[3]), win.shape[:-3]
+    return np.ascontiguousarray(win).reshape(-1, kh * kw * xb.shape[3]), win.shape[:-3]
 
 
 def _im2col_planar(xb, kh, kw, stride, corners=False):
-    """The same matrix as _im2col, copied from the window view as planes
-    [kh, kw, Cin, rows] and returned as the transposed view of their
-    [kh*kw*Cin, rows] reshape."""
+    """The same matrix as _im2col: the transposed view of planes
+    [kh*kw*Cin, rows] copied from the window view."""
     win = _windows(xb, kh, kw, stride, corners)
     planes = np.ascontiguousarray(np.moveaxis(win, (-3, -2, -1), (0, 1, 2)))
     return planes.reshape(kh * kw * xb.shape[3], -1).T, win.shape[:-3]
 
 
-def _conv_core(xb, w, b, stride, im2col, corners=False):
-    """im2col forward: returns (out [*rows, Cout], col [rows, kh*kw*Cin])."""
+def _conv_core(x, kernels, stride, corners):
+    """im2col forward of x [B,H,W,Cin] on the matrix _PLANAR_MAX_CIN picks:
+    returns (out [*rows, Cout], col [rows, kh*kw*Cin])."""
+    _check_batch(x, "conv input")
+    w, b = kernels.weights, kernels.bias
     kh, kw, cin, cout = w.shape
-    col, rows = im2col(xb, kh, kw, stride, corners)
+    if x.shape[3] != cin:
+        raise DimensionError(
+            f"channel axis mismatch: input has {x.shape[3]} channels, kernels expect {cin}")
+    if x.shape[1] < kh or x.shape[2] < kw:
+        axis = "height" if x.shape[1] < kh else "width"
+        raise DimensionError(
+            f"{axis} axis smaller than kernel: input {x.shape[1:3]}, kernel {(kh, kw)}")
+    if corners:
+        _check_pool_window((x.shape[1] - kh) // stride + 1, (x.shape[2] - kw) // stride + 1)
+    im2col = _im2col_planar if cin <= _PLANAR_MAX_CIN else _im2col
+    col, rows = im2col(x, kh, kw, stride, corners)
     out = col @ w.reshape(kh * kw * cin, cout)
     # the adds of `out += b`, run along rows of W'*Cout values rather than Cout
     lines = out.reshape(-1, rows[-1] * cout)
     lines += np.tile(b, rows[-1])
-    return out.reshape(*rows, cout).astype(xb.dtype, copy=False), col
+    return out.reshape(*rows, cout).astype(x.dtype, copy=False), col
 
 
 def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False):
@@ -160,18 +137,11 @@ def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False):
     With corners the output comes in the order a 2x2 max pool reads it,
     [2, 2, B, H'//2, W'//2, Cout]: corner (r, c) of pool window (y, x) is
     output position (2y + r, 2x + c), and an odd last output row or column,
-    which the pool drops, is never computed.  Each row is the bytes of the
-    plain order's.  A narrow input (Cin <= _PLANAR_MAX_CIN) takes the planar
-    im2col matrix.
+    which the pool drops, is never computed.  Each row holds the plain
+    order's sums, its bytes at the desk and paper conv shapes; a small GEMM
+    can round a last bit differently.
     """
-    _check_batch(x, "conv input")
-    w, b = kernels.weights, kernels.bias
-    _check_conv_shapes(x, w, w.shape[0], w.shape[1])
-    if corners:
-        _check_pool_window((x.shape[1] - w.shape[0]) // stride + 1,
-                           (x.shape[2] - w.shape[1]) // stride + 1)
-    im2col = _im2col_planar if w.shape[2] <= _PLANAR_MAX_CIN else _im2col
-    return _conv_core(x, w, b, stride, im2col, corners)[0]
+    return _conv_core(x, kernels, stride, corners)[0]
 
 
 def _bias_grad(up_flat):
@@ -209,18 +179,56 @@ def _scatter_contiguous(dxc, dcol, stride):
             flat[offset:] += buf_flat[: flat.size - offset]
 
 
-def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
+def _corner_input_grad(w, upstream, in_shape, stride):
+    """dInput [B,H,W,Cin] of a corner-order upstream [2, 2, B, H2, W2, Cout].
+
+    Input row 2*stride*y + t, t = r*stride + i, takes corner row r of pool
+    row y through kernel row i (and so for columns): row y + t // (2*stride)
+    of phase t % (2*stride), a channel-first plane [Cin, B, hq, wq].  A GEMM
+    per corner on its upstream zero-padded to hq x wq gives planes with the
+    border that `_scatter_contiguous` copies onto, so each is one contiguous
+    add, in its (i, j) order.  At paper conv2 this took 0.6x the time of
+    four slab copies per offset onto that function's grid.
+    """
+    kh, kw, cin, cout = w.shape
+    bsz, h2, w2 = upstream.shape[2:5]
+    per = 2 * stride
+    hq, wq = h2 + (stride + kh - 1) // per, w2 + (stride + kw - 1) // per
+    size = cin * bsz * hq * wq
+    pad = np.zeros((bsz, hq, wq, cout), upstream.dtype)
+    planes = np.empty((4, kh, kw, size), upstream.dtype)
+    for (r, c), plane in zip(_CORNERS, planes):
+        pad[:, :h2, :w2] = upstream[r, c]
+        np.matmul(w.reshape(-1, cout), pad.reshape(-1, cout).T, out=plane.reshape(-1, size // cin))
+    phases = np.zeros((per, per, size), upstream.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            for (r, c), plane in zip(_CORNERS, planes):
+                ty, tx = r * stride + i, c * stride + j
+                offset = ty // per * wq + tx // per
+                phases[ty % per, tx % per, offset:] += plane[i, j, : size - offset]
+    del planes
+    phases = phases.reshape(per, per, cin, bsz, hq, wq)
+    dx = np.zeros(in_shape, upstream.dtype)
+    for p in range(per):
+        for q in range(per):
+            view = dx[:, p::per, q::per]  # rows past the last window stay 0
+            h, w_ = min(hq, view.shape[1]), min(wq, view.shape[2])
+            view[:, :h, :w_] = np.moveaxis(phases[p, q, :, :, :h, :w_], 0, 3)
+    return dx
+
+
+def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
     """Forward pass plus backward(upstream, input_grad=True) -> (dInput, dWeights, dBias).
 
-    input_grad=False skips dInput, the costliest part of the backward pass,
-    and returns None in its place.
+    The forward is `conv2d_forward`'s, corners included, and upstream
+    takes its output's layout; in corner order the rows a pool drops enter
+    no gradient.  input_grad=False skips dInput, the costliest part of the
+    backward pass, and returns None in its place.
     """
-    _check_batch(x, "conv input")
-    w, b = kernels.weights, kernels.bias
+    out, col = _conv_core(x, kernels, stride, corners)
+    w = kernels.weights
     kh, kw, cin, cout = w.shape
-    _check_conv_shapes(x, w, kh, kw)
-    # row-major always: the dW GEMM on the planar matrix rounds differently
-    out, col = _conv_core(x, w, b, stride, _im2col)
     in_shape, in_dtype, out_shape = x.shape, x.dtype, out.shape
 
     def backward(upstream, input_grad=True):
@@ -228,16 +236,17 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match forward output {out_shape}"
             )
-        bsz, hp, wp, _ = out_shape
-        up_flat = upstream.reshape(bsz * hp * wp, cout)
+        up_flat = upstream.reshape(-1, cout)
         dw = (col.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
         db = _bias_grad(up_flat).astype(w.dtype, copy=False)
         if not input_grad:
             return None, dw, db
+        if corners:
+            return _corner_input_grad(w, upstream, in_shape, stride), dw, db
         # dcol transposed: one contiguous [Cin, B, H', W'] plane per kernel
         # offset, scattered back onto the overlapping windows of a
         # channel-first dx in the same (i, j) order as the row-major scatter
-        dcol = (w.reshape(kh * kw * cin, cout) @ up_flat.T).reshape(kh, kw, cin, bsz, hp, wp)
+        dcol = (w.reshape(kh * kw * cin, cout) @ up_flat.T).reshape(kh, kw, cin, *out_shape[:3])
         dxc = np.zeros((cin, *in_shape[:3]), dtype=in_dtype)
         _scatter_contiguous(dxc, dcol, stride)
         del dcol  # so the peak is dcol + dx, not dcol + dxc + dx
@@ -250,34 +259,21 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1):
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-# The pool vjp of an input with at most this many channels copies the window
-# corners into one contiguous [2, 2, B, H2, W2, C] array first.  On stride-2
-# views of a narrow input numpy's loops run C values at a time; on the copy
-# they run whole planes.  Measured per vjp (float32, 2 vCPU), gathered over
-# strided: 0.69-0.81x at C 8 and 16, 0.81-0.98x at C 32 on images up to 30x30,
-# but 1.12-1.34x on each of the paper net's pools (C 32 to 128).  The pool
-# forward took 1.1-1.26x as long gathered at the desk net's C 8 and 16.
-_GATHER_MAX_C = 16
-
-
 def _check_pool_window(h, w):
     if h < 2 or w < 2:
         axis = "height" if h < 2 else "width"
         raise DimensionError(f"pool window 2x2 larger than input on {axis} axis ({h}x{w})")
 
 
-def _pool_corners(x, gather_max_c=0):
-    """The four window corners of x [B,H,W,C] in row-major order: stride-2
-    views, or slices of one contiguous copy when C <= gather_max_c."""
+def _pool_corners(x):
+    """The four window corners of x in row-major order: the slabs of a
+    conv's corner-order output [2, 2, B, H2, W2, C], or stride-2 views of
+    x [B,H,W,C]."""
+    if x.ndim == 6 and x.shape[:2] == (2, 2):
+        return [x[i, j] for i, j in _CORNERS]
     _check_batch(x, "pool input")
-    bsz, h, w, c = x.shape
-    _check_pool_window(h, w)
-    h2, w2 = h // 2, w // 2
-    if c <= gather_max_c:
-        win = x[:, : 2 * h2, : 2 * w2].reshape(bsz, h2, 2, w2, 2, c)
-        g = np.empty((2, 2, bsz, h2, w2, c), dtype=x.dtype)
-        np.copyto(g, win.transpose(2, 4, 0, 1, 3, 5))
-        return [g[i, j] for i, j in _CORNERS]
+    _check_pool_window(*x.shape[1:3])
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
     return [x[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
 
 
@@ -285,10 +281,7 @@ def maxpool2d_forward(x):
     """2x2/stride-2 max pooling of x [B,H,W,C]; odd trailing rows/cols
     dropped.  Also takes a conv's corner-order output [2, 2, B, H2, W2, C]
     (`conv2d_forward` with corners), whose corners are contiguous slabs."""
-    if x.ndim == 6 and x.shape[:2] == (2, 2):
-        (a, b), (c, d) = x
-    else:
-        a, b, c, d = _pool_corners(x)
+    a, b, c, d = _pool_corners(x)
     # np.maximum returns its second argument on a tie (which only shows for
     # -0.0 against +0.0), so the earlier corner goes second throughout
     out = np.maximum(b, a)
@@ -297,9 +290,9 @@ def maxpool2d_forward(x):
 
 
 def maxpool2d_vjp(x):
-    """Forward pass plus backward(upstream) -> dInput, routed to the first
-    maximum of each window in row-major order."""
-    a, b, c, d = _pool_corners(x, _GATHER_MAX_C)
+    """Forward pass plus backward(upstream) -> dInput in the layout of x,
+    routed to the first maximum of each window in row-major order."""
+    a, b, c, d = _pool_corners(x)
     in_shape = x.shape
     top, bottom = np.maximum(b, a), np.maximum(d, c)
     # corner index (row << 1) | col of the first maximum, kept as uint8; strict
@@ -312,19 +305,17 @@ def maxpool2d_vjp(x):
     idx = row.view(np.uint8) << 1
     idx |= col.view(np.uint8)
     out = np.maximum(bottom, top, out=top)
-    h2, w2 = idx.shape[1:3]
 
     def backward(upstream):
         if upstream.shape != idx.shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match pooled output {idx.shape}"
             )
-        dx = np.empty(in_shape, dtype=upstream.dtype)
-        dx[:, 2 * h2 :] = 0
-        dx[:, :, 2 * w2 :] = 0
-        for k, (i, j) in enumerate(_CORNERS):
+        # a 4-d input's rows and columns past the last window get 0
+        dx = (np.zeros if len(in_shape) == 4 else np.empty)(in_shape, upstream.dtype)
+        for k, corner in enumerate(_pool_corners(dx)):
             # a multiply, so a negative upstream leaves -0.0 off the maximum
-            np.multiply(upstream, idx == k, out=dx[:, i : 2 * h2 : 2, j : 2 * w2 : 2])
+            np.multiply(upstream, idx == k, out=corner)
         return dx
 
     return out, backward

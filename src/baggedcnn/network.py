@@ -379,11 +379,11 @@ def _steps(model, params, want_vjp):
     for i in range(len(steps) - 1):
         if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
-    # Forward only: a conv whose next step is a pool returns the pool's window
-    # corners, which the pool reads as contiguous slabs.
+    # A conv whose next step is a pool returns the pool's window corners,
+    # which the pool reads as contiguous slabs (and returns its gradient in).
     for i in range(len(steps) - 1):
         (name, kernel, args), (_, after, _) = steps[i : i + 2]
-        if kernel == "conv2d_forward" and after == "maxpool2d_forward":
+        if kernel.startswith("conv2d") and after.startswith("maxpool2d"):
             steps[i] = (name, kernel, (*args, True))
     return steps
 

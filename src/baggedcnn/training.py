@@ -59,6 +59,7 @@ class AdamState:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def adam_step(params, grads, state: AdamState):
     """One update: moment EMAs, bias correction, step of size
     eta/sqrt(vhat + eps) * mhat (epsilon inside the root).
@@ -68,7 +69,8 @@ def adam_step(params, grads, state: AdamState):
     parameter array, with the operations of the textbook form in the same
     order, so its results are the same bits.  The work array lives for one
     parameter's update only: kept across steps, the paper net's would add
-    37 MB to the peak of the next backward pass.
+    37 MB to the peak of the next backward pass.  A non-finite gradient or
+    new parameter raises NumericError naming the parameter.
     """
     state.t += 1
     t = state.t
@@ -95,6 +97,8 @@ def adam_step(params, grads, state: AdamState):
         new *= state.eta
         new /= work
         out[key] = np.subtract(theta, new, out=new).astype(theta.dtype, copy=False)
+        if not np.all(np.isfinite(out[key])):
+            raise NumericError(f"non-finite value in parameter {key!r} after an Adam step")
     return out, state
 
 

@@ -152,6 +152,32 @@ class TestTrain:
         assert run_cli(["--config", cfg2, "train"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_diverging_run_fails_with_one_line(self, workspace):
+        # a child process, so any numpy warning would reach its stderr
+        tmp_path_, _, cfg_path = workspace
+        cfg2 = tmp_path_ / "run7.cfg"
+        cfg2.write_text(cfg_path.read_text().replace("batch_size = 16",
+                                                     "batch_size = 16\neta = 1e30"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "baggedcnn.cli", "--config", str(cfg2), "train"],
+            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "numeric error: sub-model 0: non-finite value in parameter 'conv2d/w' "
+            "after an Adam step"]
+
+    def test_dataset_the_model_cannot_take(self, workspace, capsys):
+        # the paper net takes 224x224x3 images; the workspace's are 16x16x1
+        tmp_path_, _, cfg_path = workspace
+        cfg2 = tmp_path_ / "run8.cfg"
+        cfg2.write_text(cfg_path.read_text().replace("size = scaled", "size = paper"))
+        assert run_cli(["--config", cfg2, "train"]) == 3
+        assert capsys.readouterr().err == (
+            "data error: dataset images are (16, 16, 1), but the paper model takes "
+            "(224, 224, 3)\n")
+        assert not (tmp_path_ / "out" / "checkpoint.bin").exists()
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("text", [
@@ -226,8 +252,8 @@ def _blas():
 # numpy and BLAS build they were recorded on; another build may round differently
 RECORDED_BUILD = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 CHECKPOINT_SHA256 = {
-    32: "ae28347d42b236c404bdaba0814f7f7c4b657e749792fd443b97a910ebd6ae1e",
-    64: "408d9923508c06f6b78c15b0c7df130c1a9330897b1840b33faef9c3a931fbf4",
+    32: "8a49bd8f3c556873e7093d4589f96b0bf7af1b9ee853daada839f2777f0bbca0",
+    64: "65bdb175e6bd6fe5aeaa309c760c6ef52eb701bd558cb41adc2f14f2a4ae0602",
 }
 
 
@@ -254,9 +280,9 @@ class TestCheckpointBytes:
 class TestBlasThreads:
     """Checkpoint bytes hold per BLAS build and BLAS thread count, and the
     probabilities a checkpoint predicts hold per BLAS build.  conv2d_1's
-    weight gradient, `col.T @ upstream`, sums B*H'*W' products, and OpenBLAS
-    splits that sum by thread count: on this config's 42-image bags the
-    trailing batch of 10 images rounds it differently at one and two
+    weight gradient, `col.T @ upstream`, sums the 4*B*H2*W2 rows its pool
+    reads, and OpenBLAS can split that sum by thread count: a desk-shaped
+    step at an odd batch of 7 to 63 rounds it differently at one and two
     threads.  The variable is set for the child processes only."""
 
     def child(self, cwd, threads, args):

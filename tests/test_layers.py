@@ -293,11 +293,9 @@ def reference_relu_backward(x, upstream):
 
 
 # channel counts of 8 and up run numpy's vectorised inner loop, as the desk
-# and paper nets' pools do; 1-3 channels run its short scalar loop.  The
-# pool vjp gathers its corners up to _GATHER_MAX_C channels, so the draw
-# holds that count and the next one above it.
-pool_channels = st.sampled_from(sorted({1, 2, 3, 8, 16, 32, layers._GATHER_MAX_C,
-                                        layers._GATHER_MAX_C + 1}))
+# and paper nets' pools do; 1-3 channels run its short scalar loop, and 17
+# a vectorised loop with a scalar tail.
+pool_channels = st.sampled_from([1, 2, 3, 8, 16, 17, 32])
 pool_cases = st.tuples(
     st.integers(0, 2**32 - 1),
     st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7), pool_channels),
@@ -341,8 +339,8 @@ class TestFastKernelsMatchReferences:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(32, 30, 30, 8), (32, 13, 13, 16), (5, 13, 13, 17)])
     def test_maxpool_vjp_at_the_desk_pool_shapes(self, shape, dtype):
-        # the desk net's two pools take the gathered corners; the third
-        # shape, one channel past the cutoff, the strided views
+        # the desk net's two pool shapes and one odd channel count, on the
+        # stride-2 views of a [B,H,W,C] input
         x = tie_heavy(11, shape, dtype, "signed_zeros")
         ref, ref_bwd = reference_maxpool_with_argmax(x)
         out, bwd = layers.maxpool2d_vjp(x)
@@ -368,7 +366,7 @@ class TestFastKernelsMatchReferences:
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
 
 
-# -- planar im2col: the forward-only layout for narrow inputs ----------------
+# -- planar im2col: the layout for narrow inputs -----------------------------
 
 def reference_im2col(x, kh, kw, stride):
     """Row-major im2col matrix [B*H'*W', kh*kw*C] of x [B,H,W,C], one window
@@ -429,8 +427,8 @@ class TestPlanarIm2col:
         ref = reference_conv(x, ks.weights, ks.bias, stride)
         vjp_out, _ = layers.conv2d_vjp(x, ks, stride)
         out = layers.conv2d_forward(x, ks, stride)
-        # the vjp keeps the row-major matrix, and its bias add is the same adds
-        assert vjp_out.dtype == ref.dtype and vjp_out.tobytes() == ref.tobytes()
+        # both kernels build the same matrix and run the same GEMM and bias adds
+        assert vjp_out.dtype == out.dtype and vjp_out.tobytes() == out.tobytes()
         assert out.dtype == ref.dtype and out.shape == ref.shape
         if x.shape[3] > layers._PLANAR_MAX_CIN:
             assert out.tobytes() == ref.tobytes()
@@ -456,30 +454,29 @@ class TestPlanarIm2col:
             assert out.tobytes() == reference_conv(x, w, ks.bias, 1).tobytes(), bsz
             assert out.tobytes() == layers.conv2d_vjp(x, ks)[0].tobytes(), bsz
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_offset_fill_at_the_desk_conv1_shape(self, rng, dtype):
-        # Cin 1 takes the offset fill; batches 1-69 include the trailing
-        # partial batches of a desk training epoch
-        for bsz in range(1, 70):
-            x = rng.normal(size=(bsz, 32, 32, 1)).astype(dtype)
-            col, dims = layers._im2col(x, 3, 3, 1)
-            ref = reference_im2col(x, 3, 3, 1)
-            assert dims == (bsz, 30, 30) and col.dtype == ref.dtype, bsz
-            assert col.shape == ref.shape and col.tobytes() == ref.tobytes(), bsz
-
-    def test_vjp_weight_gradient_uses_the_row_major_matrix(self, rng):
-        # `col.T @ up` on the planar matrix rounds differently at these
-        # batches (the trailing partial batch of a training epoch), so the
-        # vjp must keep the row-major matrix
-        w = rng.normal(size=(3, 3, 1, 8)).astype(np.float32)
-        ks = layers.ConvKernelSet(w, np.zeros(8, dtype=np.float32))
-        for bsz in range(1, 17):
-            x = rng.normal(size=(bsz, 32, 32, 1)).astype(np.float32)
-            out, bwd = layers.conv2d_vjp(x, ks)
+    @pytest.mark.parametrize("corners", [False, True])
+    @pytest.mark.parametrize("shape,cout", [((32, 32, 1), 8), ((15, 15, 8), 16)])
+    def test_vjp_dw_is_the_gemm_on_the_forward_matrix(self, rng, shape, cout, corners):
+        # the desk convs at batches 1-16 (a training epoch's trailing partial
+        # batch) and 32: dW is `col.T @ up` on the matrix the forward built,
+        # its rows in the upstream's order, planar at Cin 1 and row-major at
+        # Cin 8, and db the sequential row sum of the upstream
+        w = rng.normal(size=(3, 3, shape[2], cout)).astype(np.float32)
+        ks = layers.ConvKernelSet(w, np.zeros(cout, dtype=np.float32))
+        for bsz in (*range(1, 17), 32):
+            x = rng.normal(size=(bsz, *shape)).astype(np.float32)
+            out, bwd = layers.conv2d_vjp(x, ks, corners=corners)
             up = rng.normal(size=out.shape).astype(np.float32)
-            _, dw, _ = bwd(up, input_grad=False)
-            ref = (reference_im2col(x, 3, 3, 1).T @ up.reshape(-1, 8)).reshape(w.shape)
-            assert dw.tobytes() == ref.tobytes(), bsz
+            _, dw, db = bwd(up, input_grad=False)
+            col = reference_im2col(x, 3, 3, 1)
+            if corners:
+                side = shape[0] - 2
+                col = corner_rows(col.reshape(bsz, side, side, -1)).reshape(-1, col.shape[1])
+            if shape[2] <= layers._PLANAR_MAX_CIN:
+                col = np.ascontiguousarray(col.T).T  # the planar layout
+            up_flat = up.reshape(-1, cout)
+            assert dw.tobytes() == (col.T @ up_flat).reshape(w.shape).tobytes(), bsz
+            assert db.tobytes() == up_flat.sum(axis=0).tobytes(), bsz
 
 
 # -- pool-corner order: a conv's output rows as the next pool reads them -----
@@ -549,6 +546,23 @@ class TestCornerOrder:
         out = layers.maxpool2d_forward(corner_rows(x))
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases)
+    def test_pool_vjp_of_corner_array_equals_reference(self, case):
+        # the argmax oracle's tie rule; the gradient comes back in corner
+        # order, without the dropped rows, with the bytes of the stride-2
+        # backward (a multiply, so -0.0 off the maximum where the reference
+        # writes +0.0)
+        x = tie_heavy(*case)
+        ref, ref_bwd = reference_maxpool_with_argmax(x)
+        out, bwd = layers.maxpool2d_vjp(corner_rows(x))
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        up = tie_heavy(case[0] + 1, ref.shape, x.dtype, "signed_zeros")
+        dx, want = bwd(up), corner_rows(ref_bwd(up))
+        assert dx.dtype == want.dtype and dx.shape == want.shape
+        assert np.array_equal(dx, want)
+        assert dx.tobytes() == corner_rows(layers.maxpool2d_vjp(x)[1](up)).tobytes()
+
     def test_single_image_and_too_small_output(self, rng):
         ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
         x = rng.normal(size=(1, 7, 6, 2))
@@ -586,6 +600,32 @@ def reference_conv2d_backward(x, w, up, stride):
 # difference was 4.6e-16 of the largest |dx| (9.7e-12 relative to an element
 # that nearly cancels).  float32 gave the same bytes at every shape.
 F64_DX_TOL = 1e-13
+
+# The corner-order input gradient runs `w @ up.T` over the rows a pool
+# keeps.  Each element is the plain order's dot product, but on a small GEMM
+# (below about 1.2e5 multiply-adds) OpenBLAS 0.3.31 can round one
+# differently when the column count changes: over 6000 drawn shapes the
+# largest float32 difference was 3.5e-7 of the largest |dx|.  The desk and
+# paper conv shapes gave the same bytes.
+F32_CORNER_DX_TOL = 1e-6
+
+# At Cin <= _PLANAR_MAX_CIN the weight gradient `col.T @ up` runs on the
+# planar matrix, a contiguous [kh*kw*Cin, rows] operand, where the reference
+# has the transposed row-major one; the BLAS sums the rows in another order.
+# Over 6000 drawn shapes (OpenBLAS 0.3.31) the largest difference was
+# 1.8e-6 of the largest |dW| in float32 and 2.3e-15 in float64.
+PLANAR_DW_TOL = {np.float32: 1e-5, np.float64: 1e-13}
+
+corner_backward_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),  # batch
+    st.integers(5, 10), st.integers(5, 10),  # H and W, odd and even
+    st.integers(1, 16),  # Cin: the planar and the row-major builder
+    st.integers(1, 3), st.integers(1, 3),  # kh, kw
+    st.sampled_from([1, 2]),  # stride
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 40),  # Cout
+)
 
 backward_cases = st.tuples(
     st.integers(0, 2**32 - 1),
@@ -641,7 +681,12 @@ class TestConvBackwardMatchesReference:
         dx, dw, db = bwd(up, input_grad=input_grad)
         ref_dx, ref_dw, ref_db = reference_conv2d_backward(x, ks.weights, up, stride)
         for got, ref in ((dw, ref_dw), (db, ref_db)):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert db.tobytes() == ref_db.tobytes()
+        if cin > layers._PLANAR_MAX_CIN:
+            assert dw.tobytes() == ref_dw.tobytes()
+        else:
+            assert np.max(np.abs(dw - ref_dw)) <= PLANAR_DW_TOL[dtype] * np.max(np.abs(ref_dw))
         if not input_grad:
             assert dx is None
             return
@@ -650,6 +695,44 @@ class TestConvBackwardMatchesReference:
             assert dx.tobytes() == ref_dx.tobytes()
         else:
             assert np.max(np.abs(dx - ref_dx)) <= F64_DX_TOL * np.max(np.abs(ref_dx))
+
+    @settings(max_examples=150, deadline=None)
+    @given(corner_backward_cases)
+    def test_corner_backward_equals_plain_backward(self, case):
+        # the plain backward given the same upstream, with zeros at the rows
+        # and columns a pool drops
+        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout = case
+        x, ks = conv_case(seed, bsz, h, w, cin, kh, kw, stride, dtype, cout)
+        plain, plain_bwd = layers.conv2d_vjp(x, ks, stride)
+        out, bwd = layers.conv2d_vjp(x, ks, stride, corners=True)
+        up = np.random.default_rng(seed + 1).normal(size=plain.shape).astype(dtype)
+        up[:, 2 * (plain.shape[1] // 2) :] = 0
+        up[:, :, 2 * (plain.shape[2] // 2) :] = 0
+        assert out.shape == corner_rows(up).shape
+        dx, dw, db = bwd(corner_rows(up))
+        ref_dx, ref_dw, ref_db = plain_bwd(up)
+        assert dx.dtype == dtype and dx.shape == x.shape and dx.flags.c_contiguous
+        tol = F32_CORNER_DX_TOL if dtype == np.float32 else F64_DX_TOL
+        assert np.max(np.abs(dx - ref_dx)) <= tol * np.max(np.abs(ref_dx))
+        # the weight and bias gradients sum the kept rows in another order
+        for got, ref in ((dw, ref_dw), (db, ref_db)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-4 if dtype == np.float32 else 1e-11,
+                               atol=1e-4 if dtype == np.float32 else 1e-11)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_corner_input_gradient_bytes_at_the_desk_conv2_shape(self, rng, dtype):
+        # batches 1-32 include the trailing partial batches of a desk epoch
+        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 8, 16)).astype(dtype),
+                                  np.zeros(16, dtype))
+        for bsz in range(1, 33):
+            x = rng.normal(size=(bsz, 15, 15, 8)).astype(dtype)
+            plain, plain_bwd = layers.conv2d_vjp(x, ks)
+            up = rng.normal(size=plain.shape).astype(dtype)
+            up[:, 12:] = 0
+            up[:, :, 12:] = 0
+            _, bwd = layers.conv2d_vjp(x, ks, corners=True)
+            assert bwd(corner_rows(up))[0].tobytes() == plain_bwd(up)[0].tobytes(), bsz
 
     def test_single_sample_backward(self, rng):
         # a batch of one image, at stride 2 and Cin 3

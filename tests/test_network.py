@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baggedcnn import layers, network
+from baggedcnn import layers, network, training
 from baggedcnn.errors import BuildError, DimensionError, InputError
 from conftest import max_rel_err, numeric_grad, tie_heavy
 
@@ -226,8 +226,8 @@ class TestForwardBatch:
 
 
 class TestForwardMatchesVjp:
-    """forward_batch (planar im2col for narrow convs) gives the logits of
-    forward_vjp (row-major im2col) byte for byte on the benchmark nets."""
+    """forward_batch (the prediction path, its image layers in spans) gives
+    the logits of forward_vjp byte for byte on the benchmark nets."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("input_shape,widths", [
@@ -306,14 +306,18 @@ class TestBackwardBatch:
 
 def spec_order_vjp(m, params, batch):
     """The slow reference: every layer's vjp in spec order, relu before pool
-    as written.  Returns (logits, backward); backward(upstream) runs every
-    layer's backward in full, layer 0's input gradient included, and
-    returns the gradient dict."""
+    as written; a conv followed by a pool, with or without a relu between
+    them, returns the pool's window corners.  Returns (logits, backward);
+    backward(upstream) runs every layer's backward in full, layer 0's input
+    gradient included, and returns the gradient dict."""
     x, tape = batch, []
-    for layer, name in zip(m.layers, network.layer_names(m)):
+    kinds = [layer.kind for layer in m.layers]
+    for li, (layer, name) in enumerate(zip(m.layers, network.layer_names(m))):
         if layer.kind == "conv2d":
             ks = layers.ConvKernelSet(params[f"{name}/w"], params[f"{name}/b"])
-            x, bwd = layers.conv2d_vjp(x, ks, layer.stride)
+            after = kinds[li + 1 : li + 3]
+            corners = after[:1] == ["maxpool2d"] or after == ["relu", "maxpool2d"]
+            x, bwd = layers.conv2d_vjp(x, ks, layer.stride, corners=corners)
         elif layer.kind == "dense":
             x, bwd = layers.dense_vjp(x, params[f"{name}/w"], params[f"{name}/b"])
         else:
@@ -452,6 +456,31 @@ class TestBackwardSkipsBatchGradient:
         params = network.init_params(m, seed=0, dtype=np.float64)
         network.backward_batch(m, params, rng.normal(size=(2, 16, 16, 1)), np.ones((2, 2)))
         assert calls == [False, True]  # backward order: second conv, then the first
+
+
+class TestTrainInCornerOrder:
+    def test_desk_step_runs_every_conv_and_pool_in_corner_order(self, rng, monkeypatch):
+        # one training step of the desk net (batch 32): every conv feeds a
+        # pool, so each conv vjp builds corner rows and each pool vjp reads them
+        conv_corners, pool_ranks = [], []
+        conv2d_vjp, maxpool2d_vjp = layers.conv2d_vjp, layers.maxpool2d_vjp
+
+        def conv_spy(x, kernels, stride=1, corners=False):
+            conv_corners.append(corners)
+            return conv2d_vjp(x, kernels, stride, corners)
+
+        def pool_spy(x):
+            pool_ranks.append(x.ndim)
+            return maxpool2d_vjp(x)
+
+        monkeypatch.setattr(layers, "conv2d_vjp", conv_spy)
+        monkeypatch.setattr(layers, "maxpool2d_vjp", pool_spy)
+        m = network.build_scaled_cnn((32, 32, 1), (8, 16), 5, dense_units=64)
+        images = rng.uniform(0, 1, size=(32, 32, 32, 1)).astype(np.float32)
+        training.train_submodel(m, images, np.arange(32) % 5,
+                                training.TrainConfig(epochs=1, batch_size=32))
+        assert conv_corners == [True, True]
+        assert pool_ranks == [6, 6]
 
 
 class TestForwardChunks:
