@@ -23,7 +23,7 @@ import numpy as np
 from . import bagging, checkpoint, combiners, data, metrics, network, training
 from .errors import (BaggedCnnError, BuildError, CheckpointError, ConfigError,
                      DimensionError, FormatError, InputError, LabelError, MetricError,
-                     NumericError)
+                     NumericError, WorkerError)
 
 
 def _tuple_of(conv):
@@ -412,6 +412,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

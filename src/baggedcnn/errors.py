@@ -2,7 +2,8 @@
 
 Exit-code mapping used by the CLI: ConfigError and BuildError (a model the
 config cannot build: a layer size below 1, or widths that shrink the images
-below a kernel) -> 2, data/format errors -> 3, NumericError -> 4.
+below a kernel) -> 2, data/format errors -> 3, NumericError -> 4,
+WorkerError -> 5.
 """
 
 
@@ -50,3 +51,8 @@ class ConfigError(BaggedCnnError):
 
 class CheckpointError(BaggedCnnError):
     """A checkpoint file cannot be loaded."""
+
+
+class WorkerError(BaggedCnnError):
+    """A process training sub-models ended without a result, such as one the
+    operating system killed; the message names the sub-model."""

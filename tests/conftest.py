@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,11 @@ def tie_heavy(seed, shape, dtype, mode):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a worker process running."""
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"worker processes left running: {leaked}"

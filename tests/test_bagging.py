@@ -1,8 +1,16 @@
+import mmap
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
+
 import numpy as np
 import pytest
 
 from baggedcnn import bagging, network, training
-from baggedcnn.errors import DimensionError, InputError
+from baggedcnn.errors import DimensionError, InputError, NumericError, WorkerError
 from baggedcnn.layers import softmax
 
 
@@ -157,6 +165,234 @@ class TestTrainEnsemble:
             bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=2),
                                    training.TrainConfig(epochs=1))
         assert info.value is raised
+
+
+def force_trainers(monkeypatch, n_procs):
+    monkeypatch.setattr(bagging, "_trainer_count", lambda n_models: min(n_models, n_procs))
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of this process's BLAS thread count, restored after the test."""
+    if bagging._BLAS_THREADS is None:
+        pytest.skip("numpy's BLAS thread count cannot be set")
+    get, set_threads = bagging._BLAS_THREADS
+    before = get()
+    yield get, set_threads
+    set_threads(before)
+
+
+class TestForkedTraining:
+    """Sub-models train on forked processes with the bytes, histories and
+    errors of the serial loop."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_do_not_depend_on_process_count(self, rng, monkeypatch, blas_threads, dtype):
+        blas_threads[1](1)  # so every trainer runs at one thread, whatever P
+        x, y, model = tiny_setup(rng, n=41)  # bags of 41: batches of 16, 16 and 9
+        x = x.astype(dtype)
+        tc = training.TrainConfig(epochs=2, batch_size=16)
+        for n_models in range(1, 6):
+            bag_cfg = bagging.BaggingConfig(n_models=n_models, bagging_ratio=1.0, seed=n_models)
+            runs = []
+            for n_procs in (1, 2, 3):
+                force_trainers(monkeypatch, n_procs)
+                runs.append(bagging.train_ensemble(x, y, model, bag_cfg, tc, val=(x[:9], y[:9])))
+            (ens, assignment, hists), others = runs[0], runs[1:]
+            for ens2, assignment2, hists2 in others:
+                assert len(ens2.param_sets) == n_models
+                for params, params2 in zip(ens.param_sets, ens2.param_sets):
+                    assert list(params) == list(params2)
+                    assert all(params[k].dtype == dtype for k in params)
+                    assert all(params[k].tobytes() == params2[k].tobytes() for k in params)
+                assert hists2 == hists
+                assert all(np.array_equal(a, b) for a, b in zip(assignment.bags, assignment2.bags))
+
+    @pytest.mark.parametrize("failing", [{1, 2, 4}, {2, 3}, {4}, {0, 3}, {3}])
+    def test_lowest_failure_raises_as_in_the_serial_loop(self, rng, monkeypatch, failing):
+        seeds = {bagging.submodel_seed(0, k): k for k in range(5)}
+        train_submodel = training.train_submodel
+
+        def fail_some(model, images, labels, cfg, val=None):
+            if seeds[cfg.seed] in failing:
+                raise NumericError(f"diverged at {seeds[cfg.seed]}")
+            return train_submodel(model, images, labels, cfg, val=val)
+
+        monkeypatch.setattr(training, "train_submodel", fail_some)
+        x, y, model = tiny_setup(rng, n=20)
+        k = min(failing)
+        for n_procs in (1, 2, 3):
+            force_trainers(monkeypatch, n_procs)
+            with pytest.raises(NumericError, match=f"^sub-model {k}: diverged at {k}$"):
+                bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=5),
+                                       training.TrainConfig(epochs=1))
+
+    def test_dead_worker_names_its_sub_model(self, rng, monkeypatch):
+        parent, train_submodel = os.getpid(), training.train_submodel
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train_submodel(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_submodel", die_in_worker)
+        force_trainers(monkeypatch, 2)
+        x, y, model = tiny_setup(rng, n=20)
+        with pytest.raises(WorkerError, match="^sub-model 1: its training process ended"):
+            bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=4),
+                                   training.TrainConfig(epochs=1))
+
+    def test_worker_params_arrive_in_a_shared_mapping(self, rng, monkeypatch):
+        force_trainers(monkeypatch, 2)
+        x, y, model = tiny_setup(rng, n=20)
+        ens, _, _ = bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=2),
+                                           training.TrainConfig(epochs=1))
+        own, worker = ens.param_sets
+        assert all(a.flags.owndata for a in own.values())
+        for a in worker.values():
+            while isinstance(a, np.ndarray):
+                a = a.base
+            assert isinstance(a.obj, mmap.mmap)  # a memoryview of the mapping
+
+    # sub-model 0 trains in this process and 1 in the worker; 2 would be next here
+    @pytest.mark.parametrize("failing, seconds", [(0, {1: 30}), (1, {0: 2, 2: 30})])
+    def test_a_failure_does_not_wait_for_unneeded_training(self, rng, monkeypatch, failing,
+                                                           seconds):
+        seeds = {bagging.submodel_seed(0, k): k for k in range(4)}
+
+        def fail_or_sleep(model, images, labels, cfg, val=None):
+            k = seeds[cfg.seed]
+            if k == failing:
+                raise NumericError(f"diverged at {k}")
+            time.sleep(seconds.get(k, 0))
+            return {}, training.TrainHistory()
+
+        monkeypatch.setattr(training, "train_submodel", fail_or_sleep)
+        force_trainers(monkeypatch, 2)
+        x, y, model = tiny_setup(rng, n=20)
+        start = time.monotonic()
+        with pytest.raises(NumericError, match=f"^sub-model {failing}: diverged"):
+            bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=4),
+                                   training.TrainConfig(epochs=1))
+        assert time.monotonic() - start < 15
+
+
+class TestSharedBlasThreads:
+    """P trainers each run at max(1, t // P) of the caller's t BLAS threads,
+    and the caller gets t back, also when training raises."""
+
+    def record_threads(self, monkeypatch, get, failing=None):
+        seeds = {bagging.submodel_seed(0, k): k for k in range(5)}
+
+        def record(model, images, labels, cfg, val=None):
+            if seeds[cfg.seed] == failing:
+                raise NumericError("diverged")
+            return {"threads": np.array(get())}, training.TrainHistory()
+
+        monkeypatch.setattr(training, "train_submodel", record)
+
+    @pytest.mark.parametrize("n_procs", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 6])
+    def test_trainers_share_the_callers_threads(self, rng, monkeypatch, blas_threads,
+                                                n_procs, threads):
+        get, set_threads = blas_threads
+        set_threads(threads)
+        self.record_threads(monkeypatch, get)
+        force_trainers(monkeypatch, n_procs)
+        x, y, model = tiny_setup(rng, n=20)
+        ens, _, _ = bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=5),
+                                           training.TrainConfig(epochs=1))
+        per_trainer = threads if n_procs == 1 else max(1, threads // n_procs)
+        assert [int(p["threads"]) for p in ens.param_sets] == [per_trainer] * 5
+        assert get() == threads
+
+    @pytest.mark.parametrize("failing", [0, 1])  # in this process, in the worker
+    def test_count_restored_when_training_raises(self, rng, monkeypatch, blas_threads, failing):
+        get, set_threads = blas_threads
+        set_threads(3)
+        self.record_threads(monkeypatch, get, failing)
+        force_trainers(monkeypatch, 2)
+        x, y, model = tiny_setup(rng, n=20)
+        with pytest.raises(NumericError, match=f"^sub-model {failing}: diverged$"):
+            bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=5),
+                                   training.TrainConfig(epochs=1))
+        assert get() == 3
+
+
+class TestTrainerCount:
+    """One trainer per CPU of the affinity and of the cgroup quota, at most
+    one per sub-model."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch, tmp_path):
+        if bagging._BLAS_THREADS is None or "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("training is serial without fork or numpy's BLAS thread call")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(bagging, "_CGROUP", str(tmp_path))
+
+    def write(self, tmp_path, files):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+
+    @pytest.mark.parametrize("files, cpus", [
+        ({}, 8),
+        ({"cpu.max": "max 100000\n"}, 8),
+        ({"cpu.max": "300000 100000\n"}, 3),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "20000 100000\n"}, 1),
+        ({"cpu.max": "garbled\n"}, 8),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+    ])
+    def test_quota_caps_the_affinity(self, tmp_path, files, cpus):
+        self.write(tmp_path, files)
+        assert [bagging._trainer_count(n) for n in (1, 2, 5, 20)] == [min(n, cpus)
+                                                                      for n in (1, 2, 5, 20)]
+
+
+def running(pid):
+    """Whether process pid exists and is not a zombie (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="only Linux ends a worker with the process that forked it")
+def test_worker_ends_with_a_killed_parent():
+    script = textwrap.dedent("""
+        import os, time
+        import numpy as np
+        from baggedcnn import bagging, network, training
+        parent = os.getpid()
+
+        def wait(*args, **kwargs):
+            if os.getpid() != parent:
+                print(os.getpid(), flush=True)
+            time.sleep(60)
+
+        training.train_submodel = wait
+        bagging._trainer_count = lambda n_models: 2
+        bagging.train_ensemble(np.zeros((4, 16, 16, 1), np.float32), np.arange(4) % 2,
+                               network.build_scaled_cnn((16, 16, 1), [4], 2, dense_units=8),
+                               bagging.BaggingConfig(n_models=2), training.TrainConfig())
+    """)
+    src = os.path.dirname(os.path.dirname(bagging.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        worker = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    deadline = time.monotonic() + 10
+    while running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running(worker)
 
 
 class TestEnsemblePredictProbs:

@@ -167,6 +167,22 @@ class TestTrain:
             "numeric error: sub-model 0: non-finite value in parameter 'conv2d/w' "
             "after an Adam step"]
 
+    def test_dead_worker_fails_with_one_line(self, workspace, monkeypatch, capfd):
+        # capfd, so that anything a worker writes to stderr shows too
+        _, _, cfg_path = workspace
+        parent, train_submodel = os.getpid(), training.train_submodel
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train_submodel(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_submodel", die_in_worker)
+        monkeypatch.setattr(bagging, "_trainer_count", lambda n_models: 2)
+        assert run_cli(["--config", cfg_path, "train"]) == 5
+        assert capfd.readouterr().err == (
+            "worker error: sub-model 1: its training process ended without a result\n")
+
     def test_dataset_the_model_cannot_take(self, workspace, capsys):
         # the paper net takes 224x224x3 images; the workspace's are 16x16x1
         tmp_path_, _, cfg_path = workspace
@@ -278,12 +294,15 @@ class TestCheckpointBytes:
 
 
 class TestBlasThreads:
-    """Checkpoint bytes hold per BLAS build and BLAS thread count, and the
-    probabilities a checkpoint predicts hold per BLAS build.  conv2d_1's
-    weight gradient, `col.T @ upstream`, sums the 4*B*H2*W2 rows its pool
-    reads, and OpenBLAS can split that sum by thread count: a desk-shaped
-    step at an odd batch of 7 to 63 rounds it differently at one and two
-    threads.  The variable is set for the child processes only."""
+    """Checkpoint bytes hold per BLAS build and trainer thread count, and the
+    probabilities a checkpoint predicts hold per BLAS build.  Two sub-models
+    on two or more CPUs train on two processes at max(1, t // 2) BLAS threads
+    each, so the checkpoint is the same at t = 1 and 2.  OpenBLAS can split a
+    GEMM's sum by thread count (conv2d_1's weight gradient, at an odd batch
+    of 7 to 63 on a desk-shaped step): on this dataset (30 images per class)
+    the checkpoint differed at one and two threads while the sub-models
+    trained one after another at t threads.  The variable is set for the
+    child processes only."""
 
     def child(self, cwd, threads, args):
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -298,7 +317,7 @@ class TestBlasThreads:
         for run, threads in enumerate(("1", "2", "2")):
             cwd = tmp_path / str(run)
             cwd.mkdir()
-            data.save_container(data.synth_dataset(20, image_size=32, seed=0), cwd / "ds.bsec")
+            data.save_container(data.synth_dataset(30, image_size=32, seed=0), cwd / "ds.bsec")
             (cwd / "run.cfg").write_text(
                 "[dataset]\npath = ds.bsec\n"
                 "[model]\nwidths = 8,16\ndense_units = 64\n"
@@ -308,6 +327,8 @@ class TestBlasThreads:
             self.child(cwd, threads, ["-m", "baggedcnn.cli", "--config", "run.cfg", "train"])
             digests.append(hashlib.sha256((cwd / "out" / "checkpoint.bin").read_bytes()).hexdigest())
         assert digests[1] == digests[2]
+        if bagging._trainer_count(2) == 2:  # else one process trains both at t threads
+            assert digests[0] == digests[1]
         predict = ("import hashlib\n"
                    "from baggedcnn import bagging, checkpoint, data\n"
                    "ensemble, _ = checkpoint.load_checkpoint('out/checkpoint.bin')\n"
