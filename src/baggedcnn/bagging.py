@@ -8,7 +8,6 @@ thread count it trained at, in whichever process it trains.
 import contextlib
 import csv
 import ctypes
-import math
 import mmap
 import multiprocessing
 import os
@@ -174,47 +173,17 @@ def _train_one(job, k):
         raise type(exc)(f"sub-model {k}: {exc}") from exc
 
 
-def _result_buffers(model, images, ks):
-    """One shared anonymous mapping per sub-model k in ks, the size of its
-    parameters, for workers forked after it to write them into.  This
-    process's resident set grows only when it reads them, so its peak does
-    not depend on whether a worker finishes during its own training, as it
-    did with parameters unpickled on arrival."""
-    count = sum(math.prod(w) + math.prod(b) for w, b in network._param_shapes(model).values())
-    return {k: mmap.mmap(-1, count * images.dtype.itemsize) for k in ks}
-
-
-def _to_buffer(params, buf):
-    """Copy params into buf and return their layout, (name, shape, dtype)
-    per array in order."""
-    layout, offset = [], 0
-    for name, a in params.items():
-        np.copyto(np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape), a)
-        layout.append((name, a.shape, a.dtype.str))
-        offset += a.nbytes
-    return layout
-
-
-def _from_buffer(layout, buf):
-    """The parameters whose layout _to_buffer returned, as arrays over buf."""
-    params, offset = {}, 0
-    for name, shape, dtype in layout:
-        params[name] = np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
-        offset += params[name].nbytes
-    return params
-
-
-_worker = None  # a forked trainer's (job, result buffers), set once by _start_worker
+_worker = None  # a forked trainer's (job, parameters to fill), set once by _start_worker
 _PR_SET_PDEATHSIG = 1
 
 
-def _start_worker(job, buffers, parent):
-    """Keep the job and the result buffers, and end this worker when the
+def _start_worker(job, shared, parent):
+    """Keep the job and the parameters to fill, and end this worker when the
     process that forked it ends: killed, it would leave the worker waiting
     for work forever.  Only Linux has the call; elsewhere the worker lives
     on."""
     global _worker
-    _worker = job, buffers
+    _worker = job, shared
     try:
         prctl = ctypes.CDLL(None).prctl
     except (AttributeError, OSError):
@@ -226,17 +195,13 @@ def _start_worker(job, buffers, parent):
 
 
 def _train_in_worker(k):
-    job, buffers = _worker
+    """Train sub-model k into the parameters the caller laid out for it, and
+    return its history."""
+    job, shared = _worker
     params, history = _train_one(job, k)
-    return _to_buffer(params, buffers[k]), history
-
-
-def _worker_result(future, k, buf):
-    try:
-        layout, history = future.result()
-    except BrokenProcessPool as exc:
-        raise WorkerError(f"sub-model {k}: its training process ended without a result") from exc
-    return _from_buffer(layout, buf), history
+    for key, a in params.items():
+        np.copyto(shared[k][key], a)
+    return history
 
 
 def _train_all(job, n_models, n_procs):
@@ -249,17 +214,23 @@ def _train_all(job, n_models, n_procs):
     if n_procs == 1:
         return [_train_one(job, k) for k in range(n_models)]
     with _shared_blas_threads(n_procs):
-        # Forked workers inherit the job and the result buffers, so only k
-        # is pickled; pickling the arrays to each worker would copy them in
-        # this process too.  The pool forks every worker before it starts
-        # its own thread, and OpenBLAS stops its threads before a fork.
+        # A worker's sub-models are laid out here over one shared anonymous
+        # mapping each (none without parameters), for the worker to fill.
+        # This process's resident set grows only when it reads them, so its
+        # peak does not depend on when a worker finishes, as it did with
+        # parameters unpickled on arrival.  Forked workers inherit the job
+        # and the mappings, so only k is pickled; pickling the arrays would
+        # copy them in this process too.  The pool forks every worker before
+        # it starts its own thread; OpenBLAS stops its threads before a fork.
         model, images = job[:2]
-        buffers = _result_buffers(model, images, [k for k in range(n_models) if k % n_procs])
+        size = network.count_params(model) * images.dtype.itemsize
+        shared = {k: network.zero_params(model, images.dtype, mmap.mmap(-1, size) if size else None)
+                  for k in range(n_models) if k % n_procs}
         pool = ProcessPoolExecutor(n_procs - 1, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_start_worker,
-                                   initargs=(job, buffers, os.getpid()))
+                                   initargs=(job, shared, os.getpid()))
         try:
-            futures = {k: pool.submit(_train_in_worker, k) for k in buffers}
+            futures = {k: pool.submit(_train_in_worker, k) for k in shared}
             own = {}
             for k in range(0, n_models, n_procs):
                 if any(j < k and f.done() and f.exception() is not None
@@ -272,7 +243,11 @@ def _train_all(job, n_models, n_procs):
                     break
             results = []
             for k in range(n_models):  # a failure raises before a sub-model that did not train
-                result = _worker_result(futures[k], k, buffers[k]) if k % n_procs else own[k]
+                try:
+                    result = (shared[k], futures[k].result()) if k % n_procs else own[k]
+                except BrokenProcessPool as exc:
+                    raise WorkerError(
+                        f"sub-model {k}: its training process ended without a result") from exc
                 if isinstance(result, Exception):
                     raise result
                 results.append(result)
@@ -292,19 +267,19 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
     Returns (EnsembleModel without combiner, BagAssignment, histories).
     The sub-models train on P = min(n_models, CPUs this process may run on)
     processes: this one trains k = 0 (mod P), P - 1 forked workers the rest,
-    and every worker has ended when this returns.  A worker's sub-models
-    come back as arrays over a shared memory mapping.  With P > 1 each
-    trainer runs at max(1, t // P) BLAS threads, t being the caller's count,
-    and sub-model k's bytes depend on that count alone, not on P; it is 1
-    with at least as many sub-models as CPUs and OpenBLAS's default t, one
-    per CPU.  With P = 1 the sub-models train one after another at t
-    threads.  When sub-models fail,
-    the lowest k raises, its library error prefixed `sub-model k:`; a worker
-    that dies raises WorkerError.
+    and every worker has ended when this returns.  Before the fork this
+    process lays out each of a worker's sub-models in the model's parameter
+    order over a shared memory mapping; the worker fills it and sends back
+    only the history, and the sub-model's arrays are views of the mapping.
+    With P > 1 each trainer runs at max(1, t // P) BLAS threads, t being
+    the caller's count, and sub-model k's bytes depend on that count alone,
+    not on P; it is 1 with at least as many sub-models as CPUs and
+    OpenBLAS's default t, one per CPU.  With P = 1 the sub-models train one
+    after another at t threads.  When sub-models fail, the lowest k raises,
+    its library error prefixed `sub-model k:`; a worker that dies raises
+    WorkerError.
     """
-    if len(labels) == 0:
-        raise InputError("dataset is empty")
-    training.check_lengths(images, labels)
+    training.check_training_set(images, labels)  # before parameters are laid out in their dtype
     assignment = assign_bags(len(labels), bagging)
     job = (model, images, np.asarray(labels), assignment.bags, train, bagging.seed, val)
     results = _train_all(job, bagging.n_models, _trainer_count(bagging.n_models))

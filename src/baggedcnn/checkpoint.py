@@ -99,10 +99,7 @@ def _check_manifest(model, n_models, manifest, header_bytes):
     if type(n_models) is not int or not 1 <= n_models <= header_bytes:
         raise CheckpointError(
             f"checkpoint holds {n_models!r} sub-models in a {header_bytes}-byte header")
-    expected = {}
-    for name, (wsh, bsh) in network._param_shapes(model).items():
-        expected[f"{name}/w"] = tuple(wsh)
-        expected[f"{name}/b"] = tuple(bsh)
+    expected = network._param_shapes(model)
     need = n_models * len(expected)
     if len(manifest) != need:
         kind = "missing" if len(manifest) < need else "extra"

@@ -7,7 +7,8 @@ value and the rule a good value keeps.  A section or key that no field names
 is refused, and `main` checks every rule before any command runs.  All
 outputs are pure functions of (config, seed, input files), so reruns are
 byte-identical.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
+Exit codes: 0 success, else the code and stderr label that the error's
+class carries (errors.py); an OSError or MemoryError is a data error, 3.
 """
 
 import argparse
@@ -21,9 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import bagging, checkpoint, combiners, data, metrics, network, training
-from .errors import (BaggedCnnError, BuildError, CheckpointError, ConfigError,
-                     DimensionError, FormatError, InputError, LabelError, MetricError,
-                     NumericError, WorkerError)
+from .errors import BaggedCnnError, ConfigError, DimensionError
 
 
 def _tuple_of(conv):
@@ -402,19 +401,12 @@ def main(argv=None):
                 return cmd_dataset_synth(cfg, args)
             return cmd_dataset_inspect(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, BuildError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, InputError, LabelError, DimensionError, CheckpointError,
-            MetricError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except WorkerError as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return 5
+    except BaggedCnnError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, MemoryError) as exc:  # e.g. an unreadable file, a model too large to allocate
+        print(f"{BaggedCnnError.label}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return BaggedCnnError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """Exception taxonomy shared by all modules.
 
-Exit-code mapping used by the CLI: ConfigError and BuildError (a model the
-config cannot build: a layer size below 1, or widths that shrink the images
-below a kernel) -> 2, data/format errors -> 3, NumericError -> 4,
-WorkerError -> 5.
+Each class carries the code the CLI exits with and the label its one
+stderr line starts with: a data error (3) unless a class says otherwise.
 """
 
 
 class BaggedCnnError(Exception):
     """Base class for all library errors."""
+
+    exit_code, label = 3, "data error"
 
 
 class DimensionError(BaggedCnnError):
@@ -22,13 +22,19 @@ class LabelError(BaggedCnnError):
 class NumericError(BaggedCnnError):
     """Non-finite values where finite ones are required."""
 
+    exit_code, label = 4, "numeric error"
+
 
 class InputError(BaggedCnnError):
     """A precondition on plain (non-shape) input values was violated."""
 
 
 class BuildError(BaggedCnnError):
-    """A model spec cannot be realized; the message names the layer."""
+    """A model spec cannot be realized; the message names the layer.  A
+    config error to the CLI: the config asks for a model that cannot be
+    built, such as widths that shrink the images below a kernel."""
+
+    exit_code, label = 2, "config error"
 
 
 class FormatError(BaggedCnnError):
@@ -48,6 +54,8 @@ class MetricError(BaggedCnnError):
 class ConfigError(BaggedCnnError):
     """A run configuration is invalid; the message names the field."""
 
+    exit_code, label = 2, "config error"
+
 
 class CheckpointError(BaggedCnnError):
     """A checkpoint file cannot be loaded."""
@@ -56,3 +64,5 @@ class CheckpointError(BaggedCnnError):
 class WorkerError(BaggedCnnError):
     """A process training sub-models ended without a result, such as one the
     operating system killed; the message names the sub-model."""
+
+    exit_code, label = 5, "worker error"

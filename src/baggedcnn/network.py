@@ -111,6 +111,8 @@ class ModelSpec:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "_rows", _walk(self))
+        if count_params(self) * 8 > np.iinfo(np.intp).max:  # numpy refuses a larger float64 array
+            raise BuildError(f"{count_params(self)} parameters are more than one array can hold")
 
 
 def _walk(model):
@@ -182,12 +184,29 @@ def build_scaled_cnn(input_shape, widths, n_classes, dense_units=64):
 
 
 def _param_shapes(model):
-    """name -> (w_shape, b_shape) for every parameterized layer."""
-    return {name: (w, w[-1:]) for name, _, _, w in model._rows if w}
+    """"name/w" and "name/b" -> shape of every parameter, in spec order: the
+    keys and order of every parameter dict."""
+    shapes = {}
+    for name, _, _, w in model._rows:
+        if w:
+            shapes[f"{name}/w"], shapes[f"{name}/b"] = w, w[-1:]
+    return shapes
 
 
 def count_params(model):
     return sum(count for _, _, count in summary_rows(model))
+
+
+def zero_params(model, dtype, buffer=None):
+    """Zeroed parameters laid out in the order of _param_shapes over one flat
+    array: a new one, or the zeroed `buffer`, which must hold
+    count_params(model) elements of dtype."""
+    flat = np.zeros(count_params(model), dtype) if buffer is None else np.frombuffer(buffer, dtype)
+    params, start = {}, 0
+    for key, shape in _param_shapes(model).items():
+        params[key] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return params
 
 
 def init_params(model, seed, dtype=np.float32):
@@ -198,16 +217,10 @@ def init_params(model, seed, dtype=np.float32):
     stack produces.
     """
     rng = np.random.default_rng(seed)
-    params = {}
-    names = list(_param_shapes(model).items())
-    for i, (name, (wsh, bsh)) in enumerate(names):
-        if i == len(names) - 1:
-            params[f"{name}/w"] = np.zeros(wsh, dtype=dtype)
-        else:
-            fan_in = int(np.prod(wsh[:-1]))
-            limit = np.sqrt(6.0 / fan_in)
-            params[f"{name}/w"] = rng.uniform(-limit, limit, size=wsh).astype(dtype)
-        params[f"{name}/b"] = np.zeros(bsh, dtype=dtype)
+    params = zero_params(model, dtype)
+    for key in [key for key in params if key.endswith("/w")][:-1]:
+        limit = np.sqrt(6.0 / math.prod(params[key].shape[:-1]))
+        params[key][...] = rng.uniform(-limit, limit, size=params[key].shape)
     return params
 
 
@@ -472,7 +485,7 @@ def shape_trace(model):
 def summary_rows(model):
     """(display name, output shape, param count) per row; relu rows are folded
     into the preceding layer so the table mirrors a framework model summary."""
-    return [(name, shape, int(np.prod(w)) + int(w[-1]) if w else 0)
+    return [(name, shape, math.prod(w) + w[-1] if w else 0)
             for name, layer, shape, w in model._rows if layer.kind != "relu"]
 
 

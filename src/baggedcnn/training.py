@@ -114,6 +114,16 @@ def check_lengths(images, labels):
         raise InputError(f"{len(images)} images but {len(labels)} labels")
 
 
+def check_training_set(images, labels):
+    """InputError unless the set is not empty, there is one label per image
+    and the images are floating point: the parameters take their dtype."""
+    if len(labels) == 0:
+        raise InputError("training set is empty")
+    check_lengths(images, labels)
+    if not np.issubdtype(images.dtype, np.floating):
+        raise InputError(f"training images must be floating point, got {images.dtype}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
@@ -174,11 +184,7 @@ def train_submodel(model, images, labels, config: TrainConfig, val=None):
     shuffling, and batching all derive from it.  The trailing partial batch
     is trained, not dropped.
     """
-    if len(labels) == 0:
-        raise InputError("training set is empty")
-    check_lengths(images, labels)
-    if not np.issubdtype(images.dtype, np.floating):
-        raise InputError(f"training images must be floating point, got {images.dtype}")
+    check_training_set(images, labels)
     labels = check_labels(labels, model.n_classes)
     params = network.init_params(model, config.seed, dtype=images.dtype)
     state = AdamState.fresh(params, config.beta1, config.beta2, config.eta, config.epsilon)

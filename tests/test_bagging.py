@@ -227,6 +227,30 @@ class TestForkedTraining:
                 bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=5),
                                        training.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("n_models", [2, 3, 4])
+    def test_a_model_without_parameters_trains_forked(self, rng, monkeypatch, n_models):
+        model = network.ModelSpec((4, 4, 1), (network.pool(), network.flat()), n_classes=4)
+        x = rng.uniform(size=(12, 4, 4, 1)).astype(np.float32)
+        y = np.arange(12) % 4
+        bag_cfg = bagging.BaggingConfig(n_models=n_models, seed=3)
+        tc = training.TrainConfig(epochs=2, batch_size=5)
+        runs = []
+        for n_procs in (1, 2, 3):
+            force_trainers(monkeypatch, n_procs)
+            runs.append(bagging.train_ensemble(x, y, model, bag_cfg, tc, val=(x[:5], y[:5])))
+        for ens, assignment, hists in runs:
+            assert ens.param_sets == [{}] * n_models
+            assert hists == runs[0][2]
+            assert all(np.array_equal(a, b) for a, b in zip(assignment.bags, runs[0][1].bags))
+
+    def test_non_floating_images_refused_before_training(self, rng, monkeypatch):
+        force_trainers(monkeypatch, 2)
+        x, y, model = tiny_setup(rng, n=20)
+        for images in (x.astype(np.uint8), x.astype(object)):
+            with pytest.raises(InputError, match="^training images must be floating point"):
+                bagging.train_ensemble(images, y, model, bagging.BaggingConfig(n_models=2),
+                                       training.TrainConfig(epochs=1))
+
     def test_dead_worker_names_its_sub_model(self, rng, monkeypatch):
         parent, train_submodel = os.getpid(), training.train_submodel
 
@@ -287,7 +311,7 @@ class TestSharedBlasThreads:
         def record(model, images, labels, cfg, val=None):
             if seeds[cfg.seed] == failing:
                 raise NumericError("diverged")
-            return {"threads": np.array(get())}, training.TrainHistory()
+            return {"dense_1/b": np.full(2, get(), np.float32)}, training.TrainHistory()
 
         monkeypatch.setattr(training, "train_submodel", record)
 
@@ -303,7 +327,7 @@ class TestSharedBlasThreads:
         ens, _, _ = bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=5),
                                            training.TrainConfig(epochs=1))
         per_trainer = threads if n_procs == 1 else max(1, threads // n_procs)
-        assert [int(p["threads"]) for p in ens.param_sets] == [per_trainer] * 5
+        assert [int(p["dense_1/b"][0]) for p in ens.param_sets] == [per_trainer] * 5
         assert get() == threads
 
     @pytest.mark.parametrize("failing", [0, 1])  # in this process, in the worker

@@ -183,6 +183,23 @@ class TestTrain:
         assert capfd.readouterr().err == (
             "worker error: sub-model 1: its training process ended without a result\n")
 
+    # 10**15 dense units need about 2**59 bytes, more than any address space
+    # holds, so the allocation fails whatever the overcommit policy; 10**20
+    # parameters are more than one numpy array can hold
+    @pytest.mark.parametrize("units,n_models,code,label", [
+        (10**15, 1, 3, "data error"), (10**15, 2, 3, "data error"),
+        (10**20, 1, 2, "config error")])
+    def test_model_too_large_to_allocate_fails_with_one_line(self, workspace, monkeypatch, capfd,
+                                                             units, n_models, code, label):
+        tmp_path_, _, cfg_path = workspace
+        cfg2 = tmp_path_ / "run9.cfg"
+        cfg2.write_text(cfg_path.read_text().replace("dense_units = 8", f"dense_units = {units}")
+                        .replace("n_models = 2", f"n_models = {n_models}"))
+        monkeypatch.setattr(bagging, "_trainer_count", lambda n: n)
+        assert run_cli(["--config", cfg2, "train"]) == code
+        err = capfd.readouterr().err
+        assert err.startswith(f"{label}: ") and len(err.splitlines()) == 1
+
     def test_dataset_the_model_cannot_take(self, workspace, capsys):
         # the paper net takes 224x224x3 images; the workspace's are 16x16x1
         tmp_path_, _, cfg_path = workspace

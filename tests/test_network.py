@@ -66,9 +66,11 @@ class TestPaperCnn:
 
     def test_param_shapes(self):
         assert network._param_shapes(network.build_paper_cnn(10)) == {
-            "conv2d": ((3, 3, 3, 32), (32,)), "conv2d_1": ((3, 3, 32, 64), (64,)),
-            "conv2d_2": ((3, 3, 64, 128), (128,)), "conv2d_3": ((3, 3, 128, 128), (128,)),
-            "dense": ((18432, 512), (512,)), "dense_1": ((512, 10), (10,))}
+            "conv2d/w": (3, 3, 3, 32), "conv2d/b": (32,),
+            "conv2d_1/w": (3, 3, 32, 64), "conv2d_1/b": (64,),
+            "conv2d_2/w": (3, 3, 64, 128), "conv2d_2/b": (128,),
+            "conv2d_3/w": (3, 3, 128, 128), "conv2d_3/b": (128,),
+            "dense/w": (18432, 512), "dense/b": (512,), "dense_1/w": (512, 10), "dense_1/b": (10,)}
 
 
 class TestScaledCnn:
@@ -123,6 +125,12 @@ class TestScaledCnn:
         with pytest.raises(BuildError) as err:
             network.ModelSpec(input_shape, spec, 2)
         assert str(err.value) == message
+
+    def test_more_parameters_than_an_array_holds(self):
+        # 67 * 2**55 + 2 float64 parameters pass 2**63 bytes; 67 * 2**50 + 2 do not
+        with pytest.raises(BuildError, match="^2413929400270585858 parameters are more than"):
+            network.ModelSpec((8, 8, 1), (network.flat(), network.dense(2**55), network.dense(2)), 2)
+        network.ModelSpec((8, 8, 1), (network.flat(), network.dense(2**50), network.dense(2)), 2)
 
     def test_empty_spec_is_a_build_error(self):
         with pytest.raises(BuildError, match=r"final layer produces \(8, 8, 1\), expected \(2,\)"):
@@ -508,8 +516,9 @@ class TestForwardChunks:
         assert network.layer_names(m) == ["max_pooling2d", "conv2d", "relu", "conv2d_1",
                                           "relu_1", "flatten", "dense", "relu_2", "dense_1"]
         assert network._param_shapes(m) == {
-            "conv2d": ((3, 3, 2, 5), (5,)), "conv2d_1": ((2, 2, 5, 4), (4,)),
-            "dense": ((8, 6), (6,)), "dense_1": ((6, 3), (3,))}
+            "conv2d/w": (3, 3, 2, 5), "conv2d/b": (5,), "conv2d_1/w": (2, 2, 5, 4),
+            "conv2d_1/b": (4,), "dense/w": (8, 6), "dense/b": (6,), "dense_1/w": (6, 3),
+            "dense_1/b": (3,)}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
