@@ -6,7 +6,6 @@ thread count it trained at, in whichever process it trains.
 """
 
 import contextlib
-import csv
 import ctypes
 import mmap
 import multiprocessing
@@ -19,7 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network, training
+from .data import write_csv
 from .errors import BaggedCnnError, InputError, WorkerError
+
+
+# BaggingConfig field -> (ok, must), as training.RULES; seed shares its rule.
+RULES = {"n_models": training.integer_at_least(1),
+         "bagging_ratio": ((lambda v, owner: 0 < v <= 1), "in (0, 1]"),
+         "seed": training.RULES["seed"]}
 
 
 @dataclass(frozen=True)
@@ -29,10 +35,7 @@ class BaggingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        training.check_integer("n_models", self.n_models, 1)
-        training.check_integer("seed", self.seed, 0)
-        if not 0 < self.bagging_ratio <= 1:
-            raise InputError("bagging_ratio must be in (0, 1]")
+        training.check_rules(self, RULES)
 
 
 def bootstrap_sample(n, ratio, rng):
@@ -42,8 +45,9 @@ def bootstrap_sample(n, ratio, rng):
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    if not 0 < ratio <= 1:
-        raise InputError("ratio must be in (0, 1]")
+    ok, must = RULES["bagging_ratio"]
+    if not ok(ratio, None):
+        raise InputError(f"ratio must be {must}, got {ratio!r}")
     size = int(round(ratio * n))
     bag = rng.integers(0, n, size=size)
     oob = np.setdiff1d(np.arange(n), bag)
@@ -58,11 +62,8 @@ class BagAssignment:
     oobs: list  # list of sorted index arrays
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["model", "sample_indices"])
-            for k, bag in enumerate(self.bags):
-                w.writerow([k, " ".join(str(i) for i in bag)])
+        write_csv(path, ["model", "sample_indices"],
+                  ([k, " ".join(str(i) for i in bag)] for k, bag in enumerate(self.bags)))
 
 
 def assign_bags(n, config: BaggingConfig):

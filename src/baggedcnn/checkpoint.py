@@ -199,11 +199,13 @@ def load_checkpoint(path):
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
         _check_manifest(model, n_models, manifest, hlen)
         _check_combiner(model, n_models, combiner, rf)
-        param_sets = [{} for _ in range(n_models)]
-        for m, name, dtype, shape in manifest:
+        # laid out as trained: the manifest lists each sub-model's arrays sorted
+        dtype = manifest[0][2] if manifest else np.float32
+        param_sets = [network.zero_params(model, dtype) for _ in range(n_models)]
+        for m, name, _, shape in manifest:
             blob = read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}",
                               CheckpointError)
-            param_sets[m][name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+            param_sets[m][name][...] = np.frombuffer(blob, dtype=dtype).reshape(shape)
     ensemble = bagging.EnsembleModel(model=model, param_sets=param_sets, combiner=combiner,
                                      forest=rf)
     return ensemble, header.get("config", {})

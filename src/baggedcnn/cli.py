@@ -13,8 +13,6 @@ class carries (errors.py); an OSError or MemoryError is a data error, 3.
 
 import argparse
 import configparser
-import csv
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -22,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import bagging, checkpoint, combiners, data, metrics, network, training
-from .errors import BaggedCnnError, ConfigError, DimensionError
+from .errors import BaggedCnnError, ConfigError, DimensionError, InputError
 
 
 def _tuple_of(conv):
@@ -52,30 +50,28 @@ def _setting(key, parse, default, rule=None):
     return field(default=default, metadata={"key": key, "parse": parse, "rule": rule})
 
 
-def _at_least(low):
-    return (lambda v, cfg: v >= low), f"at least {low}"
-
-
-def _above(low):
-    return (lambda v, cfg: low < v < math.inf), f"a finite number above {low}"
-
-
 def _one_of(*options):
     return (lambda v, cfg: v in options), "one of " + ", ".join(map(str, options))
 
 
-_BETA = (lambda v, cfg: 0 <= v < 1), "at least 0 and below 1"
+_RULES = {**training.RULES, **bagging.RULES}  # the library's rule of each field it shares
+_RATIO, _N_MODELS = _RULES["bagging_ratio"], _RULES["n_models"]
+_PARTS = ("train", "validation", "stacking", "test")  # of dataset.split
+
+
+def _needed_parts(cfg):
+    """Indices of the split parts a run needs: validation may be empty, and
+    the stacking part only feeds the forest."""
+    return (0, 3, 2) if cfg.combiner == "stacking" else (0, 3)
 
 
 def _split_ok(split, cfg):
-    # validation may be empty; the stacking part only feeds the forest
-    needed = (0, 3, 2) if cfg.combiner == "stacking" else (0, 3)
     return (len(split) == 4 and all(0 <= f <= 1 for f in split)
-            and abs(sum(split) - 1) <= 1e-9 and all(split[p] > 0 for p in needed))
+            and abs(sum(split) - 1) <= 1e-9 and all(split[p] > 0 for p in _needed_parts(cfg)))
 
 
 def _grid_ok(grid, cfg):
-    return all(0 < ratio <= 1 and n >= 1 for ratio, n in grid)
+    return all(_RATIO[0](ratio, cfg) and _N_MODELS[0](n, cfg) for ratio, n in grid)
 
 
 def _excluded_ok(excluded, cfg):
@@ -92,27 +88,26 @@ class RunConfig:
     model_size: str = _setting("model.size", str, "scaled", _one_of("paper", "scaled"))
     widths: tuple = _setting("model.widths", _tuple_of(int), (8, 16),
                              ((lambda v, cfg: all(n >= 1 for n in v)), "widths of at least 1"))
-    dense_units: int = _setting("model.dense_units", int, 64, _at_least(1))
+    dense_units: int = _setting("model.dense_units", int, 64, training.integer_at_least(1))
     n_classes: int = _setting("model.n_classes", int, 5, _one_of(2, 5))
-    n_models: int = _setting("bagging.n_models", int, 5, _at_least(1))
-    bagging_ratio: float = _setting("bagging.bagging_ratio", float, 0.7,
-                                    ((lambda v, cfg: 0 < v <= 1), "above 0 and at most 1"))
-    epochs: int = _setting("train.epochs", int, 5, _at_least(0))
-    batch_size: int = _setting("train.batch_size", int, 32, _at_least(1))
-    eta: float = _setting("train.eta", float, 0.001, _above(0))
-    beta1: float = _setting("train.beta1", float, 0.9, _BETA)
-    beta2: float = _setting("train.beta2", float, 0.999, _BETA)
-    epsilon: float = _setting("train.epsilon", float, 1e-8, _above(0))
+    n_models: int = _setting("bagging.n_models", int, 5, _N_MODELS)
+    bagging_ratio: float = _setting("bagging.bagging_ratio", float, 0.7, _RATIO)
+    epochs: int = _setting("train.epochs", int, 5, _RULES["epochs"])
+    batch_size: int = _setting("train.batch_size", int, 32, _RULES["batch_size"])
+    eta: float = _setting("train.eta", float, 0.001, _RULES["eta"])
+    beta1: float = _setting("train.beta1", float, 0.9, _RULES["beta1"])
+    beta2: float = _setting("train.beta2", float, 0.999, _RULES["beta2"])
+    epsilon: float = _setting("train.epsilon", float, 1e-8, _RULES["epsilon"])
     combiner: str = _setting("combiner.method", str, "stacking", _one_of(*combiners.COMBINERS))
-    n_trees: int = _setting("combiner.n_trees", int, 100, _at_least(1))
-    max_depth: int = _setting("combiner.max_depth", int, 12, _at_least(0))
+    n_trees: int = _setting("combiner.n_trees", int, 100, training.integer_at_least(1))
+    max_depth: int = _setting("combiner.max_depth", int, 12, training.integer_at_least(0))
     excluded_classes: tuple = _setting(
         "metrics.excluded_classes", _tuple_of(int), (),
         (_excluded_ok, "classes below model.n_classes, leaving at least one"))
     grid: tuple = _setting(  # ((ratio, n_models), ...)
         "sweep.grid", _parse_grid, (),
-        (_grid_ok, "ratio:n_models cells with ratio above 0 and at most 1, n_models at least 1"))
-    seed: int = _setting("run.seed", int, 0, _at_least(0))
+        (_grid_ok, f"ratio:n_models cells with ratio {_RATIO[1]} and n_models {_N_MODELS[1]}"))
+    seed: int = _setting("run.seed", int, 0, _RULES["seed"])
     precision: int = _setting("run.precision", int, 32, _one_of(32, 64))
     out_dir: str = _setting("run.out", str, "out",
                             ((lambda v, cfg: not os.path.isfile(v)), "a directory, not a file"))
@@ -182,17 +177,17 @@ def run_pipeline(cfg):
     """Load data, train the ensemble, fit the combiner; returns the pieces
     every command needs."""
     ds = data.load_container(cfg.dataset)
-    train_v, val_v, stack_v, test_v = data.split(ds, cfg.split, seed=cfg.seed)
+    views = train_v, val_v, stack_v, test_v = data.split(ds, cfg.split, seed=cfg.seed)
     model = build_model(cfg, ds.images.shape[1:])
     if ds.images.shape[1:] != model.input_shape:
         raise DimensionError(f"dataset images are {ds.images.shape[1:]}, but the "
                              f"{cfg.model_size} model takes {model.input_shape}")
+    for p in _needed_parts(cfg):
+        if not len(views[p]):
+            raise InputError(f"the {_PARTS[p]} part of the split of {len(ds)} images is empty")
     dtype = np.float64 if cfg.precision == 64 else np.float32  # the training dtype
-    bag_cfg = bagging.BaggingConfig(n_models=cfg.n_models,
-                                    bagging_ratio=cfg.bagging_ratio, seed=cfg.seed)
-    train_cfg = training.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                     eta=cfg.eta, beta1=cfg.beta1, beta2=cfg.beta2,
-                                     epsilon=cfg.epsilon, seed=cfg.seed)
+    bag_cfg, train_cfg = (cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+                          for cls in (bagging.BaggingConfig, training.TrainConfig))
     x_train = train_v.images.astype(dtype)
     y_train = _labels_for(train_v, cfg.n_classes)
     val = None
@@ -205,7 +200,7 @@ def run_pipeline(cfg):
         ensemble.forest = combiners.fit_stacking(
             ensemble, stack_v.images, _labels_for(stack_v, cfg.n_classes),
             n_trees=cfg.n_trees, max_depth=cfg.max_depth, seed=cfg.seed)
-    return ds, (train_v, val_v, stack_v, test_v), ensemble, assignment, histories
+    return ds, views, ensemble, assignment, histories
 
 
 def evaluate_ensemble(cfg, ensemble, view):
@@ -222,11 +217,8 @@ def evaluate_ensemble(cfg, ensemble, view):
 def write_metrics_files(out_dir, cm, cfg, extra_rows=()):
     report = metrics.metrics_report(cm, cfg.excluded_classes)
     rows = list(report.items()) + list(extra_rows)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        for k, v in rows:
-            w.writerow([k, f"{v:.6f}"])
+    data.write_csv(os.path.join(out_dir, "metrics.csv"), ["metric", "value"],
+                   ([k, f"{v:.6f}"] for k, v in rows))
     with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
         width = max(len(k) for k, _ in rows)
         for k, v in rows:
@@ -260,6 +252,8 @@ def cmd_train(cfg):
 def cmd_eval(cfg, checkpoint_path, dataset_path):
     ensemble, _ = checkpoint.load_checkpoint(checkpoint_path)
     ds = data.load_container(dataset_path)
+    if not len(ds):
+        raise InputError(f"dataset {dataset_path} holds no images")
     view = data.DatasetView(dataset=ds, indices=np.arange(len(ds)))
     cm, _, _, _ = evaluate_ensemble(cfg, ensemble, view)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -283,12 +277,8 @@ def cmd_sweep(cfg):
             rows.append((ratio, n, f"{metrics.accuracy(cm):.4f}"))
         except BaggedCnnError as exc:
             rows.append((ratio, n, f"error: {exc}"))
-    path = os.path.join(cfg.out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bagging_ratio", "n_models", "accuracy"])
-        for r in rows:
-            w.writerow(r)
+    data.write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
+                   ["bagging_ratio", "n_models", "accuracy"], rows)
     print(f"{'bagging_ratio':>13} {'n_models':>8} {'accuracy':>10}")
     for ratio, n, acc in rows:
         print(f"{ratio:>13} {n:>8} {acc:>10}")
@@ -309,12 +299,8 @@ def cmd_compare_combiners(cfg):
         cm = metrics.confusion(preds, y, ensemble.n_classes)
         p, r, f1 = metrics.micro_metrics(cm, cfg.excluded_classes)
         rows.append((method, f"{p:.4f}", f"{r:.4f}", f"{f1:.4f}"))
-    path = os.path.join(cfg.out_dir, "combiners.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "micro_precision", "micro_recall", "micro_f1"])
-        for row in rows:
-            w.writerow(row)
+    data.write_csv(os.path.join(cfg.out_dir, "combiners.csv"),
+                   ["method", "micro_precision", "micro_recall", "micro_f1"], rows)
     print(f"{'method':<10} {'micro_precision':>15} {'micro_recall':>12} {'micro_f1':>10}")
     for method, p, r, f1 in rows:
         print(f"{method:<10} {p:>15} {r:>12} {f1:>10}")
@@ -377,10 +363,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            cfg = load_run_config(args.config)
-        else:
-            cfg = RunConfig()
+        cfg = load_run_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:

@@ -8,6 +8,7 @@ Container file layout (little-endian):
   metadata.  Readers reject unknown magic or version.
 """
 
+import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -77,6 +78,12 @@ def read_exact(fh, count, what, error=FormatError):
     if not 0 <= count <= os.fstat(fh.fileno()).st_size - at:
         raise error(f"truncated file: expected {count} bytes for {what} at offset {at}")
     return fh.read(count)
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file of the header row, then rows."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def load_container(path) -> DatasetContainer:

@@ -4,13 +4,13 @@ Loss is reported as the batch mean; gradients from the network are summed
 over the batch, so the fused softmax+loss gradient is (probs - onehot)/B.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
+from .data import write_csv
 from .errors import InputError, NumericError
 from .layers import softmax
 from .metrics import check_labels
@@ -102,10 +102,26 @@ def adam_step(params, grads, state: AdamState):
     return out, state
 
 
-def check_integer(name, value, low):
-    """InputError unless value is a Python or numpy integer >= low."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
-        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+def integer_at_least(low):
+    """Rule of an integer setting: a Python or numpy integer >= low."""
+    return (lambda v, owner: isinstance(v, (int, np.integer)) and v >= low), f"an integer >= {low}"
+
+
+_POSITIVE = (lambda v, owner: 0 < v < math.inf), "a finite number above 0"  # NaN fails too
+_DECAY = (lambda v, owner: 0 <= v < 1), "in [0, 1)"
+
+# TrainConfig field -> (ok, must): ok(value, owner) is true of a good value,
+# and must says what one is.  The CLI checks its settings by the same rules.
+RULES = {"epochs": integer_at_least(0), "batch_size": integer_at_least(1), "eta": _POSITIVE,
+         "beta1": _DECAY, "beta2": _DECAY, "epsilon": _POSITIVE, "seed": integer_at_least(0)}
+
+
+def check_rules(owner, rules):
+    """InputError naming the first field of owner whose value breaks its rule."""
+    for name, (ok, must) in rules.items():
+        value = getattr(owner, name)
+        if not ok(value, owner):
+            raise InputError(f"{name} must be {must}, got {value!r}")
 
 
 def check_lengths(images, labels):
@@ -135,15 +151,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value, low in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1),
-                                 ("seed", self.seed, 0)):
-            check_integer(name, value, low)
-        for name, value in (("eta", self.eta), ("epsilon", self.epsilon)):
-            if not 0 < value < math.inf:  # NaN fails too
-                raise InputError(f"{name} must be a finite number above 0, got {value}")
-        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 <= value < 1:
-                raise InputError(f"{name} must be in [0, 1), got {value}")
+        check_rules(self, RULES)
 
 
 @dataclass
@@ -154,13 +162,10 @@ class TrainHistory:
     val_acc: list = field(default_factory=list)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-            for i in range(len(self.train_loss)):
-                vl = f"{self.val_loss[i]:.6f}" if i < len(self.val_loss) else ""
-                va = f"{self.val_acc[i]:.6f}" if i < len(self.val_acc) else ""
-                w.writerow([i + 1, f"{self.train_loss[i]:.6f}", f"{self.train_acc[i]:.6f}", vl, va])
+        columns = (self.train_loss, self.train_acc, self.val_loss, self.val_acc)
+        write_csv(path, ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
+                  ([i + 1] + [f"{c[i]:.6f}" if i < len(c) else "" for c in columns]
+                   for i in range(len(self.train_loss))))
 
 
 def evaluate(model, params, images, labels):

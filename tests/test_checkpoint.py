@@ -46,6 +46,17 @@ class TestRoundTrip:
         assert np.array_equal(combiners.combine_stacking(ens.forest, probs),
                               combiners.combine_stacking(loaded.forest, probs))
 
+    def test_params_take_the_trained_layout(self, trained, tmp_path):
+        # the manifest lists each sub-model's arrays sorted, conv2d/b first
+        ens, _ = trained
+        path = tmp_path / "ck.bin"
+        checkpoint.save_checkpoint(path, ens)
+        loaded, _ = checkpoint.load_checkpoint(path)
+        layout = list(network._param_shapes(ens.model))
+        assert layout[0] == "conv2d/w"
+        assert [list(p) for p in ens.param_sets] == [layout] * 2
+        assert [list(p) for p in loaded.param_sets] == [layout] * 2
+
     def test_params_exact(self, trained, tmp_path):
         ens, _ = trained
         path = tmp_path / "ck.bin"

@@ -1,18 +1,23 @@
 """Exit codes: the README's list matches the error classes, and the CLI
-ends every run, at and just past each config rule's boundary, with a
-documented code and at most one line on stderr."""
+ends every run, at and just past each config rule's boundary and on
+datasets at their own edges, with a documented code and at most one line
+on stderr.  The CLI checks the settings it shares with TrainConfig and
+BaggingConfig by the library's own rules."""
 
 import contextlib
 import io
+import itertools
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baggedcnn import cli, data, errors
+from baggedcnn import bagging, checkpoint, cli, data, errors, metrics, network, training
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -88,3 +93,110 @@ def test_config_edges_end_with_a_documented_code(files, fuzz):
         code = cli.main(["--config", str(config), command])
     assert code in {0, 2, 3, 4, 5}
     assert len(err.getvalue().splitlines()) == (code != 0)
+
+
+@pytest.mark.parametrize("module,owner", [(training, "TrainConfig"), (bagging, "BaggingConfig")],
+                         ids=["TrainConfig", "BaggingConfig"])
+def test_settings_carry_the_library_rules(module, owner):
+    rules = module.RULES
+    assert set(rules) == {f.name for f in fields(getattr(module, owner))}
+    run_fields = {f.name: f for f in fields(cli.RunConfig)}
+    for name, rule in rules.items():
+        assert run_fields[name].metadata["rule"] is rule, name
+
+
+def test_grid_cells_take_the_bagging_rules():
+    cells = [cell for text in EDGES["sweep.grid"] for cell in cli._parse_grid(text)]
+    ratios = {float(text) for text in EDGES["bagging.bagging_ratio"]} | {r for r, _ in cells}
+    counts = {int(text) for text in EDGES["bagging.n_models"]} | {n for _, n in cells}
+    cfg = cli.RunConfig()
+    for ratio, n in itertools.product(sorted(ratios), sorted(counts)):
+        try:
+            bagging.BaggingConfig(n_models=n, bagging_ratio=ratio)
+            accepted = True
+        except errors.InputError:
+            accepted = False
+        assert cli._grid_ok(((ratio, n),), cfg) == accepted, (ratio, n)
+
+
+def test_integer_settings_refuse_other_numbers():
+    with pytest.raises(errors.ConfigError,
+                       match=r"^field 'combiner.n_trees': must be an integer >= 1, got 2.0$"):
+        cli.validate_config(cli.RunConfig(n_trees=2.0))
+
+
+class TestDatasetEdges:
+    """CLI runs on datasets at their own edges: each ends with one documented
+    code and one stderr line, with warnings as errors."""
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+        monkeypatch.setattr(cli.bagging, "train_ensemble", refuse)
+
+    @staticmethod
+    def run(*args):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli.main([str(a) for a in args])
+        return code, err.getvalue()
+
+    @staticmethod
+    def config(tmp_path, dataset, split="0.6,0.1,0.2,0.1", method="stacking"):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[dataset]\npath = {dataset}\nsplit = {split}\n"
+                        f"[model]\nwidths = 4\ndense_units = 8\n[train]\nepochs = 1\n"
+                        f"[combiner]\nmethod = {method}\n[run]\nout = {tmp_path / 'out'}\n")
+        return path
+
+    @staticmethod
+    def container(path, n_per_class, size=16):
+        labels = np.repeat(np.arange(5), n_per_class)
+        data.save_container(data.DatasetContainer(np.full((len(labels), size, size, 1), 0.5),
+                                                  labels, metrics.binarize_labels(labels)), path)
+        return path
+
+    @pytest.mark.parametrize("n_per_class,split,method,part", [
+        (0, "0.6,0.1,0.2,0.1", "average", "train"),
+        (1, "0.6,0.1,0.2,0.1", "average", "test"),  # one image per class: [5, 0, 0, 0]
+        (1, "0.6,0.1,0.2,0.1", "stacking", "test"),
+        (2, "0.5,0,0.1,0.4", "stacking", "stacking"),  # [5, 0, 0, 5]
+    ])
+    def test_an_empty_split_part_is_refused_before_training(self, tmp_path, no_training,
+                                                            n_per_class, split, method, part):
+        dataset = self.container(tmp_path / "d.bsec", n_per_class)
+        code, err = self.run("--config", self.config(tmp_path, dataset, split, method), "train")
+        assert (code, err) == (3, f"data error: the {part} part of the split of "
+                                  f"{5 * n_per_class} images is empty\n")
+
+    def test_only_the_forest_needs_a_stacking_part(self, tmp_path, no_training):
+        dataset = self.container(tmp_path / "d.bsec", 2)
+        with pytest.raises(AssertionError, match="training started"):
+            self.run("--config", self.config(tmp_path, dataset, "0.5,0,0.1,0.4", "vote"), "train")
+
+    def test_images_too_small_for_the_model(self, tmp_path, no_training):
+        dataset = self.container(tmp_path / "d.bsec", 1, size=2)
+        code, err = self.run("--config", self.config(tmp_path, dataset), "train")
+        assert (code, err) == (2, "config error: layer 0 (conv2d): kernel (3, 3) does not fit "
+                                  "input 2x2\n")
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        model = network.build_scaled_cnn((16, 16, 1), [4], 5, dense_units=8)
+        ensemble = bagging.EnsembleModel(model=model, param_sets=[network.init_params(model, 0)],
+                                         combiner="average")
+        checkpoint.save_checkpoint(tmp_path / "ck.bin", ensemble)
+        return tmp_path / "ck.bin"
+
+    def test_eval_on_a_checkpoint_of_another_input_shape(self, tmp_path, ckpt):
+        dataset = self.container(tmp_path / "d.bsec", 1, size=24)
+        assert self.run("--out", tmp_path / "out", "eval", ckpt, dataset) == (
+            3, "data error: batch shape (5, 24, 24, 1) does not match model input (16, 16, 1)\n")
+
+    def test_eval_on_an_empty_container(self, tmp_path, ckpt):
+        dataset = self.container(tmp_path / "d.bsec", 0)
+        assert self.run("--out", tmp_path / "out", "eval", ckpt, dataset) == (
+            3, f"data error: dataset {dataset} holds no images\n")
