@@ -3,6 +3,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from baggedcnn import cli
+
 
 def numeric_grad(f, arr, h=1e-5):
     """Central finite differences of scalar f with respect to every entry of arr.
@@ -22,6 +24,14 @@ def numeric_grad(f, arr, h=1e-5):
         arr[idx] = orig
         grad[idx] = (fp - fm) / (2 * h)
     return grad
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Make any CLI run that reaches training fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(cli.bagging, "train_ensemble", refuse)
 
 
 def max_rel_err(analytic, numeric, floor=1.0):

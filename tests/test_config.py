@@ -132,13 +132,6 @@ BAD = {
 }
 
 
-@pytest.fixture
-def no_training(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("training started")
-    monkeypatch.setattr(cli.bagging, "train_ensemble", refuse)
-
-
 def _run(tmp_path, text, *args):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

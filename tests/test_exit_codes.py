@@ -129,12 +129,6 @@ class TestDatasetEdges:
     """CLI runs on datasets at their own edges: each ends with one documented
     code and one stderr line, with warnings as errors."""
 
-    @pytest.fixture
-    def no_training(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("training started")
-        monkeypatch.setattr(cli.bagging, "train_ensemble", refuse)
-
     @staticmethod
     def run(*args):
         err = io.StringIO()
