@@ -11,8 +11,10 @@ Each `*_vjp` function returns `(output, backward)` where `backward` maps an
 upstream gradient of the output's shape to gradients of the inputs, summed
 over the batch for parameter gradients.  The conv backward takes
 `input_grad=False` to skip the input gradient, which a network's first layer
-never needs.  The conv, pool and relu backward closures keep masks, indices
-and shapes rather than forward activations.
+never needs.  A conv keeps its im2col matrix only until the weight gradient,
+so the input gradient's arrays never sit beside it, and its backward runs
+once.  The pool and relu backward closures keep masks and indices rather
+than forward activations.
 
 A conv that feeds a pool builds its im2col rows in 2x2 window-corner order
 and returns [2, 2, B, H'//2, W'//2, Cout], which the pool reads as four
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, InputError, NumericError
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,10 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
     takes its output's layout; in corner order the rows a pool drops enter
     no gradient.  input_grad=False skips dInput, the costliest part of the
     backward pass, and returns None in its place.
+
+    backward runs once: it lets go of the im2col matrix, at paper conv2 the
+    largest array it holds (107 MB), as soon as it has dWeights, and a
+    second call raises InputError.
     """
     out, col = _conv_core(x, kernels, stride, corners)
     w = kernels.weights
@@ -232,12 +238,16 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
     in_shape, in_dtype, out_shape = x.shape, x.dtype, out.shape
 
     def backward(upstream, input_grad=True):
+        nonlocal col
         if upstream.shape != out_shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match forward output {out_shape}"
             )
+        if col is None:
+            raise InputError("backward already ran for this conv forward pass")
         up_flat = upstream.reshape(-1, cout)
         dw = (col.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
+        col = None  # so the input gradient's arrays never sit beside it
         db = _bias_grad(up_flat).astype(w.dtype, copy=False)
         if not input_grad:
             return None, dw, db

@@ -2,8 +2,14 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from baggedcnn import cli
+
+# A failing hypothesis test prints the @reproduce_failure blob that replays
+# it; each test keeps its own example count and deadline.
+settings.register_profile("baggedcnn", print_blob=True)
+settings.load_profile("baggedcnn")
 
 
 def numeric_grad(f, arr, h=1e-5):

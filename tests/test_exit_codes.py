@@ -143,7 +143,8 @@ class TestDatasetEdges:
         path = tmp_path / "run.cfg"
         path.write_text(f"[dataset]\npath = {dataset}\nsplit = {split}\n"
                         f"[model]\nwidths = 4\ndense_units = 8\n[train]\nepochs = 1\n"
-                        f"[combiner]\nmethod = {method}\n[run]\nout = {tmp_path / 'out'}\n")
+                        f"[combiner]\nmethod = {method}\n[run]\nout = {tmp_path / 'out'}\n"
+                        f"[sweep]\ngrid = 0.5:1,1.0:2\n")
         return path
 
     @staticmethod
@@ -153,16 +154,40 @@ class TestDatasetEdges:
                                                   labels, metrics.binarize_labels(labels)), path)
         return path
 
-    @pytest.mark.parametrize("n_per_class,split,method,part", [
+    EMPTY_PARTS = [
         (0, "0.6,0.1,0.2,0.1", "average", "train"),
         (1, "0.6,0.1,0.2,0.1", "average", "test"),  # one image per class: [5, 0, 0, 0]
         (1, "0.6,0.1,0.2,0.1", "stacking", "test"),
         (2, "0.5,0,0.1,0.4", "stacking", "stacking"),  # [5, 0, 0, 5]
-    ])
+    ]
+
+    @pytest.mark.parametrize("n_per_class,split,method,part", EMPTY_PARTS)
     def test_an_empty_split_part_is_refused_before_training(self, tmp_path, no_training,
                                                             n_per_class, split, method, part):
         dataset = self.container(tmp_path / "d.bsec", n_per_class)
         code, err = self.run("--config", self.config(tmp_path, dataset, split, method), "train")
+        assert (code, err) == (3, f"data error: the {part} part of the split of "
+                                  f"{5 * n_per_class} images is empty\n")
+
+    @pytest.mark.parametrize("n_per_class,split,method,part", EMPTY_PARTS)
+    def test_sweep_writes_an_error_row_per_cell(self, tmp_path, no_training,
+                                                n_per_class, split, method, part):
+        # a failed cell is a row of the table, not a failed run
+        dataset = self.container(tmp_path / "d.bsec", n_per_class)
+        code, err = self.run("--config", self.config(tmp_path, dataset, split, method), "sweep")
+        assert (code, err) == (0, "")
+        error = f"error: the {part} part of the split of {5 * n_per_class} images is empty"
+        assert (tmp_path / "out" / "sweep.csv").read_text() == (
+            f"bagging_ratio,n_models,accuracy\n0.5,1,{error}\n1.0,2,{error}\n")
+
+    @pytest.mark.parametrize("n_per_class,split,method,part", EMPTY_PARTS + [
+        (2, "0.5,0,0.1,0.4", "vote", "stacking"),  # the forest is fitted whatever the method
+    ])
+    def test_compare_combiners_refuses_an_empty_split_part_before_training(
+            self, tmp_path, no_training, n_per_class, split, method, part):
+        dataset = self.container(tmp_path / "d.bsec", n_per_class)
+        code, err = self.run("--config", self.config(tmp_path, dataset, split, method),
+                             "compare-combiners")
         assert (code, err) == (3, f"data error: the {part} part of the split of "
                                   f"{5 * n_per_class} images is empty\n")
 

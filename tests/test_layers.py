@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baggedcnn import layers
-from baggedcnn.errors import DimensionError, NumericError
+from baggedcnn.errors import DimensionError, InputError, NumericError
 from conftest import max_rel_err, numeric_grad, tie_heavy
 
 
@@ -119,6 +121,38 @@ class TestConvBackward:
         _, bwd = layers.conv2d_vjp(x, kernels(rng.normal(size=(3, 3, 1, 2)), np.zeros(2)))
         with pytest.raises(DimensionError, match="upstream"):
             bwd(np.zeros((1, 2, 2, 2)))
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_runs_once(self, rng, input_grad):
+        x = rng.normal(size=(1, 5, 5, 1))
+        out, bwd = layers.conv2d_vjp(x, kernels(rng.normal(size=(3, 3, 1, 2)), np.zeros(2)))
+        up = rng.normal(size=out.shape)
+        bwd(up, input_grad=input_grad)
+        with pytest.raises(InputError, match="backward already ran"):
+            bwd(up)
+
+    @pytest.mark.parametrize("corners", [False, True])
+    def test_backward_lets_go_of_im2col_before_the_input_gradient(self, rng, corners):
+        # Cin 16 and Cout 4: the im2col matrix is the largest array, and the
+        # input gradient's planes, one per kernel offset, are about its size.
+        # A backward that held the matrix (traced in `before`) beside them
+        # would rise by at least the planes' bytes.
+        x = rng.normal(size=(2, 34, 34, 16))
+        ks = kernels(rng.normal(size=(3, 3, 16, 4)), np.zeros(4))
+        tracemalloc.start()
+        try:
+            out, bwd = layers.conv2d_vjp(x, ks, corners=corners)
+            up = rng.normal(size=out.shape)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bwd(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dcol [kh, kw, Cin, B, 32, 32], or the corner planes
+        # [4, kh, kw, Cin, B, 17, 17]: 16 pool rows and a border of one
+        rows = 4 * 2 * 17 * 17 if corners else 2 * 32 * 32
+        assert peak - before < 9 * 16 * rows * x.itemsize
 
 
 class TestMaxPool:
@@ -358,10 +392,11 @@ class TestFastKernelsMatchReferences:
 
     def test_conv_backward_without_input_grad(self, rng):
         x = rng.normal(size=(2, 6, 6, 2))
-        out, bwd = layers.conv2d_vjp(x, kernels(rng.normal(size=(3, 3, 2, 4)), np.zeros(4)))
+        ks = kernels(rng.normal(size=(3, 3, 2, 4)), np.zeros(4))
+        out, bwd = layers.conv2d_vjp(x, ks)
         up = rng.normal(size=out.shape)
         dx, dw, db = bwd(up)
-        none, dw0, db0 = bwd(up, input_grad=False)
+        none, dw0, db0 = layers.conv2d_vjp(x, ks)[1](up, input_grad=False)
         assert dx.shape == x.shape and none is None
         assert np.array_equal(dw, dw0) and np.array_equal(db, db0)
 

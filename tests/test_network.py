@@ -169,6 +169,20 @@ class TestInitParams:
         b = network.init_params(m, seed=7)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_draws_are_whole_weight_draws(self, monkeypatch, dtype):
+        # chunks of 7 split every weight unevenly; whole-weight draws are the reference
+        m = network.build_scaled_cnn((16, 16, 1), [4], 3)
+        rng = np.random.default_rng(9)
+        want = network.zero_params(m, dtype)
+        for key in list(want)[:-2:2]:
+            limit = np.sqrt(6.0 / np.prod(want[key].shape[:-1]))
+            want[key][...] = rng.uniform(-limit, limit, size=want[key].shape)
+        monkeypatch.setattr(network, "_DRAW_CHUNK", 7)
+        got = network.init_params(m, seed=9, dtype=dtype)
+        assert [(k, v.tobytes()) for k, v in got.items()] == [
+            (k, v.tobytes()) for k, v in want.items()]
+
     def test_biases_zero(self):
         m = network.build_scaled_cnn((16, 16, 1), [4], 3)
         params = network.init_params(m, seed=0)
