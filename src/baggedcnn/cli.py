@@ -3,7 +3,7 @@ dataset synth / dataset inspect.
 
 Run configs are flat ``key = value`` text files with section headers (INI
 style).  Each RunConfig field names its ``section.key``, the parser of its
-value and the rule a good value keeps.  A section or key that no field names
+value and the rules a good value keeps.  A section or key that no field names
 is refused, and `main` checks every rule before any command runs.  All
 outputs are pure functions of (config, seed, input files), so reruns are
 byte-identical.
@@ -40,14 +40,14 @@ def _parse_grid(text):
     return tuple(cells)
 
 
-def _setting(key, parse, default, rule=None):
+def _setting(key, parse, default, *rules):
     """A RunConfig field read from config-file key "section.key" by parse.
 
-    rule is (ok, must): ok(value, cfg) is true of a good value, and must
-    says what one is.  A field without a rule takes any value its parser
-    gives.
+    Each rule is (ok, must): ok(value, cfg) is true of a good value, and
+    must says what one is.  A field without rules takes any value its
+    parser gives.
     """
-    return field(default=default, metadata={"key": key, "parse": parse, "rule": rule})
+    return field(default=default, metadata={"key": key, "parse": parse, "rules": rules})
 
 
 def _one_of(*options):
@@ -56,18 +56,16 @@ def _one_of(*options):
 
 _RULES = {**training.RULES, **bagging.RULES}  # the library's rule of each field it shares
 _RATIO, _N_MODELS = _RULES["bagging_ratio"], _RULES["n_models"]
-_PARTS = ("train", "validation", "stacking", "test")  # of dataset.split
 
 
 def _needed_parts(cfg):
-    """Indices of the split parts a run needs: validation may be empty, and
+    """Names of the split parts a run needs: validation may be empty, and
     the stacking part only feeds the forest."""
-    return (0, 3, 2) if cfg.combiner == "stacking" else (0, 3)
+    return ("train", "test", "stacking") if cfg.combiner == "stacking" else ("train", "test")
 
 
-def _split_ok(split, cfg):
-    return (len(split) == 4 and all(0 <= f <= 1 for f in split)
-            and abs(sum(split) - 1) <= 1e-9 and all(split[p] > 0 for p in _needed_parts(cfg)))
+_NEEDED = ((lambda v, cfg: all(getattr(data.Split(*v), part) > 0 for part in _needed_parts(cfg))),
+           "fractions with train, test and (with the stacking combiner) stacking above 0")
 
 
 def _grid_ok(grid, cfg):
@@ -81,10 +79,8 @@ def _excluded_ok(excluded, cfg):
 @dataclass
 class RunConfig:
     dataset: str = _setting("dataset.path", str, "")
-    split: tuple = _setting(
-        "dataset.split", _tuple_of(float), (0.6, 0.1, 0.2, 0.1),
-        (_split_ok, "four fractions train/val/stacking/test in [0, 1] that sum to 1, "
-                    "train, test and (with the stacking combiner) stacking above 0"))
+    split: tuple = _setting("dataset.split", _tuple_of(float), data.DEFAULT_FRACTIONS,
+                            data.FRACTIONS_RULE, _NEEDED)
     model_size: str = _setting("model.size", str, "scaled", _one_of("paper", "scaled"))
     widths: tuple = _setting("model.widths", _tuple_of(int), (8, 16),
                              ((lambda v, cfg: all(n >= 1 for n in v)), "widths of at least 1"))
@@ -145,14 +141,12 @@ def load_run_config(path):
 
 
 def validate_config(cfg):
-    """ConfigError naming the first field whose value breaks its rule."""
+    """ConfigError naming the first field whose value breaks a rule."""
     for f in fields(cfg):
-        if f.metadata["rule"] is None:
-            continue
-        ok, must = f.metadata["rule"]
         value = getattr(cfg, f.name)
-        if not ok(value, cfg):
-            raise ConfigError(f"field '{f.metadata['key']}': must be {must}, got {value!r}")
+        for ok, must in f.metadata["rules"]:
+            if not ok(value, cfg):
+                raise ConfigError(f"field '{f.metadata['key']}': must be {must}, got {value!r}")
 
 
 def config_snapshot(cfg):
@@ -177,28 +171,28 @@ def run_pipeline(cfg):
     """Load data, train the ensemble, fit the combiner; returns the pieces
     every command needs."""
     ds = data.load_container(cfg.dataset)
-    views = train_v, val_v, stack_v, test_v = data.split(ds, cfg.split, seed=cfg.seed)
+    views = data.split(ds, cfg.split, seed=cfg.seed)
     model = build_model(cfg, ds.images.shape[1:])
     if ds.images.shape[1:] != model.input_shape:
         raise DimensionError(f"dataset images are {ds.images.shape[1:]}, but the "
                              f"{cfg.model_size} model takes {model.input_shape}")
-    for p in _needed_parts(cfg):
-        if not len(views[p]):
-            raise InputError(f"the {_PARTS[p]} part of the split of {len(ds)} images is empty")
+    for part in _needed_parts(cfg):
+        if not len(getattr(views, part)):
+            raise InputError(f"the {part} part of the split of {len(ds)} images is empty")
     dtype = np.float64 if cfg.precision == 64 else np.float32  # the training dtype
     bag_cfg, train_cfg = (cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
                           for cls in (bagging.BaggingConfig, training.TrainConfig))
-    x_train = train_v.images.astype(dtype)
-    y_train = _labels_for(train_v, cfg.n_classes)
+    x_train = views.train.images.astype(dtype)
+    y_train = _labels_for(views.train, cfg.n_classes)
     val = None
-    if len(val_v):
-        val = (val_v.images.astype(dtype), _labels_for(val_v, cfg.n_classes))
+    if len(views.validation):
+        val = (views.validation.images.astype(dtype), _labels_for(views.validation, cfg.n_classes))
     ensemble, assignment, histories = bagging.train_ensemble(
         x_train, y_train, model, bag_cfg, train_cfg, val=val)
     ensemble.combiner = cfg.combiner
     if cfg.combiner == "stacking":
         ensemble.forest = combiners.fit_stacking(
-            ensemble, stack_v.images, _labels_for(stack_v, cfg.n_classes),
+            ensemble, views.stacking.images, _labels_for(views.stacking, cfg.n_classes),
             n_trees=cfg.n_trees, max_depth=cfg.max_depth, seed=cfg.seed)
     return ds, views, ensemble, assignment, histories
 
@@ -223,8 +217,8 @@ def write_metrics_files(out_dir, cm, cfg, extra_rows=()):
         width = max(len(k) for k, _ in rows)
         for k, v in rows:
             fh.write(f"{k:<{width}}  {v:.6f}\n")
-    with open(os.path.join(out_dir, "confusion.csv"), "w") as fh:
-        fh.write(metrics.confusion_csv(cm))
+    data.write_csv(os.path.join(out_dir, "confusion.csv"), ["true\\pred", *range(cm.shape[1])],
+                   ([i, *map(int, row)] for i, row in enumerate(cm)))
     with open(os.path.join(out_dir, "confusion.txt"), "w") as fh:
         fh.write(metrics.confusion_text(cm) + "\n")
     return report
@@ -233,7 +227,7 @@ def write_metrics_files(out_dir, cm, cfg, extra_rows=()):
 def cmd_train(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     _, views, ensemble, assignment, histories = run_pipeline(cfg)
-    test_v = views[3]
+    test_v = views.test
     cm, preds, _, _ = evaluate_ensemble(cfg, ensemble, test_v)
     for k, hist in enumerate(histories):
         hist.to_csv(os.path.join(cfg.out_dir, f"history_model_{k}.csv"))
@@ -268,20 +262,23 @@ def cmd_sweep(cfg):
     if not cfg.grid:
         raise ConfigError("field 'sweep.grid' is empty")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
+    rows, failures = [], []
     for ratio, n in cfg.grid:
         cell = replace(cfg, bagging_ratio=ratio, n_models=n)
         try:
             _, views, ensemble, _, _ = run_pipeline(cell)
-            cm, _, _, _ = evaluate_ensemble(cell, ensemble, views[3])
+            cm, _, _, _ = evaluate_ensemble(cell, ensemble, views.test)
             rows.append((ratio, n, f"{metrics.accuracy(cm):.4f}"))
         except BaggedCnnError as exc:
             rows.append((ratio, n, f"error: {exc}"))
+            failures.append(exc)
     data.write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
                    ["bagging_ratio", "n_models", "accuracy"], rows)
     print(f"{'bagging_ratio':>13} {'n_models':>8} {'accuracy':>10}")
     for ratio, n, acc in rows:
         print(f"{ratio:>13} {n:>8} {acc:>10}")
+    if len(failures) == len(rows):  # nothing trained: the run fails as its first cell did
+        raise failures[0]
     return 0
 
 
@@ -290,7 +287,7 @@ def cmd_compare_combiners(cfg):
     base = replace(cfg, combiner="stacking")  # fit the forest once; reuse sub-models
     validate_config(base)  # the stacking split must not be empty
     _, views, ensemble, _, _ = run_pipeline(base)
-    test_v = views[3]
+    test_v = views.test
     probs = bagging.ensemble_predict_probs(ensemble, test_v.images)
     y = _labels_for(test_v, ensemble.n_classes)
     rows = []

@@ -12,6 +12,7 @@ import csv
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,16 +196,37 @@ class DatasetView:
         return len(self.indices)
 
 
-def split(dataset: DatasetContainer, fractions=(0.6, 0.1, 0.2, 0.1), seed=0):
-    """Stratified train/val/stacking/test split as four disjoint views
-    covering the dataset."""
+class Split(NamedTuple):
+    """The four parts of a dataset split, in this order: their views, or
+    their fractions."""
+
+    train: DatasetView
+    validation: DatasetView
+    stacking: DatasetView
+    test: DatasetView
+
+
+DEFAULT_FRACTIONS = (0.6, 0.1, 0.2, 0.1)  # of train, validation, stacking, test
+
+# The split's fractions -> (ok, must), as training.RULES; the CLI's
+# dataset.split setting carries the same rule.
+FRACTIONS_RULE = ((lambda v, owner: len(v) == 4 and all(0 <= f <= 1 for f in v)  # NaN fails
+                   and abs(sum(v) - 1) <= 1e-9),
+                  "four fractions train/validation/stacking/test in [0, 1] that sum to 1")
+
+
+def split(dataset: DatasetContainer, fractions=DEFAULT_FRACTIONS, seed=0):
+    """Stratified train/validation/stacking/test split: a Split of four
+    disjoint views covering the dataset.
+
+    Each class is divided by the fractions, so a small dataset can leave a
+    part empty even at a fraction above 0; the caller decides whether an
+    empty part is an error.
+    """
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 4:
-        raise InputError("fractions must have four parts: train/val/stacking/test")
-    if not all(0 <= f <= 1 for f in fractions):  # NaN fails too
-        raise InputError(f"fractions must each be in [0, 1], got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise InputError(f"fractions must sum to 1, got {sum(fractions)}")
+    ok, must = FRACTIONS_RULE
+    if not ok(fractions, None):
+        raise InputError(f"fractions must be {must}, got {fractions}")
     rng = np.random.default_rng(seed)
     parts = [[], [], [], []]
     labels = dataset.labels_multi
@@ -224,9 +246,7 @@ def split(dataset: DatasetContainer, fractions=(0.6, 0.1, 0.2, 0.1), seed=0):
             parts[p].append(idx[lo : lo + cnt])
             lo += cnt
     views = []
-    for p, frac in enumerate(fractions):
-        idx = np.sort(np.concatenate(parts[p])) if parts[p] else np.array([], dtype=np.int64)
-        if frac > 0 and len(dataset) >= len(fractions) * 4 and len(idx) == 0:
-            raise InputError(f"split part {p} is empty despite fraction {frac}")
+    for part in parts:
+        idx = np.sort(np.concatenate(part)) if part else np.array([], dtype=np.int64)
         views.append(DatasetView(dataset=dataset, indices=idx.astype(np.int64)))
-    return tuple(views)
+    return Split(*views)

@@ -23,12 +23,12 @@ drops are never built.  Both conv kernels build the im2col matrix planar at
 Cin <= _PLANAR_MAX_CIN and row-major above it.
 
 The conv input gradient is built channel-first, one contiguous plane per
-kernel offset added into a zero-bordered buffer as one contiguous add
-(`_scatter_contiguous`, `_corner_input_grad`), then made channels-last by
-one copy.  The bias gradient is an einsum row sum in the order of
-`sum(axis=0)`.  In float32 the input gradient is the bytes of the row-major
-backward at the desk and paper conv shapes; in float64 it can round
-differently, by at most 1e-13 of its largest element.
+kernel offset added onto a channel-first buffer in (i, j) order, then made
+channels-last by one copy; in corner order each add is contiguous
+(`_corner_input_grad`).  The bias gradient is an einsum row sum in the
+order of `sum(axis=0)`.  In float32 the input gradient is the bytes of the
+row-major backward at the desk and paper conv shapes; in float64 it can
+round differently, by at most 1e-13 of its largest element.
 
 `relu` is monotone and never returns -0.0, so a relu then a max pool gives
 the bytes of the pool then the relu, backward included; a network runs
@@ -160,37 +160,16 @@ def _bias_grad(up_flat):
     return np.einsum("ij->j", up_flat)
 
 
-def _scatter_contiguous(dxc, dcol, stride):
-    """dxc [Cin, B, H, W] += each plane dcol[i, j] [Cin, B, H', W'] on the
-    stride grid at offset (i, j), in (i, j) order, each as one contiguous add.
-
-    A plane is copied onto the stride grid of a zero buffer shaped like dxc,
-    and the flat buffer adds into flat dxc at offset i*W + j.  The zeros
-    change nothing: dxc starts at +0.0 and a sum is -0.0 only when both terms
-    are.  A strided add of the plane took about 7x as long (numpy 2.4.6).
-    """
-    kh, kw, _, _, hp, wp = dcol.shape
-    width = dxc.shape[3]
-    flat = dxc.reshape(-1)
-    buf = np.zeros_like(dxc)
-    buf_flat = buf.reshape(-1)
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, :, : hp * stride : stride, : wp * stride : stride] = dcol[i, j]
-            offset = i * width + j
-            flat[offset:] += buf_flat[: flat.size - offset]
-
-
 def _corner_input_grad(w, upstream, in_shape, stride):
     """dInput [B,H,W,Cin] of a corner-order upstream [2, 2, B, H2, W2, Cout].
 
     Input row 2*stride*y + t, t = r*stride + i, takes corner row r of pool
     row y through kernel row i (and so for columns): row y + t // (2*stride)
     of phase t % (2*stride), a channel-first plane [Cin, B, hq, wq].  A GEMM
-    per corner on its upstream zero-padded to hq x wq gives planes with the
-    border that `_scatter_contiguous` copies onto, so each is one contiguous
-    add, in its (i, j) order.  At paper conv2 this took 0.6x the time of
-    four slab copies per offset onto that function's grid.
+    per corner on its upstream zero-padded to hq x wq gives planes that carry
+    a zero border, so each adds into its phase as one contiguous add, in its
+    (i, j) order.  At paper conv2 this took 0.6x the time of four slab copies
+    per offset onto a zero-bordered grid of the plain order.
     """
     kh, kw, cin, cout = w.shape
     bsz, h2, w2 = upstream.shape[2:5]
@@ -254,11 +233,14 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
         if corners:
             return _corner_input_grad(w, upstream, in_shape, stride), dw, db
         # dcol transposed: one contiguous [Cin, B, H', W'] plane per kernel
-        # offset, scattered back onto the overlapping windows of a
-        # channel-first dx in the same (i, j) order as the row-major scatter
+        # offset, added onto the overlapping windows of a channel-first dx
+        # in the same (i, j) order as the row-major scatter
         dcol = (w.reshape(kh * kw * cin, cout) @ up_flat.T).reshape(kh, kw, cin, *out_shape[:3])
+        hp, wp = out_shape[1:3]
         dxc = np.zeros((cin, *in_shape[:3]), dtype=in_dtype)
-        _scatter_contiguous(dxc, dcol, stride)
+        for i in range(kh):
+            for j in range(kw):
+                dxc[:, :, i : i + hp * stride : stride, j : j + wp * stride : stride] += dcol[i, j]
         del dcol  # so the peak is dcol + dx, not dcol + dxc + dx
         return np.ascontiguousarray(np.moveaxis(dxc, 0, 3)), dw, db
 

@@ -5,9 +5,6 @@ ratios; macro averages per-class metrics with equal weight.  0/0 ratios
 are reported as 0.
 """
 
-import csv
-import io
-
 import numpy as np
 
 from .errors import InputError, LabelError, MetricError
@@ -107,15 +104,6 @@ def confusion_text(cm):
     for i, row in enumerate(cm):
         lines.append(f"{i:>9} " + " ".join(f"{int(v):>{width}}" for v in row))
     return "\n".join(lines)
-
-
-def confusion_csv(cm):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["true\\pred"] + list(range(cm.shape[1])))
-    for i, row in enumerate(np.asarray(cm)):
-        w.writerow([i] + [int(v) for v in row])
-    return buf.getvalue()
 
 
 def metrics_report(cm, excluded_classes=()):

@@ -229,6 +229,13 @@ class TestMalformedConfig:
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+class TestMetricsFiles:
+    def test_confusion_csv(self, tmp_path):
+        cli.write_metrics_files(tmp_path, np.array([[1, 0], [0, 1]]), cli.RunConfig(n_classes=2))
+        # a header of the predicted classes, then one row per true class
+        assert (tmp_path / "confusion.csv").read_bytes() == b"true\\pred,0,1\r\n0,1,0\r\n1,0,1\r\n"
+
+
 class TestEval:
     def test_eval_deterministic(self, workspace, tmp_path):
         tmp_path_, ds_path, cfg_path = workspace

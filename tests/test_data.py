@@ -246,3 +246,10 @@ class TestSplit:
         ds = data.synth_dataset(4, seed=0)
         train, *rest = data.split(ds, (1, 0, 0, 0))
         assert len(train) == len(ds) and all(len(v) == 0 for v in rest)
+
+    def test_a_small_dataset_can_leave_a_part_empty(self):
+        # four images per class at 0.05 give validation none; the caller decides
+        views = data.split(data.synth_dataset(4, seed=0), (0.55, 0.05, 0.2, 0.2))
+        assert isinstance(views, data.Split) and views == tuple(views)
+        assert [len(v) for v in views] == [10, 0, 5, 5]
+        assert views.validation is views[1] and views.test is views[3]

@@ -102,7 +102,18 @@ def test_settings_carry_the_library_rules(module, owner):
     assert set(rules) == {f.name for f in fields(getattr(module, owner))}
     run_fields = {f.name: f for f in fields(cli.RunConfig)}
     for name, rule in rules.items():
-        assert run_fields[name].metadata["rule"] is rule, name
+        assert run_fields[name].metadata["rules"] == (rule,), name
+
+
+def test_split_setting_carries_the_data_rule():
+    # data's fraction rule first, then the CLI's needed-part clause
+    fraction_rule, needed = {f.name: f for f in fields(cli.RunConfig)}["split"].metadata["rules"]
+    assert fraction_rule is data.FRACTIONS_RULE
+    assert cli.RunConfig().split == data.DEFAULT_FRACTIONS
+    with pytest.raises(errors.ConfigError, match=r"^field 'dataset.split': must be fractions "
+                                                 r"with train, test and .* above 0, got "):
+        cli.validate_config(cli.RunConfig(split=(0.6, 0.1, 0, 0.3)))
+    assert needed[0]((0.6, 0.1, 0, 0.3), cli.RunConfig(combiner="vote"))
 
 
 def test_grid_cells_take_the_bagging_rules():
@@ -159,6 +170,7 @@ class TestDatasetEdges:
         (1, "0.6,0.1,0.2,0.1", "average", "test"),  # one image per class: [5, 0, 0, 0]
         (1, "0.6,0.1,0.2,0.1", "stacking", "test"),
         (2, "0.5,0,0.1,0.4", "stacking", "stacking"),  # [5, 0, 0, 5]
+        (4, "0.6,0.1,0.2,0.1", "average", "test"),  # [10, 5, 5, 0]
     ]
 
     @pytest.mark.parametrize("n_per_class,split,method,part", EMPTY_PARTS)
@@ -172,11 +184,13 @@ class TestDatasetEdges:
     @pytest.mark.parametrize("n_per_class,split,method,part", EMPTY_PARTS)
     def test_sweep_writes_an_error_row_per_cell(self, tmp_path, no_training,
                                                 n_per_class, split, method, part):
-        # a failed cell is a row of the table, not a failed run
+        # a failed cell is a row of the table; a sweep where no cell trained
+        # fails as its first cell did
         dataset = self.container(tmp_path / "d.bsec", n_per_class)
         code, err = self.run("--config", self.config(tmp_path, dataset, split, method), "sweep")
-        assert (code, err) == (0, "")
-        error = f"error: the {part} part of the split of {5 * n_per_class} images is empty"
+        message = f"the {part} part of the split of {5 * n_per_class} images is empty"
+        assert (code, err) == (3, f"data error: {message}\n")
+        error = f"error: {message}"
         assert (tmp_path / "out" / "sweep.csv").read_text() == (
             f"bagging_ratio,n_models,accuracy\n0.5,1,{error}\n1.0,2,{error}\n")
 
@@ -195,6 +209,12 @@ class TestDatasetEdges:
         dataset = self.container(tmp_path / "d.bsec", 2)
         with pytest.raises(AssertionError, match="training started"):
             self.run("--config", self.config(tmp_path, dataset, "0.5,0,0.1,0.4", "vote"), "train")
+
+    def test_an_empty_validation_part_is_not_refused(self, tmp_path, no_training):
+        dataset = self.container(tmp_path / "d.bsec", 4)  # [10, 0, 5, 5]
+        with pytest.raises(AssertionError, match="training started"):
+            self.run("--config", self.config(tmp_path, dataset, "0.55,0.05,0.2,0.2", "average"),
+                     "train")
 
     def test_images_too_small_for_the_model(self, tmp_path, no_training):
         dataset = self.container(tmp_path / "d.bsec", 1, size=2)

@@ -130,12 +130,6 @@ class TestRendering:
         assert "true\\pred" in text
         assert len(text.splitlines()) == 3
 
-    def test_csv(self):
-        out = metrics.confusion_csv(np.array([[1, 0], [0, 1]]))
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("true\\pred")
-        assert lines[1] == "0,1,0"
-
 
 def test_fractional_negative_label_refused():
     # the range is checked before the int64 cast, which would read -0.5 as 0

@@ -72,7 +72,7 @@ FAULTS_PER_STEP = textwrap.dedent("""
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
 def test_training_step_keeps_its_heap():
-    # at glibc's default thresholds this counted 55-82 faults a step
+    # at glibc's default thresholds this counted 1040-1500 faults a step
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
                           capture_output=True, text=True, timeout=300)
