@@ -287,6 +287,7 @@ def forward_vjp(model, params, batch):
 PREDICT_BATCH = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def predict_probs(model, param_sets, images):
     """Softmax probabilities [M, B, n_classes] of images [B,H,W,C] under each
     of a sequence of M parameter dicts, which must share one dtype.
@@ -294,7 +295,8 @@ def predict_probs(model, param_sets, images):
     The images are checked against the model input and cast to the
     parameters' dtype, which the result takes (a model without parameters
     keeps theirs, made floating).  They run PREDICT_BATCH at a time; no
-    images give [M, 0, n_classes].
+    images give [M, 0, n_classes].  Parameters large enough to overflow
+    the forward pass raise NumericError at the softmax's finiteness check.
     """
     _check_shape(model, images)
     if isinstance(param_sets, Mapping):

@@ -182,12 +182,15 @@ def evaluate(model, params, images, labels):
     return loss / n, int((probs.argmax(axis=1) == labels).sum()) / n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def train_submodel(model, images, labels, config: TrainConfig, val=None):
     """Train one CNN from scratch; returns (params, history).
 
     Fully deterministic given config.seed: initialization, per-epoch
     shuffling, and batching all derive from it.  The trailing partial batch
     is trained, not dropped.
+    Parameters large enough to overflow a forward or backward pass raise
+    NumericError at the softmax or Adam step's finiteness check.
     """
     check_training_set(images, labels)
     labels = check_labels(labels, model.n_classes)

@@ -95,6 +95,30 @@ def test_config_edges_end_with_a_documented_code(files, fuzz):
     assert len(err.getvalue().splitlines()) == (code != 0)
 
 
+@pytest.mark.parametrize("command", ["train", "sweep", "compare-combiners"])
+def test_an_overflowing_step_is_a_numeric_error(files, command):
+    # in float64 the largest eta gives finite parameters that overflow the
+    # next forward pass; that ends as a numeric error, not a warning
+    work, dataset = files
+    config = work / "overflow.cfg"
+    config.write_text(f"[dataset]\npath = {dataset}\n[model]\nwidths = 4\ndense_units = 8\n"
+                      f"[bagging]\nn_models = 2\n[train]\nepochs = 1\nbatch_size = 8\n"
+                      f"eta = 1.7976931348623157e308\n[run]\nprecision = 64\n"
+                      f"out = {work / 'overflow'}\n[sweep]\ngrid = 1:2\n")
+    code, err = TestDatasetEdges.run("--config", config, command)
+    assert (code, err) == (4, "numeric error: sub-model 0: softmax input contains "
+                              "non-finite values\n")
+
+
+def test_prediction_that_overflows_raises_a_numeric_error():
+    model = network.build_scaled_cnn((16, 16, 1), [4], 5, dense_units=8)
+    params = {k: np.full_like(v, 1e300) for k, v in network.init_params(model, 0,
+                                                                       np.float64).items()}
+    with warnings.catch_warnings(), pytest.raises(errors.NumericError, match="non-finite"):
+        warnings.simplefilter("error")
+        network.predict_probs(model, [params], np.ones((2, 16, 16, 1)))
+
+
 @pytest.mark.parametrize("module,owner", [(training, "TrainConfig"), (bagging, "BaggingConfig")],
                          ids=["TrainConfig", "BaggingConfig"])
 def test_settings_carry_the_library_rules(module, owner):
