@@ -7,6 +7,7 @@ thread count it trained at, in whichever process it trains.
 
 import contextlib
 import ctypes
+import functools
 import mmap
 import multiprocessing
 import os
@@ -116,6 +117,21 @@ def _blas_thread_calls():
 _BLAS_THREADS = _blas_thread_calls()
 
 
+def _blas_thread_shutdown():
+    """The call that ends the threads of numpy's OpenBLAS until its next
+    BLAS call, which OpenBLAS also makes before a fork; a no-op where
+    numpy's BLAS lacks it."""
+    try:
+        call = ctypes.CDLL(np._core._multiarray_umath.__file__).blas_thread_shutdown_
+    except (AttributeError, OSError):
+        return lambda: None
+    call.argtypes, call.restype = (), ctypes.c_int
+    return call
+
+
+_END_BLAS_THREADS = _blas_thread_shutdown()
+
+
 @contextlib.contextmanager
 def _shared_blas_threads(n_procs):
     """Run the block at max(1, t // n_procs) BLAS threads, t being the
@@ -174,17 +190,17 @@ def _train_one(job, k):
         raise type(exc)(f"sub-model {k}: {exc}") from exc
 
 
-_worker = None  # a forked trainer's (job, parameters to fill), set once by _start_worker
+_worker = None  # a forked trainer's state, set once by _start_worker
 _PR_SET_PDEATHSIG = 1
 
 
-def _start_worker(job, shared, parent):
-    """Keep the job and the parameters to fill, and end this worker when the
+def _start_worker(state, parent):
+    """Keep the state `run`'s remote calls read, and end this worker when the
     process that forked it ends: killed, it would leave the worker waiting
     for work forever.  Only Linux has the call; elsewhere the worker lives
     on."""
     global _worker
-    _worker = job, shared
+    _worker = state
     try:
         prctl = ctypes.CDLL(None).prctl
     except (AttributeError, OSError):
@@ -193,6 +209,117 @@ def _start_worker(job, shared, parent):
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # it ended before the call
         os._exit(1)
+
+
+def _share(fn, ks):
+    """[fn(k) for k in ks] in a worker, ending at the first k that raises,
+    whose exception takes its place.  Then the worker gives its free heap
+    pages back (glibc's malloc_trim): the caller's first write to a page
+    the two still share copies it, and the caller goes on to predict while
+    the worker waits for its next share."""
+    out = []
+    for k in ks:
+        try:
+            out.append(fn(k))
+        except Exception as exc:
+            out.append(exc)
+            break
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return out
+    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    trim(0)
+    return out
+
+
+class Trainers:
+    """The processes an ensemble trains on: this one and, once `fork` has
+    run, P - 1 forked workers.  The workers live until the block ends, so
+    work that follows training, such as growing the stacking forest's
+    trees, runs on them too without a second fork.  A block that raises
+    kills them rather than awaiting them."""
+
+    def __init__(self):
+        self.n_procs, self._pool = 1, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if self._pool is not None:
+            if kind is not None:
+                self._kill()
+            self._pool.shutdown(cancel_futures=True)
+            self.n_procs, self._pool = 1, None
+
+    def _kill(self):
+        for proc in list(self._pool._processes.values()):  # kill_workers() from Python 3.14
+            proc.kill()
+
+    def fork(self, n_procs, state):
+        """Start n_procs - 1 workers, each keeping state, which they inherit
+        rather than unpickle.  They fork at the first `run`, and with them
+        the BLAS thread count this process has then."""
+        if n_procs > 1:
+            self.n_procs = n_procs
+            self._pool = ProcessPoolExecutor(n_procs - 1,
+                                             mp_context=multiprocessing.get_context("fork"),
+                                             initializer=_start_worker,
+                                             initargs=(state, os.getpid()))
+
+    def run(self, n, local, remote, lost):
+        """[f(k) for k in range(n)]: local(k) in this process for k = 0
+        (mod P), and remote(k) on the workers for the rest, each share
+        k = j (mod P), 0 < j < P, sent as one task.  remote is pickled by
+        reference, with what it binds.  The lowest k that raises raises, as
+        in a serial loop: this process computes no k above a worker's
+        failure it has seen.  A worker that ends without its share's results
+        raises WorkerError(lost.format(k=j)) at the share's lowest k.  On
+        any failure the workers are killed."""
+        p = self.n_procs
+        if p == 1:
+            return [local(k) for k in range(n)]
+        # OpenBLAS's idle threads spin for about 0.1 s after each call, on
+        # the CPUs the workers need: after a prediction at t threads, they
+        # held a desk worker's trees to half speed.
+        _END_BLAS_THREADS()
+        futures = {j: self._pool.submit(_share, remote, range(j, n, p))
+                   for j in range(1, min(p, n))}
+        got = {}  # k -> f(k), or the exception it raised
+
+        def take(j):  # waits for share j
+            try:
+                out = futures.pop(j).result()
+            except BrokenProcessPool as exc:
+                out = [WorkerError(lost.format(k=j))]
+                out[0].__cause__ = exc
+            except Exception as exc:  # e.g. a result that does not pickle
+                out = [exc]
+            got.update(zip(range(j, n, p), out))
+
+        try:
+            for k in range(0, n, p):
+                for j in [j for j, f in futures.items() if f.done()]:
+                    take(j)
+                if any(isinstance(v, Exception) for i, v in got.items() if i < k):
+                    break  # a lower k failed, so this one is not needed
+                try:
+                    got[k] = local(k)
+                except Exception as exc:
+                    got[k] = exc
+                    break
+            results = []
+            for k in range(n):  # a failure raises before any k that was not computed
+                if k not in got:
+                    take(k % p)
+                if isinstance(got[k], Exception):
+                    raise got[k]
+                results.append(got[k])
+            return results
+        except BaseException:
+            self._kill()
+            raise
 
 
 def _train_in_worker(k):
@@ -205,13 +332,11 @@ def _train_in_worker(k):
     return history
 
 
-def _train_all(job, n_models, n_procs):
-    """Train sub-models k = 0 (mod n_procs) in this process and the rest on
-    n_procs - 1 forked workers, the caller's BLAS threads shared among them.
-    Returns (params, history) per sub-model in k order.  The lowest failing
-    k raises, as in a serial loop: this process trains no sub-model above a
-    worker's failure it has seen, and the workers are killed rather than
-    awaited."""
+def _train_all(job, n_models, trainers):
+    """(params, history) per sub-model in k order, trained on P trainers,
+    the caller's BLAS threads shared among them while they train.  The
+    lowest failing k raises, as in a serial loop."""
+    n_procs = _trainer_count(n_models)
     if n_procs == 1:
         return [_train_one(job, k) for k in range(n_models)]
     with _shared_blas_threads(n_procs):
@@ -227,49 +352,22 @@ def _train_all(job, n_models, n_procs):
         size = network.count_params(model) * images.dtype.itemsize
         shared = {k: network.zero_params(model, images.dtype, mmap.mmap(-1, size) if size else None)
                   for k in range(n_models) if k % n_procs}
-        pool = ProcessPoolExecutor(n_procs - 1, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_start_worker,
-                                   initargs=(job, shared, os.getpid()))
-        try:
-            futures = {k: pool.submit(_train_in_worker, k) for k in shared}
-            own = {}
-            for k in range(0, n_models, n_procs):
-                if any(j < k and f.done() and f.exception() is not None
-                       for j, f in futures.items()):
-                    break  # a lower sub-model failed, so this one is not needed
-                try:
-                    own[k] = _train_one(job, k)
-                except Exception as exc:
-                    own[k] = exc
-                    break
-            results = []
-            for k in range(n_models):  # a failure raises before a sub-model that did not train
-                try:
-                    result = (shared[k], futures[k].result()) if k % n_procs else own[k]
-                except BrokenProcessPool as exc:
-                    raise WorkerError(
-                        f"sub-model {k}: its training process ended without a result") from exc
-                if isinstance(result, Exception):
-                    raise result
-                results.append(result)
-            return results
-        except BaseException:
-            for proc in list(pool._processes.values()):  # kill_workers() from Python 3.14
-                proc.kill()
-            raise
-        finally:
-            pool.shutdown(cancel_futures=True)
+        trainers.fork(n_procs, (job, shared))
+        results = trainers.run(n_models, functools.partial(_train_one, job), _train_in_worker,
+                               "sub-model {k}: its training process ended without a result")
+    return [(shared[k], r) if k % n_procs else r for k, r in enumerate(results)]
 
 
 def train_ensemble(images, labels, model, bagging: BaggingConfig,
-                   train: training.TrainConfig, val=None):
+                   train: training.TrainConfig, val=None, trainers=None):
     """Train n_models sub-models on their bags.
 
     Returns (EnsembleModel without combiner, BagAssignment, histories).
     The sub-models train on P = min(n_models, CPUs this process may run on)
-    processes: this one trains k = 0 (mod P), P - 1 forked workers the rest,
-    and every worker has ended when this returns.  Before the fork this
-    process lays out each of a worker's sub-models in the model's parameter
+    processes: this one trains k = 0 (mod P), P - 1 forked workers the rest.
+    The workers are forked on trainers, a Trainers, and live until its block
+    ends; without one, they have ended when this returns.  Before the fork
+    this process lays out each of a worker's sub-models in the model's parameter
     order over a shared memory mapping; the worker fills it and sends back
     only the history, and the sub-model's arrays are views of the mapping.
     With P > 1 each trainer runs at max(1, t // P) BLAS threads, t being
@@ -283,7 +381,8 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
     training.check_training_set(images, labels)  # before parameters are laid out in their dtype
     assignment = assign_bags(len(labels), bagging)
     job = (model, images, np.asarray(labels), assignment.bags, train, bagging.seed, val)
-    results = _train_all(job, bagging.n_models, _trainer_count(bagging.n_models))
+    with Trainers() if trainers is None else contextlib.nullcontext(trainers) as trainers:
+        results = _train_all(job, bagging.n_models, trainers)
     param_sets = [params for params, _ in results]
     histories = [hist for _, hist in results]
     return EnsembleModel(model=model, param_sets=param_sets), assignment, histories

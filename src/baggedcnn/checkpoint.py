@@ -9,8 +9,10 @@ the combiner, the forest and the parameter names, shapes and dtypes against
 the model.
 """
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -138,6 +140,10 @@ def _check_combiner(model, n_models, combiner, rf):
 
 
 def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
+    """Write the checkpoint to a temporary file beside path and rename it
+    into place, so a write that fails leaves any earlier file at path whole
+    (a killed writer leaves its temporary file behind).  No fsync: this
+    guards against a failing writer, not a power cut."""
     manifest = []
     blobs = []
     for m, params in enumerate(ensemble.param_sets):
@@ -159,12 +165,19 @@ def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
         "arrays": manifest,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename cannot cross devices
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(payload)))
+            fh.write(payload)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -14,6 +14,7 @@ class carries (errors.py); an OSError or MemoryError is a data error, 3.
 import argparse
 import configparser
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -187,13 +188,14 @@ def run_pipeline(cfg):
     val = None
     if len(views.validation):
         val = (views.validation.images.astype(dtype), _labels_for(views.validation, cfg.n_classes))
-    ensemble, assignment, histories = bagging.train_ensemble(
-        x_train, y_train, model, bag_cfg, train_cfg, val=val)
-    ensemble.combiner = cfg.combiner
-    if cfg.combiner == "stacking":
-        ensemble.forest = combiners.fit_stacking(
-            ensemble, views.stacking.images, _labels_for(views.stacking, cfg.n_classes),
-            n_trees=cfg.n_trees, max_depth=cfg.max_depth, seed=cfg.seed)
+    with bagging.Trainers() as trainers:  # forked once, for training and the forest's trees
+        ensemble, assignment, histories = bagging.train_ensemble(
+            x_train, y_train, model, bag_cfg, train_cfg, val=val, trainers=trainers)
+        ensemble.combiner = cfg.combiner
+        if cfg.combiner == "stacking":
+            ensemble.forest = combiners.fit_stacking(
+                ensemble, views.stacking.images, _labels_for(views.stacking, cfg.n_classes),
+                n_trees=cfg.n_trees, max_depth=cfg.max_depth, seed=cfg.seed, trainers=trainers)
     return ds, views, ensemble, assignment, histories
 
 
@@ -231,6 +233,10 @@ def cmd_train(cfg):
     cm, preds, _, _ = evaluate_ensemble(cfg, ensemble, test_v)
     for k, hist in enumerate(histories):
         hist.to_csv(os.path.join(cfg.out_dir, f"history_model_{k}.csv"))
+    for name in os.listdir(cfg.out_dir):  # an earlier run's sub-models above this run's
+        stale = re.fullmatch(r"history_model_(0|[1-9][0-9]*)\.csv", name)
+        if stale and int(stale[1]) >= len(histories):
+            os.remove(os.path.join(cfg.out_dir, name))
     assignment.to_csv(os.path.join(cfg.out_dir, "bags.csv"))
     # binarize_labels leaves the 0/1 predictions of a binary task unchanged
     bin_acc = float(np.mean(metrics.binarize_labels(preds) == test_v.labels_binary))

@@ -40,16 +40,17 @@ def combine_vote(probs):
 
 
 def fit_stacking(ensemble: bagging.EnsembleModel, images, labels,
-                 n_trees=100, max_depth=12, seed=0):
+                 n_trees=100, max_depth=12, seed=0, trainers=None):
     """Fit the random-forest meta-model on held-out data the sub-models
-    never trained on (prevents label leakage)."""
+    never trained on (prevents label leakage); its trees grow on trainers'
+    processes when given."""
     if len(labels) == 0:
         raise InputError("stacking split is empty")
     probs = bagging.ensemble_predict_probs(ensemble, images)
     feats = meta_features(probs)
     return forest.fit_forest(feats, np.asarray(labels), n_trees=n_trees,
                              max_depth=max_depth, seed=seed,
-                             n_classes=ensemble.n_classes)
+                             n_classes=ensemble.n_classes, trainers=trainers)
 
 
 def combine_stacking(rf: forest.RandomForest, probs):

@@ -11,6 +11,7 @@ ascending feature order, and class votes go to the lowest class index.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -76,19 +77,30 @@ def _best_split(features, labels, candidates, n_classes):
     gr = 1.0 - np.sum(pr * pr, axis=2)
     score = (nl * gl + nr * gr) / n
     score[sv[1:] <= sv[:-1]] = np.inf  # no boundary between equal values
-    flat = score.T.ravel()  # candidate-major, split position minor
-    best_score, best, start = np.inf, -1, 0
-    while True:
-        better = np.flatnonzero(flat[start:] < best_score - 1e-15)
-        if better.size == 0:
-            break
-        best = start + int(better[0])
-        best_score = flat[best]
-        start = best + 1
+    best = _first_improvement(score.T.ravel())  # candidate-major, split position minor
     if best < 0:
         return None
     f, i = divmod(best, n - 1)
     return int(candidates[f]), float((sv[i, f] + sv[i + 1, f]) / 2.0)
+
+
+def _first_improvement(flat):
+    """Index at which a scan of flat in order, keeping the first score that
+    improves on the best so far by more than 1e-15, ends; -1 if no score is
+    below inf.
+
+    Only a strict prefix minimum, a score below every score before it, can
+    pass that test: each earlier score either became the best, which only
+    falls, or failed the test against a best no lower than the current one.
+    So only those positions are scanned.
+    """
+    prior = np.minimum.accumulate(np.concatenate(([np.inf], flat))[:-1])
+    at = np.flatnonzero(flat < prior)
+    best, best_score = -1, np.inf
+    for i, score in zip(at.tolist(), flat[at].tolist()):
+        if score < best_score - 1e-15:
+            best, best_score = i, score
+    return best
 
 
 def _grow(features, labels, n_classes, max_depth, n_candidates, rng, nodes, depth):
@@ -151,12 +163,32 @@ class RandomForest:
         return plurality(label[node], self.n_classes)
 
 
+def _grow_tree(features, labels, n_classes, max_depth, n_candidates, bootstrap, seed, k):
+    """Tree k of a forest, seeded by (seed, k) alone."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+    if bootstrap:
+        rows = rng.integers(0, len(labels), size=len(labels))
+    else:
+        rows = np.arange(len(labels))
+    nodes = []
+    _grow(features[rows], labels[rows], n_classes, max_depth, n_candidates, rng, nodes, 0)
+    feature, threshold, left, right, label = zip(*nodes)
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        label=np.array(label, dtype=np.int64))
+
+
 def fit_forest(features, labels, n_trees=100, max_depth=12, seed=0,
-               n_candidates=None, bootstrap=True, n_classes=None):
+               n_candidates=None, bootstrap=True, n_classes=None, trainers=None):
     """Fit a forest of Gini trees.
 
     n_candidates defaults to ceil(sqrt(d)); bootstrap=False uses every row
-    once per tree (handy for oracle comparisons).
+    once per tree (handy for oracle comparisons).  With trainers (a
+    bagging.Trainers) the trees k != 0 (mod P) grow on its forked workers;
+    each tree depends on (seed, k) alone, so the forest is the same.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
@@ -172,21 +204,11 @@ def fit_forest(features, labels, n_trees=100, max_depth=12, seed=0,
     d = features.shape[1]
     if n_candidates is None:
         n_candidates = math.ceil(math.sqrt(d))
-    trees = []
-    for k in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        if bootstrap:
-            rows = rng.integers(0, len(labels), size=len(labels))
-        else:
-            rows = np.arange(len(labels))
-        nodes = []
-        _grow(features[rows], labels[rows], n_classes, max_depth, n_candidates,
-              rng, nodes, 0)
-        feature, threshold, left, right, label = zip(*nodes)
-        trees.append(DecisionTree(
-            feature=np.array(feature, dtype=np.int64),
-            threshold=np.array(threshold, dtype=np.float64),
-            left=np.array(left, dtype=np.int64),
-            right=np.array(right, dtype=np.int64),
-            label=np.array(label, dtype=np.int64)))
+    grow = functools.partial(_grow_tree, features, labels, n_classes, max_depth, n_candidates,
+                             bootstrap, seed)
+    if trainers is None:
+        trees = [grow(k) for k in range(n_trees)]
+    else:
+        trees = trainers.run(n_trees, grow, grow,
+                             "forest tree {k}: its process ended without a result")
     return RandomForest(trees=trees, n_classes=n_classes, n_features=d)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from baggedcnn import bagging, network, training
+from baggedcnn import bagging, checkpoint, forest, network, training
 from baggedcnn.errors import DimensionError, InputError, NumericError, WorkerError
 from baggedcnn.layers import softmax
 
@@ -182,6 +182,16 @@ def blas_threads():
     set_threads(before)
 
 
+def test_ending_blas_threads_keeps_their_count_and_bytes(blas_threads):
+    get, set_threads = blas_threads
+    set_threads(2)
+    a = np.random.default_rng(0).uniform(size=(300, 300))
+    before = (a @ a).tobytes()
+    bagging._END_BLAS_THREADS()
+    assert get() == 2
+    assert (a @ a).tobytes() == before
+
+
 class TestForkedTraining:
     """Sub-models train on forked processes with the bytes, histories and
     errors of the serial loop."""
@@ -341,6 +351,23 @@ class TestSharedBlasThreads:
             bagging.train_ensemble(x, y, model, bagging.BaggingConfig(n_models=5),
                                    training.TrainConfig(epochs=1))
         assert get() == 3
+
+
+class TestTreesOnTrainers:
+    """The stacking forest's trees grown on the trainers equal the serial
+    forest's, whatever P and however few trees."""
+
+    @pytest.mark.parametrize("n_procs", [1, 2, 3])
+    @pytest.mark.parametrize("n_trees", [1, 2, 7])
+    def test_forest_equals_the_serial_one(self, rng, n_procs, n_trees):
+        features = np.round(rng.uniform(size=(40, 6)), 1)
+        labels = rng.integers(0, 3, size=40)
+        kwargs = dict(n_trees=n_trees, max_depth=5, seed=8, n_classes=3)
+        serial = forest.fit_forest(features, labels, **kwargs)
+        with bagging.Trainers() as trainers:
+            trainers.fork(n_procs, None)
+            pooled = forest.fit_forest(features, labels, trainers=trainers, **kwargs)
+        assert checkpoint._forest_to_dict(pooled) == checkpoint._forest_to_dict(serial)
 
 
 class TestTrainerCount:

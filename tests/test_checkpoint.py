@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import time
 
@@ -67,6 +68,39 @@ class TestRoundTrip:
             for k in p1:
                 assert p1[k].dtype == p2[k].dtype
                 assert np.array_equal(p1[k], p2[k])
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_previous_checkpoint(self, trained, tmp_path, monkeypatch):
+        ens, _ = trained
+        path = tmp_path / "ck.bin"
+        checkpoint.save_checkpoint(path, ens)
+        before = path.read_bytes()
+
+        class FailingFile:  # fails on its third write, after the header
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        ens.combiner = "average"  # the header differs from the saved one
+        with monkeypatch.context() as patch, pytest.raises(OSError, match="disk full"):
+            patch.setattr(checkpoint, "open", lambda *a: FailingFile(open(*a)), raising=False)
+            checkpoint.save_checkpoint(path, ens)
+        assert os.listdir(tmp_path) == ["ck.bin"]
+        assert path.read_bytes() == before
+        loaded, _ = checkpoint.load_checkpoint(path)
+        assert loaded.combiner == "stacking"
 
 
 class TestFailures:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from baggedcnn import bagging, checkpoint, cli, data, network, training
+from baggedcnn import bagging, checkpoint, cli, data, forest, network, training
 
 
 @pytest.fixture
@@ -182,6 +182,51 @@ class TestTrain:
         assert run_cli(["--config", cfg_path, "train"]) == 5
         assert capfd.readouterr().err == (
             "worker error: sub-model 1: its training process ended without a result\n")
+
+    def test_dead_worker_while_growing_trees_fails_with_one_line(self, workspace, monkeypatch,
+                                                                  capfd):
+        _, _, cfg_path = workspace
+        parent, grow = os.getpid(), forest._grow
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "_grow", die_in_worker)
+        monkeypatch.setattr(bagging, "_trainer_count", lambda n_models: 2)
+        assert run_cli(["--config", cfg_path, "train"]) == 5
+        assert capfd.readouterr().err == (
+            "worker error: forest tree 1: its process ended without a result\n")
+
+    @pytest.mark.parametrize("n_procs, forks", [(1, 0), (2, 1)])
+    def test_pipeline_forks_once(self, workspace, monkeypatch, n_procs, forks):
+        # the forest's trees grow on the trainers that trained the sub-models
+        _, _, cfg_path = workspace
+        calls, fork = [], os.fork
+
+        def counted_fork():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(bagging, "_trainer_count", lambda n_models: min(n_models, n_procs))
+        cfg = cli.load_run_config(cfg_path)
+        _, _, ensemble, _, _ = cli.run_pipeline(cfg)
+        assert len(calls) == forks
+        assert len(ensemble.forest.trees) == cfg.n_trees
+
+    def test_stale_histories_removed(self, workspace, tmp_path):
+        # a 2-model run into the out dir of a 3-model run
+        _, _, cfg_path = workspace
+        three = tmp_path / "run3.cfg"
+        three.write_text(cfg_path.read_text().replace("n_models = 2", "n_models = 3"))
+        out = tmp_path / "out"
+        assert run_cli(["--config", three, "train"]) == 0
+        (out / "history_model_notes.csv").write_text("kept\n")
+        assert run_cli(["--config", cfg_path, "train"]) == 0
+        assert sorted(p.name for p in out.glob("history_model_*.csv")) == [
+            "history_model_0.csv", "history_model_1.csv", "history_model_notes.csv"]
 
     # 10**15 dense units need about 2**59 bytes, more than any address space
     # holds, so the allocation fails whatever the overcommit policy; 10**20

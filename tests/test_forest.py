@@ -168,6 +168,37 @@ def reference_best_split(features, labels, candidates, n_classes):
     return best
 
 
+def reference_first_improvement(flat):
+    """Slow reference for forest._first_improvement: the scan that searches
+    the rest of the scores after each improvement."""
+    best_score, best, start = np.inf, -1, 0
+    while True:
+        better = np.flatnonzero(flat[start:] < best_score - 1e-15)
+        if better.size == 0:
+            break
+        best = start + int(better[0])
+        best_score = flat[best]
+        start = best + 1
+    return best
+
+
+@st.composite
+def near_tie_scores(draw):
+    """Scores a few ulps apart around a few levels, with inf gaps: steps
+    below 1e-15 pass or fail the test depending on the level."""
+    levels = draw(st.lists(st.sampled_from([0.0, 1e-16, 0.1, 0.25, 0.5, 0.75, 1.0]),
+                           min_size=1, max_size=4))
+    cells = draw(st.lists(st.tuples(st.integers(0, len(levels) - 1), st.integers(-12, 12),
+                                    st.booleans()), max_size=40))
+    flat = []
+    for level, ulps, gap in cells:
+        x = levels[level]
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, np.inf if ulps > 0 else -np.inf)
+        flat.append(np.inf if gap else x)
+    return np.array(flat, dtype=np.float64)
+
+
 def reference_predict(rf, features):
     """Slow reference for RandomForest.predict: walk each tree for each row,
     then count votes per row."""
@@ -210,6 +241,11 @@ class TestFastPaths:
         for a, b in zip(fast.trees, slow.trees):
             for field in ("feature", "threshold", "left", "right", "label"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat=near_tie_scores())
+    def test_prefix_minimum_scan_equals_the_full_scan(self, flat):
+        assert forest._first_improvement(flat) == reference_first_improvement(flat)
 
     def test_tied_scores_keep_first_improvement(self):
         # both features split the node equally well: the first candidate wins
