@@ -9,16 +9,14 @@ the combiner, the forest and the parameter names, shapes and dtypes against
 the model.
 """
 
-import contextlib
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
 from . import bagging, combiners, forest, network
-from .data import read_exact
+from .data import read_exact, replace_file
 from .errors import BaggedCnnError, CheckpointError
 
 MAGIC = b"BCKP"
@@ -140,10 +138,8 @@ def _check_combiner(model, n_models, combiner, rf):
 
 
 def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
-    """Write the checkpoint to a temporary file beside path and rename it
-    into place, so a write that fails leaves any earlier file at path whole
-    (a killed writer leaves its temporary file behind).  No fsync: this
-    guards against a failing writer, not a power cut."""
+    """Write the checkpoint with `data.replace_file`, so a write that fails
+    leaves any earlier file at path whole."""
     manifest = []
     blobs = []
     for m, params in enumerate(ensemble.param_sets):
@@ -165,19 +161,12 @@ def save_checkpoint(path, ensemble: bagging.EnsembleModel, config=None):
         "arrays": manifest,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename cannot cross devices
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(payload)))
-            fh.write(payload)
-            for blob in blobs:
-                fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with replace_file(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(payload)))
+        fh.write(payload)
+        for blob in blobs:
+            fh.write(blob)
 
 
 def load_checkpoint(path):
@@ -214,11 +203,19 @@ def load_checkpoint(path):
         _check_combiner(model, n_models, combiner, rf)
         # laid out as trained: the manifest lists each sub-model's arrays sorted
         dtype = manifest[0][2] if manifest else np.float32
-        param_sets = [network.zero_params(model, dtype) for _ in range(n_models)]
+        flats = [np.zeros(network.count_params(model), dtype) for _ in range(n_models)]
+        param_sets = [network.zero_params(model, dtype, flat) for flat in flats]
         for m, name, _, shape in manifest:
             blob = read_exact(fh, math.prod(shape) * dtype.itemsize, f"array {name}",
                               CheckpointError)
             param_sets[m][name][...] = np.frombuffer(blob, dtype=dtype).reshape(shape)
+    # prediction adds a conv's bias after its pool, which gives the conv's own
+    # sums only for finite parameters; one pass per sub-model
+    for m, flat in enumerate(flats):
+        if not np.isfinite(flat).all():
+            name = next(name for name, values in param_sets[m].items()
+                        if not np.isfinite(values).all())
+            raise CheckpointError(f"sub-model {m}: array {name} holds non-finite values")
     ensemble = bagging.EnsembleModel(model=model, param_sets=param_sets, combiner=combiner,
                                      forest=rf)
     return ensemble, header.get("config", {})

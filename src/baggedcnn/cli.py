@@ -215,13 +215,13 @@ def write_metrics_files(out_dir, cm, cfg, extra_rows=()):
     rows = list(report.items()) + list(extra_rows)
     data.write_csv(os.path.join(out_dir, "metrics.csv"), ["metric", "value"],
                    ([k, f"{v:.6f}"] for k, v in rows))
-    with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
+    with data.replace_file(os.path.join(out_dir, "metrics.txt")) as tmp, open(tmp, "w") as fh:
         width = max(len(k) for k, _ in rows)
         for k, v in rows:
             fh.write(f"{k:<{width}}  {v:.6f}\n")
     data.write_csv(os.path.join(out_dir, "confusion.csv"), ["true\\pred", *range(cm.shape[1])],
                    ([i, *map(int, row)] for i, row in enumerate(cm)))
-    with open(os.path.join(out_dir, "confusion.txt"), "w") as fh:
+    with data.replace_file(os.path.join(out_dir, "confusion.txt")) as tmp, open(tmp, "w") as fh:
         fh.write(metrics.confusion_text(cm) + "\n")
     return report
 

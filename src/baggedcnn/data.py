@@ -8,6 +8,7 @@ Container file layout (little-endian):
   metadata.  Readers reject unknown magic or version.
 """
 
+import contextlib
 import csv
 import os
 import struct
@@ -81,9 +82,26 @@ def read_exact(fh, count, what, error=FormatError):
     return fh.read(count)
 
 
+@contextlib.contextmanager
+def replace_file(path):
+    """The name of a temporary file beside path, for the block to write,
+    renamed onto path when the block ends.  A block that raises removes it
+    and leaves any earlier file at path whole; a killed writer leaves it
+    behind.  No fsync: this guards against a failing writer, not a power
+    cut."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename cannot cross devices
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path, header, rows):
-    """Write a CSV file of the header row, then rows."""
-    with open(path, "w", newline="") as fh:
+    """Write a CSV file of the header row, then rows, with `replace_file`."""
+    with replace_file(path) as tmp, open(tmp, "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
 
 

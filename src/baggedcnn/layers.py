@@ -33,6 +33,15 @@ round differently, by at most 1e-13 of its largest element.
 `relu` is monotone and never returns -0.0, so a relu then a max pool gives
 the bytes of the pool then the relu, backward included; a network runs
 the pair in the second order, its relu on a quarter of the elements.
+
+A max pool also commutes with adding one finite value per channel:
+rounding a + b never decreases as a grows, even where it overflows to
++-inf, NaN propagates either way, and -0.0 only comes from -0.0 + -0.0.
+So a forward-only pass runs a conv that feeds a pool without its bias
+(`add_bias=False`) and the pool adds it to each window's maximum, a
+quarter of the adds, with the same bytes.  Training keeps the add in the
+conv: corners that tie only once the bias is added would move the pool's
+first-maximum index, and with it the gradient.
 """
 
 from dataclasses import dataclass
@@ -109,7 +118,14 @@ def _im2col_planar(xb, kh, kw, stride, corners=False):
     return planes.reshape(kh * kw * xb.shape[3], -1).T, win.shape[:-3]
 
 
-def _conv_core(x, kernels, stride, corners):
+def _add_bias(out, bias):
+    """out [..., W, C] += bias [C] for a contiguous out, the adds run along
+    rows of W*C values rather than C."""
+    lines = out.reshape(-1, out.shape[-2] * out.shape[-1])
+    lines += np.tile(bias, out.shape[-2])
+
+
+def _conv_core(x, kernels, stride, corners, add_bias=True):
     """im2col forward of x [B,H,W,Cin] on the matrix _PLANAR_MAX_CIN picks:
     returns (out [*rows, Cout], col [rows, kh*kw*Cin])."""
     _check_batch(x, "conv input")
@@ -126,14 +142,13 @@ def _conv_core(x, kernels, stride, corners):
         _check_pool_window((x.shape[1] - kh) // stride + 1, (x.shape[2] - kw) // stride + 1)
     im2col = _im2col_planar if cin <= _PLANAR_MAX_CIN else _im2col
     col, rows = im2col(x, kh, kw, stride, corners)
-    out = col @ w.reshape(kh * kw * cin, cout)
-    # the adds of `out += b`, run along rows of W'*Cout values rather than Cout
-    lines = out.reshape(-1, rows[-1] * cout)
-    lines += np.tile(b, rows[-1])
-    return out.reshape(*rows, cout).astype(x.dtype, copy=False), col
+    out = (col @ w.reshape(kh * kw * cin, cout)).reshape(*rows, cout)
+    if add_bias:
+        _add_bias(out, b)
+    return out.astype(x.dtype, copy=False), col
 
 
-def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False):
+def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False, add_bias=True):
     """Valid cross-correlation of x [B,H,W,Cin] with kernels -> [B,H',W',Cout].
 
     With corners the output comes in the order a 2x2 max pool reads it,
@@ -141,9 +156,10 @@ def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False):
     output position (2y + r, 2x + c), and an odd last output row or column,
     which the pool drops, is never computed.  Each row holds the plain
     order's sums, its bytes at the desk and paper conv shapes; a small GEMM
-    can round a last bit differently.
+    can round a last bit differently.  add_bias=False leaves out the bias,
+    for a pool that adds it after its max (`maxpool2d_forward`).
     """
-    return _conv_core(x, kernels, stride, corners)[0]
+    return _conv_core(x, kernels, stride, corners, add_bias)[0]
 
 
 def _bias_grad(up_flat):
@@ -269,15 +285,19 @@ def _pool_corners(x):
     return [x[:, i : 2 * h2 : 2, j : 2 * w2 : 2] for i, j in _CORNERS]
 
 
-def maxpool2d_forward(x):
+def maxpool2d_forward(x, bias=None):
     """2x2/stride-2 max pooling of x [B,H,W,C]; odd trailing rows/cols
     dropped.  Also takes a conv's corner-order output [2, 2, B, H2, W2, C]
-    (`conv2d_forward` with corners), whose corners are contiguous slabs."""
+    (`conv2d_forward` with corners), whose corners are contiguous slabs.
+    A bias [C] is added to each window's maximum: a conv's, left out of its
+    output (`conv2d_forward` with add_bias=False)."""
     a, b, c, d = _pool_corners(x)
     # np.maximum returns its second argument on a tie (which only shows for
     # -0.0 against +0.0), so the earlier corner goes second throughout
     out = np.maximum(b, a)
     np.maximum(np.maximum(d, c), out, out=out)
+    if bias is not None:
+        _add_bias(out, bias)
     return out
 
 

@@ -240,9 +240,12 @@ def forward_batch(model, params, batch):
     one dtype."""
     single = isinstance(params, Mapping)
     param_sets = [params] if single else list(params)
-    _param_dtype(param_sets)
+    dtype = _param_dtype(param_sets)
     _check_batch(model, batch)
-    logits = _run_forward(model, [_steps(model, p, want_vjp=False) for p in param_sets], batch)
+    # a pool can add its conv's bias only where the conv sums in the batch's
+    # dtype: a conv's output is cast to it, and the cast would round twice
+    late_bias = dtype is None or np.result_type(batch.dtype, dtype) == batch.dtype
+    logits = _run_forward(model, [_steps(model, p, False, late_bias) for p in param_sets], batch)
     return logits[0] if single else np.stack(logits)
 
 
@@ -390,8 +393,9 @@ def _check_batch(model, batch):
         raise InputError("batch holds no images")
 
 
-def _steps(model, params, want_vjp):
-    """(parameter name prefix or None, kernel name, arguments) per layer."""
+def _steps(model, params, want_vjp, late_bias=False):
+    """(parameter name prefix or None, kernel name, arguments) per layer;
+    with late_bias, each pool after a conv adds that conv's bias."""
     steps = []
     for name, layer, _, weights in model._rows:
         kind = _LAYER_TABLE[layer.kind]
@@ -406,10 +410,17 @@ def _steps(model, params, want_vjp):
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
     # A conv whose next step is a pool returns the pool's window corners,
     # which the pool reads as contiguous slabs (and returns its gradient in).
+    # With late_bias the pool adds the conv's bias after its max, to a quarter
+    # of the elements, with the same bytes (see `layers`).  Training keeps the
+    # add in the conv: corners that tie only once it is added would move the
+    # pool's index, and so the gradient.
     for i in range(len(steps) - 1):
         (name, kernel, args), (_, after, _) = steps[i : i + 2]
         if kernel.startswith("conv2d") and after.startswith("maxpool2d"):
             steps[i] = (name, kernel, (*args, True))
+            if late_bias:
+                steps[i] = (name, kernel, (*args, True, False))
+                steps[i + 1] = (None, after, (args[0].bias,))
     return steps
 
 
@@ -430,11 +441,14 @@ def _widen(step_sets, n_wide):
     kernels side by side along Cout, in step-list order."""
     if len(step_sets) == 1:
         return step_sets[0][:n_wide]
-    # a conv step is (name, kernel name, (ConvKernelSet, stride[, corners]))
+    # a conv step is (name, kernel name, (ConvKernelSet, stride[, corners[,
+    # add_bias]])), and a pool that adds its bias (None, kernel name, (bias,))
     (name, forward, (_, *options)), *rest = step_sets[0][:n_wide]
     kernels = [steps[0][2][0] for steps in step_sets]
     wide = layers.ConvKernelSet(np.concatenate([k.weights for k in kernels], axis=3),
                                 np.concatenate([k.bias for k in kernels]))
+    if rest and rest[0][2]:
+        rest[0] = (None, rest[0][1], (wide.bias,))
     return [(name, forward, (wide, *options)), *rest]
 
 

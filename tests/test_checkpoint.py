@@ -133,6 +133,21 @@ class TestFailures:
             checkpoint.load_checkpoint(path)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["conv2d/b", "dense_1/w"])
+    def test_refused_naming_the_array(self, trained, tmp_path, value, name):
+        # prediction adds a conv's bias after its pool, which a non-finite
+        # bias could tell apart from the conv's own sums
+        ens, _ = trained
+        ens.param_sets[1][name].flat[-1] = value
+        path = tmp_path / "ck.bin"
+        checkpoint.save_checkpoint(path, ens)
+        with pytest.raises(CheckpointError,
+                           match=f"^sub-model 1: array {name} holds non-finite values$"):
+            checkpoint.load_checkpoint(path)
+
+
 def rewrite(path, edit, drop_tail=0):
     """Apply edit(header dict) to a saved checkpoint's JSON header, keeping
     the array blobs (minus drop_tail trailing bytes)."""

@@ -1,4 +1,6 @@
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +15,51 @@ def small_container(rng, n=12):
     return data.DatasetContainer(images=images, labels_multi=labels,
                                  labels_binary=(labels > 0).astype(np.uint8),
                                  metadata="test container")
+
+
+class TestReplaceFile:
+    def test_a_write_that_raises_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        data.write_csv(path, ["a", "b"], [[1, 2]])
+        before = path.read_bytes()
+
+        class Unprintable:
+            def __str__(self):
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            data.write_csv(path, ["a", "b"], [[3, 4], [5, Unprintable()]])
+        assert before == b"a,b\r\n1,2\r\n" and path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_a_file_appears_only_whole(self, tmp_path):
+        path = tmp_path / "new.txt"
+        with pytest.raises(KeyboardInterrupt):
+            with data.replace_file(path) as tmp, open(tmp, "w") as fh:
+                fh.write("part")
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == []
+        with data.replace_file(path) as tmp, open(tmp, "w") as fh:
+            fh.write("whole")
+        assert os.listdir(tmp_path) == ["new.txt"] and path.read_text() == "whole"
+
+    def test_metrics_text_files_keep_the_previous_file(self, tmp_path, monkeypatch):
+        cfg = types.SimpleNamespace(excluded_classes=())
+        cli.write_metrics_files(tmp_path, np.array([[2, 0], [1, 3]]), cfg)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        assert sorted(before) == ["confusion.csv", "confusion.txt", "metrics.csv", "metrics.txt"]
+
+        def fail(cm):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.metrics, "confusion_text", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_metrics_files(tmp_path, np.array([[3, 0], [0, 3]]), cfg)
+        after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        # every file before confusion.txt holds the new run's values
+        assert sorted(after) == sorted(before)
+        assert after["confusion.txt"] == before["confusion.txt"]
+        assert after["metrics.txt"] != before["metrics.txt"]
 
 
 class TestContainerIO:

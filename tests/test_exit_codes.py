@@ -259,6 +259,16 @@ class TestDatasetEdges:
         assert self.run("--out", tmp_path / "out", "eval", ckpt, dataset) == (
             3, "data error: batch shape (5, 24, 24, 1) does not match model input (16, 16, 1)\n")
 
+    def test_eval_on_a_checkpoint_with_a_non_finite_bias(self, tmp_path):
+        model = network.build_scaled_cnn((16, 16, 1), [4], 5, dense_units=8)
+        params = network.init_params(model, 0)
+        params["conv2d/b"][2] = np.inf
+        checkpoint.save_checkpoint(tmp_path / "ck.bin", bagging.EnsembleModel(
+            model=model, param_sets=[params], combiner="average"))
+        dataset = self.container(tmp_path / "d.bsec", 1)
+        assert self.run("--out", tmp_path / "out", "eval", tmp_path / "ck.bin", dataset) == (
+            3, "data error: sub-model 0: array conv2d/b holds non-finite values\n")
+
     def test_eval_on_an_empty_container(self, tmp_path, ckpt):
         dataset = self.container(tmp_path / "d.bsec", 0)
         assert self.run("--out", tmp_path / "out", "eval", ckpt, dataset) == (

@@ -610,6 +610,101 @@ class TestCornerOrder:
             layers.conv2d_forward(rng.normal(size=(1, 6, 3, 2)), ks, corners=True)
 
 
+# -- a conv's bias added after its pool -------------------------------------
+
+def biased_case(seed, shape, dtype, mode):
+    """(images, kernels) whose conv outputs hold ties, signed zeros, values
+    that a bias rounds onto one another, or sums that overflow to +-inf."""
+    bsz, h, w, cin, kh, kw, cout = shape
+    x = tie_heavy(seed, (bsz, h, w, cin), dtype, "signed_zeros" if mode == "signed_zeros"
+                  else "levels")
+    weights = tie_heavy(seed + 1, (kh, kw, cin, cout), dtype, "levels")
+    bias = tie_heavy(seed + 2, (cout,), dtype, "signed_zeros" if mode == "signed_zeros"
+                     else "levels")
+    if mode == "rounded_ties":  # conv sums step by 0.25, the bias's ulp is 1 or more
+        bias *= 2.0 ** np.finfo(dtype).nmant
+    elif mode == "overflow":  # finite parameters, products and sums past the largest value
+        weights *= np.finfo(dtype).max / 8
+        bias *= np.finfo(dtype).max / 8
+    return x, layers.ConvKernelSet(weights, bias)
+
+
+late_bias_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),  # batch
+    st.integers(5, 10), st.integers(5, 10),  # H and W, odd and even
+    st.sampled_from([1, 3, 8]),  # Cin: the planar and the row-major builder
+    st.integers(1, 3), st.integers(1, 3),  # kh, kw
+    st.sampled_from([1, 2]),  # stride
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([1, 8, 17, 40]),  # Cout
+    st.sampled_from(["levels", "signed_zeros", "rounded_ties", "overflow"]),
+)
+
+
+class TestBiasAfterPool:
+    """A 2x2 max pool commutes with adding one finite value per channel:
+    rounding a + b never decreases as a grows, -0.0 only comes from
+    -0.0 + -0.0, and NaN propagates either way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(late_bias_cases)
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_conv_without_bias_then_pool_with_it_equals_reference(self, case):
+        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout, mode = case
+        x, ks = biased_case(seed, (bsz, h, w, cin, kh, kw, cout), dtype, mode)
+        for corners in (True, False):
+            want = layers.maxpool2d_forward(layers.conv2d_forward(x, ks, stride, corners))
+            got = layers.maxpool2d_forward(layers.conv2d_forward(x, ks, stride, corners, False),
+                                           ks.bias)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), corners
+            assert layers.relu(got).tobytes() == layers.relu(want).tobytes(), corners
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases, st.sampled_from(["levels", "signed_zeros", "non_positive"]))
+    def test_pool_with_bias_equals_pool_of_biased_corners(self, case, bias_mode):
+        # a conv's GEMM makes no -0.0, so signed zeros are drawn on the
+        # corner array itself, -0.0 + -0.0 included
+        x = corner_rows(tie_heavy(*case))
+        bias = tie_heavy(case[0] + 1, (x.shape[-1],), x.dtype, bias_mode)
+        want = layers.maxpool2d_forward(x + bias)
+        got = layers.maxpool2d_forward(x, bias)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert layers.relu(got).tobytes() == layers.relu(want).tobytes()
+
+    def test_default_conv_output_includes_the_bias(self, rng):
+        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4))
+        x = rng.normal(size=(2, 7, 6, 2))
+        for corners in (False, True):
+            bare = layers.conv2d_forward(x, ks, 1, corners, False)
+            assert layers.conv2d_forward(x, ks, 1, corners).tobytes() == (
+                bare + ks.bias).tobytes()
+
+    @np.errstate(invalid="ignore")
+    def test_an_infinite_bias_tells_the_orders_apart(self):
+        # +inf on a -inf corner is NaN before the pool, but +inf on the max
+        # of the corners after it: checkpoints hold finite parameters only
+        corners = np.array([-np.inf, 1, 1, 1]).reshape(2, 2, 1, 1, 1, 1)
+        bias = np.array([np.inf])
+        assert np.isnan(layers.maxpool2d_forward(corners + bias)).all()
+        assert layers.maxpool2d_forward(corners, bias).item() == np.inf
+
+    def test_training_keeps_the_bias_in_the_conv(self):
+        # a 1x1 conv's corners 0.25 and 0.5 tie at 2**24 once the float32 bias
+        # 2**24 is added.  The pooled value is the same in both orders, but
+        # the first maximum moves to corner (0, 0), and the gradient with it
+        x = np.array([[0.25, 0.5], [0.0, 0.0]], np.float32).reshape(1, 2, 2, 1)
+        ks = layers.ConvKernelSet(np.ones((1, 1, 1, 1), np.float32),
+                                  np.array([2.0**24], np.float32))
+        up = np.ones((1, 1, 1, 1), np.float32)
+        biased, bwd = layers.maxpool2d_vjp(layers.conv2d_forward(x, ks, 1, True))
+        bare, bare_bwd = layers.maxpool2d_vjp(layers.conv2d_forward(x, ks, 1, True, False))
+        assert biased.item() == (bare + ks.bias).item() == 2.0**24
+        assert bwd(up)[:, :, 0, 0, 0, 0].tolist() == [[1, 0], [0, 0]]
+        assert bare_bwd(up)[:, :, 0, 0, 0, 0].tolist() == [[0, 1], [0, 0]]
+
+
 # -- channel-first conv backward against the row-major scatter ---------------
 
 def reference_conv2d_backward(x, w, up, stride):

@@ -764,3 +764,68 @@ class TestPredictTogether:
         got = network.predict_probs(m, [{}], images)
         assert got.dtype == np.float64
         assert got[0].tobytes() == layers.softmax(images.reshape(2, 3)).tobytes()
+
+
+class TestBiasAfterPool:
+    """Forward-only, a conv that feeds a pool leaves its bias to the pool,
+    which adds it after its max, with the same bytes; training keeps the
+    bias in the conv (`test_layers.TestBiasAfterPool` has why)."""
+
+    NET = network.build_scaled_cnn((12, 12, 1), [3, 4], 2, dense_units=5)
+
+    def spy_args(self, monkeypatch, names, run):
+        """(kernel, arguments after the input) per call run() makes to names."""
+        seen = []
+        with monkeypatch.context() as patch:
+            for name in names:
+                def spy(x, *args, _kernel=getattr(layers, name), _name=name):
+                    seen.append((_name, args))
+                    return _kernel(x, *args)
+
+                patch.setattr(layers, name, spy)
+            run()
+        return seen
+
+    def test_every_forward_only_pool_adds_its_conv_bias(self, rng, monkeypatch):
+        sets = perturbed_sets(self.NET, 3, np.float32)
+        images = rng.uniform(size=(5, 12, 12, 1)).astype(np.float32)
+        wide = np.concatenate([params["conv2d/b"] for params in sets])
+        runs = {  # the wide first stage on chunks of 2, 2 and 1 images, then each set
+            "predict_probs": (lambda: network.predict_probs(self.NET, sets, images),
+                              [wide] * 3 + [params["conv2d_1/b"] for params in sets]),
+            "one dict": (lambda: network.forward_batch(self.NET, sets[1], images),
+                         [sets[1]["conv2d/b"], sets[1]["conv2d_1/b"]]),
+        }
+        for what, (run, biases) in runs.items():
+            seen = self.spy_args(monkeypatch, ("conv2d_forward", "maxpool2d_forward"), run)
+            assert [name for name, _ in seen] == ["conv2d_forward", "maxpool2d_forward"] * len(
+                biases), what
+            for (_, conv_args), (_, pool_args), bias in zip(seen[::2], seen[1::2], biases):
+                kernels, *options = conv_args
+                assert options == [1, True, False], what  # stride, corners, no bias add
+                assert kernels.bias.tobytes() == pool_args[0].tobytes() == bias.tobytes(), what
+
+    def test_no_training_conv_leaves_its_bias(self, rng, monkeypatch):
+        params = perturbed_sets(self.NET, 1, np.float32)[0]
+        images = rng.uniform(size=(5, 12, 12, 1)).astype(np.float32)
+        seen = self.spy_args(monkeypatch, ("conv2d_vjp", "maxpool2d_vjp"),
+                             lambda: network.forward_vjp(self.NET, params, images))
+        assert [name for name, _ in seen] == ["conv2d_vjp", "maxpool2d_vjp"] * 2
+        for name, (_, args) in zip(("conv2d", "conv2d_1"), seen[::2]):
+            assert args[1:] == (1, True) and args[0].bias is params[f"{name}/b"]
+        assert [args for _, args in seen[1::2]] == [(), ()]
+
+    @pytest.mark.parametrize("image_dtype,param_dtype,late", [
+        (np.float32, np.float32, True), (np.float64, np.float32, True),
+        (np.float32, np.float64, False)])
+    def test_bias_stays_in_a_conv_that_sums_wider_than_its_batch(
+            self, rng, monkeypatch, image_dtype, param_dtype, late):
+        # a conv's output takes its batch's dtype: a wider sum would round
+        # twice, once in the conv and once after the pool's add
+        sets = perturbed_sets(self.NET, 2, param_dtype)
+        images = rng.uniform(size=(4, 12, 12, 1)).astype(image_dtype)
+        seen = self.spy_args(monkeypatch, ("maxpool2d_forward",),
+                             lambda: network.forward_batch(self.NET, sets, images))
+        assert all(bool(args) == late for _, args in seen)
+        for params, logits in zip(sets, network.forward_batch(self.NET, sets, images)):
+            assert logits.tobytes() == spec_order_forward(self.NET, params, images).tobytes()
