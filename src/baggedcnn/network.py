@@ -237,15 +237,15 @@ def init_params(model, seed, dtype=np.float32):
 def forward_batch(model, params, batch):
     """Logits [B, n_classes] for batch [B,H,W,C] under one parameter dict, or
     [M, B, n_classes] under a sequence of M dicts; every array must share
-    one dtype."""
+    one dtype.  A batch narrower than the parameters is first cast to their
+    dtype, as `predict_probs` casts its images."""
     single = isinstance(params, Mapping)
     param_sets = [params] if single else list(params)
     dtype = _param_dtype(param_sets)
     _check_batch(model, batch)
-    # a pool can add its conv's bias only where the conv sums in the batch's
-    # dtype: a conv's output is cast to it, and the cast would round twice
-    late_bias = dtype is None or np.result_type(batch.dtype, dtype) == batch.dtype
-    logits = _run_forward(model, [_steps(model, p, False, late_bias) for p in param_sets], batch)
+    if dtype is not None:  # a conv's output takes its batch's dtype
+        batch = batch.astype(np.result_type(batch, dtype), copy=False)
+    logits = _run_forward(model, [_steps(model, p, want_vjp=False) for p in param_sets], batch)
     return logits[0] if single else np.stack(logits)
 
 
@@ -393,9 +393,8 @@ def _check_batch(model, batch):
         raise InputError("batch holds no images")
 
 
-def _steps(model, params, want_vjp, late_bias=False):
-    """(parameter name prefix or None, kernel name, arguments) per layer;
-    with late_bias, each pool after a conv adds that conv's bias."""
+def _steps(model, params, want_vjp):
+    """(parameter name prefix or None, kernel name, arguments) per layer."""
     steps = []
     for name, layer, _, weights in model._rows:
         kind = _LAYER_TABLE[layer.kind]
@@ -410,15 +409,16 @@ def _steps(model, params, want_vjp, late_bias=False):
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
     # A conv whose next step is a pool returns the pool's window corners,
     # which the pool reads as contiguous slabs (and returns its gradient in).
-    # With late_bias the pool adds the conv's bias after its max, to a quarter
-    # of the elements, with the same bytes (see `layers`).  Training keeps the
-    # add in the conv: corners that tie only once it is added would move the
-    # pool's index, and so the gradient.
+    # Forward-only, the pool also adds the conv's bias after its max, to a
+    # quarter of the elements, with the same bytes (see `layers`).  Training
+    # keeps the add in the conv: corners that tie only once it is added would
+    # move the pool's index, and so the gradient.
     for i in range(len(steps) - 1):
         (name, kernel, args), (_, after, _) = steps[i : i + 2]
         if kernel.startswith("conv2d") and after.startswith("maxpool2d"):
-            steps[i] = (name, kernel, (*args, True))
-            if late_bias:
+            if want_vjp:
+                steps[i] = (name, kernel, (*args, True))
+            else:
                 steps[i] = (name, kernel, (*args, True, False))
                 steps[i + 1] = (None, after, (args[0].bias,))
     return steps

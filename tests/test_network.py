@@ -815,17 +815,13 @@ class TestBiasAfterPool:
             assert args[1:] == (1, True) and args[0].bias is params[f"{name}/b"]
         assert [args for _, args in seen[1::2]] == [(), ()]
 
-    @pytest.mark.parametrize("image_dtype,param_dtype,late", [
-        (np.float32, np.float32, True), (np.float64, np.float32, True),
-        (np.float32, np.float64, False)])
-    def test_bias_stays_in_a_conv_that_sums_wider_than_its_batch(
-            self, rng, monkeypatch, image_dtype, param_dtype, late):
-        # a conv's output takes its batch's dtype: a wider sum would round
-        # twice, once in the conv and once after the pool's add
-        sets = perturbed_sets(self.NET, 2, param_dtype)
-        images = rng.uniform(size=(4, 12, 12, 1)).astype(image_dtype)
-        seen = self.spy_args(monkeypatch, ("maxpool2d_forward",),
-                             lambda: network.forward_batch(self.NET, sets, images))
-        assert all(bool(args) == late for _, args in seen)
+    def test_a_narrower_batch_runs_at_the_parameters_dtype(self, rng):
+        # as predict_probs casts its images: every conv sums and rounds once,
+        # in the parameters' dtype, before its pool adds the bias
+        sets = perturbed_sets(self.NET, 2, np.float64)
+        images = rng.uniform(size=(4, 12, 12, 1)).astype(np.float32)
+        wide = images.astype(np.float64)
+        assert network.forward_batch(self.NET, sets, images).tobytes() == \
+            network.forward_batch(self.NET, sets, wide).tobytes()
         for params, logits in zip(sets, network.forward_batch(self.NET, sets, images)):
-            assert logits.tobytes() == spec_order_forward(self.NET, params, images).tobytes()
+            assert logits.tobytes() == spec_order_forward(self.NET, params, wide).tobytes()
