@@ -146,38 +146,97 @@ def _shared_blas_threads(n_procs):
         set_threads(before)
 
 
-_CGROUP = "/sys/fs/cgroup"
+_CGROUP, _OWN_CGROUP, _MEMINFO = "/sys/fs/cgroup", "/proc/self/cgroup", "/proc/meminfo"
 
 
-def _quota_cpus():
-    """Whole CPUs, at least 1, that the CPU quota of the cgroup mounted at
-    _CGROUP allows (v2 cpu.max, else v1 cfs quota); None without a quota."""
-    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+def _cgroup_fields(v2_names, controller, v1_names):
+    """The whitespace-separated fields of the named files of this process's
+    own cgroup, the one _OWN_CGROUP names, under the mount _CGROUP: v2's
+    names in its unified group, else v1's in its group of controller's
+    hierarchy.  A group that is not under the mount, as in a container that
+    mounts its own group as the root, is read at the mount's root.  None
+    where neither version has all of its files.  Reads only."""
+    groups = {}  # controller -> group path; v2's controller is ""
+    with contextlib.suppress(OSError), open(_OWN_CGROUP) as fh:
+        for line in fh:  # "id:controller,controller:path"
+            parts = line.rstrip("\n").split(":", 2)
+            if len(parts) == 3:
+                groups.update(dict.fromkeys(parts[1].split(","), parts[2]))
+    for mount, names in (("", v2_names), (controller, v1_names)):
+        root = os.path.join(_CGROUP, mount)
+        own = os.path.join(root, groups.get(mount, "/").lstrip("/"))
+        folder = own if os.path.isdir(own) else root
         try:
             fields = []
             for name in names:
-                with open(os.path.join(_CGROUP, name)) as fh:
+                with open(os.path.join(folder, name)) as fh:
                     fields += fh.read().split()
-            quota, period = fields
-            return None if quota in ("max", "-1") else max(1, int(quota) // int(period))
+            return fields
         except OSError:
             continue
-        except ValueError:
-            return None
     return None
 
 
-def _trainer_count(n_models):
-    """Processes that train an ensemble: one per CPU this process may run on
-    (its affinity, capped by a cgroup CPU quota), at most one per sub-model.
-    1 where the start method fork or the call that sets numpy's BLAS thread
-    count is missing: without that call every trainer would run all of the
-    caller's BLAS threads."""
+def _quota_cpus():
+    """Whole CPUs, at least 1, that the CPU quota of this process's cgroup
+    allows (v2 cpu.max, else v1 cfs quota); None without a quota."""
+    fields = _cgroup_fields(("cpu.max",), "cpu", ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+    try:
+        quota, period = fields
+        return None if quota in ("max", "-1") else max(1, int(quota) // int(period))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _available_bytes():
+    """Bytes this process may still take: the smaller of MemAvailable and
+    the headroom of its memory cgroup (its limit less its usage; v2
+    memory.max and memory.current, else v1's limit and usage), where it has
+    a limit; None where neither reads."""
+    found = []
+    with contextlib.suppress(OSError, ValueError, IndexError), open(_MEMINFO) as fh:
+        found += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
+    fields = _cgroup_fields(("memory.max", "memory.current"), "memory",
+                            ("memory.limit_in_bytes", "memory.usage_in_bytes"))
+    with contextlib.suppress(TypeError, ValueError):
+        limit, usage = fields
+        if limit != "max":
+            found.append(max(0, int(limit) - int(usage)))
+    return min(found, default=None)
+
+
+def _cpu_count():
+    """C, the CPUs this process may run on: its affinity, capped by its
+    cgroup's CPU quota.  1 where the start method fork or the call that
+    sets numpy's BLAS thread count is missing: without that call every
+    trainer would run all of the caller's BLAS threads."""
     if (_BLAS_THREADS is None or not hasattr(os, "sched_getaffinity")
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
     cpus, quota = len(os.sched_getaffinity(0)), _quota_cpus()
-    return min(n_models, cpus if quota is None else min(cpus, quota))
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _trainer_count(n_models):
+    """P, the processes that train n sub-models on C CPUs: n where n <= C,
+    else the fewest of which none trains more than n // C sub-models,
+    ceil(n / (n // C)), which is below 2C.  The kernel time-shares trainers
+    beyond C, so the last sub-models do not train while other CPUs idle:
+    5 sub-models on 2 CPUs train on 3 trainers, the caller's share 2."""
+    cpus = _cpu_count()
+    return n_models if n_models <= cpus else -(-n_models // (n_models // cpus))
+
+
+def _within_memory(n_procs, n_models, trainer_bytes):
+    """n_procs, less the trainers above min(n_models, C) that the available
+    bytes (`_available_bytes`) cannot hold at trainer_bytes() each, the
+    count never below min(n_models, C).  Memory is read, and trainer_bytes
+    called, only where n_procs is above min(n_models, C)."""
+    least = min(n_models, _cpu_count())
+    available = _available_bytes() if n_procs > least else None
+    if available is None:
+        return n_procs
+    return max(least, min(n_procs, available // max(1, trainer_bytes())))
 
 
 def _train_one(job, k):
@@ -336,7 +395,9 @@ def _train_all(job, n_models, trainers):
     """(params, history) per sub-model in k order, trained on P trainers,
     the caller's BLAS threads shared among them while they train.  The
     lowest failing k raises, as in a serial loop."""
-    n_procs = _trainer_count(n_models)
+    model, images, _, bags, train = job[:5]
+    n_procs = _within_memory(_trainer_count(n_models), n_models, lambda: network.training_bytes(
+        model, min(train.batch_size, len(bags[0])), images.dtype))
     if n_procs == 1:
         return [_train_one(job, k) for k in range(n_models)]
     with _shared_blas_threads(n_procs):
@@ -348,7 +409,6 @@ def _train_all(job, n_models, trainers):
         # and the mappings, so only k is pickled; pickling the arrays would
         # copy them in this process too.  The pool forks every worker before
         # it starts its own thread; OpenBLAS stops its threads before a fork.
-        model, images = job[:2]
         size = network.count_params(model) * images.dtype.itemsize
         shared = {k: network.zero_params(model, images.dtype, mmap.mmap(-1, size) if size else None)
                   for k in range(n_models) if k % n_procs}
@@ -363,8 +423,12 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
     """Train n_models sub-models on their bags.
 
     Returns (EnsembleModel without combiner, BagAssignment, histories).
-    The sub-models train on P = min(n_models, CPUs this process may run on)
-    processes: this one trains k = 0 (mod P), P - 1 forked workers the rest.
+    The sub-models train on P processes (`_trainer_count`): one per
+    sub-model up to C, the CPUs this process may run on, and above C the
+    fewest, below 2C, of which none trains more than n_models // C; trainers
+    above min(n_models, C) only while the available memory holds P of
+    `network.training_bytes` each.  This one trains k = 0 (mod P), P - 1
+    forked workers the rest.
     The workers are forked on trainers, a Trainers, and live until its block
     ends; without one, they have ended when this returns.  Before the fork
     this process lays out each of a worker's sub-models in the model's parameter
@@ -373,10 +437,10 @@ def train_ensemble(images, labels, model, bagging: BaggingConfig,
     With P > 1 each trainer runs at max(1, t // P) BLAS threads, t being
     the caller's count, and sub-model k's bytes depend on that count alone,
     not on P; it is 1 with at least as many sub-models as CPUs and
-    OpenBLAS's default t, one per CPU.  With P = 1 the sub-models train one
-    after another at t threads.  When sub-models fail, the lowest k raises,
-    its library error prefixed `sub-model k:`; a worker that dies raises
-    WorkerError.
+    OpenBLAS's default t, one per CPU, and can fall below t // C where
+    t > C and P > C.  With P = 1 the sub-models train one after another at
+    t threads.  When sub-models fail, the lowest k raises, its library
+    error prefixed `sub-model k:`; a worker that dies raises WorkerError.
     """
     training.check_training_set(images, labels)  # before parameters are laid out in their dtype
     assignment = assign_bags(len(labels), bagging)

@@ -58,9 +58,11 @@ def validate_container(ds):
 
 
 def save_container(ds: DatasetContainer, path):
+    """Write the container with `replace_file`, so a write that fails
+    leaves any earlier file at path whole."""
     n, h, w, c = ds.images.shape
     meta = ds.metadata.encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_file(path) as tmp, open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IQIIIB", VERSION, n, h, w, c, DTYPE_F32))
         fh.write(np.ascontiguousarray(ds.images, dtype="<f4").tobytes())

@@ -393,35 +393,59 @@ def _check_batch(model, batch):
         raise InputError("batch holds no images")
 
 
+def _run_order(model):
+    """(row of model._rows, corners) per layer, in the order a pass runs them.
+
+    A relu directly before a pool runs after it, on a quarter of the
+    elements, with the same bytes out: relu is monotone and never returns
+    -0.0, a positive window maximum keeps its first corner, and every other
+    gradient element is a zero with the sign of its upstream in either order.
+    A conv whose next layer in this order is a pool runs with corners: it
+    returns the pool's window corners, which the pool reads as contiguous
+    slabs (and returns its gradient in).
+    """
+    order = list(range(len(model.layers)))
+    for i in range(len(order) - 1):
+        if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
+            order[i], order[i + 1] = order[i + 1], order[i]
+    kinds = [model.layers[i].kind for i in order] + [None]
+    return [(model._rows[i], kinds[n] == "conv2d" and kinds[n + 1] == "maxpool2d")
+            for n, i in enumerate(order)]
+
+
 def _steps(model, params, want_vjp):
-    """(parameter name prefix or None, kernel name, arguments) per layer."""
-    steps = []
-    for name, layer, _, weights in model._rows:
+    """(parameter name prefix or None, kernel name, arguments) per layer, in
+    `_run_order`.  Forward-only, the pool after a conv with corners adds the
+    conv's bias after its max, to a quarter of the elements, with the same
+    bytes (see `layers`).  Training keeps the add in the conv: corners that
+    tie only once it is added would move the pool's index, and so the
+    gradient."""
+    steps, bias = [], None  # bias: the one the next (pool) step adds
+    for (name, layer, _, weights), corners in _run_order(model):
         kind = _LAYER_TABLE[layer.kind]
         args = kind.args(layer, params[f"{name}/w"], params[f"{name}/b"]) if weights else ()
+        if bias is not None:
+            args, bias = (bias,), None
+        if corners:
+            args += (True,) if want_vjp else (True, False)
+            bias = None if want_vjp else args[0].bias
         steps.append((name if weights else None, kind.vjp if want_vjp else kind.forward, args))
-    # A relu directly before a pool runs after it, on a quarter of the
-    # elements, with the same bytes out: relu is monotone and never returns
-    # -0.0, a positive window maximum keeps its first corner, and every other
-    # gradient element is a zero with the sign of its upstream in either order.
-    for i in range(len(steps) - 1):
-        if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
-            steps[i], steps[i + 1] = steps[i + 1], steps[i]
-    # A conv whose next step is a pool returns the pool's window corners,
-    # which the pool reads as contiguous slabs (and returns its gradient in).
-    # Forward-only, the pool also adds the conv's bias after its max, to a
-    # quarter of the elements, with the same bytes (see `layers`).  Training
-    # keeps the add in the conv: corners that tie only once it is added would
-    # move the pool's index, and so the gradient.
-    for i in range(len(steps) - 1):
-        (name, kernel, args), (_, after, _) = steps[i : i + 2]
-        if kernel.startswith("conv2d") and after.startswith("maxpool2d"):
-            if want_vjp:
-                steps[i] = (name, kernel, (*args, True))
-            else:
-                steps[i] = (name, kernel, (*args, True, False))
-                steps[i + 1] = (None, after, (args[0].bias,))
     return steps
+
+
+def training_bytes(model, batch, dtype):
+    """Estimated bytes one training step on `batch` images in `dtype` holds
+    at its peak: the im2col matrix each conv keeps for its backward pass
+    (with corners, only the rows its pool reads), plus four arrays the size
+    of the parameters: the parameters, their gradients and Adam's two
+    moments.  Activations, masks and the backward's own arrays are left
+    out, so it reads below a traced step's peak (see the tests)."""
+    cols = 0
+    for (_, layer, out, weights), corners in _run_order(model):
+        if layer.kind == "conv2d":
+            h, w = (out[0] // 2 * 2, out[1] // 2 * 2) if corners else out[:2]
+            cols += h * w * math.prod(weights[:3])
+    return (batch * cols + 4 * count_params(model)) * np.dtype(dtype).itemsize
 
 
 def _first_stage(model):

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baggedcnn import bagging, checkpoint, forest, network, training
 from baggedcnn.errors import DimensionError, InputError, NumericError, WorkerError
@@ -371,20 +373,34 @@ class TestTreesOnTrainers:
 
 
 class TestTrainerCount:
-    """One trainer per CPU of the affinity and of the cgroup quota, at most
-    one per sub-model."""
+    """P = n for n <= C sub-models on C CPUs (the affinity, capped by the
+    quota of the process's own cgroup), else the fewest trainers of which
+    none trains more than n // C; trainers above min(n, C) only while memory
+    holds them."""
+
+    GROUP = "jobs/run"  # the process's own group in every hierarchy
 
     @pytest.fixture(autouse=True)
     def eight_cpus(self, monkeypatch, tmp_path):
         if bagging._BLAS_THREADS is None or "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("training is serial without fork or numpy's BLAS thread call")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(bagging, "_CGROUP", str(tmp_path))
+        monkeypatch.setattr(bagging, "_CGROUP", str(tmp_path / "cgroup"))
+        own = tmp_path / "self_cgroup"
+        own.write_text(f"0::/{self.GROUP}\n4:memory:/{self.GROUP}\n1:cpu,cpuacct:/{self.GROUP}\n")
+        monkeypatch.setattr(bagging, "_OWN_CGROUP", str(own))
+        monkeypatch.setattr(bagging, "_MEMINFO", str(tmp_path / "meminfo"))
 
-    def write(self, tmp_path, files):
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
+    def write(self, tmp_path, files, group=GROUP):
+        """Each "[controller/]name" file in the group of its hierarchy."""
+        for key, text in files.items():
+            mount, _, name = key.rpartition("/")
+            path = tmp_path / "cgroup" / mount / group / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+    # P at n = 1, 2, 5 and 20 sub-models, per C
+    COUNTS = {8: [1, 2, 5, 10], 3: [1, 2, 5, 4], 2: [1, 2, 3, 2], 1: [1, 1, 1, 1]}
 
     @pytest.mark.parametrize("files, cpus", [
         ({}, 8),
@@ -398,8 +414,74 @@ class TestTrainerCount:
     ])
     def test_quota_caps_the_affinity(self, tmp_path, files, cpus):
         self.write(tmp_path, files)
-        assert [bagging._trainer_count(n) for n in (1, 2, 5, 20)] == [min(n, cpus)
-                                                                      for n in (1, 2, 5, 20)]
+        assert bagging._cpu_count() == cpus
+        assert [bagging._trainer_count(n) for n in (1, 2, 5, 20)] == self.COUNTS[cpus]
+
+    def test_the_mount_roots_limits_do_not_bind_a_nested_group(self, tmp_path):
+        self.write(tmp_path, {"cpu.max": "100000 100000\n"}, group="")
+        self.write(tmp_path, {"cpu.max": "max 100000\n"})
+        assert bagging._cpu_count() == 8
+        (tmp_path / "cgroup" / self.GROUP / "cpu.max").unlink()  # the group, without a quota
+        assert bagging._cpu_count() == 8
+
+    @pytest.mark.parametrize("own", ["0::/elsewhere\n1:cpu:/elsewhere\n", None])
+    def test_a_group_missing_from_the_mount_reads_its_root(self, tmp_path, monkeypatch, own):
+        # as in a container that mounts its own group as the root
+        path = tmp_path / "elsewhere_cgroup"
+        if own is not None:
+            path.write_text(own)
+        monkeypatch.setattr(bagging, "_OWN_CGROUP", str(path))
+        self.write(tmp_path, {"cpu/cpu.cfs_quota_us": "300000\n",
+                              "cpu/cpu.cfs_period_us": "100000\n"}, group="")
+        assert bagging._cpu_count() == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 32))
+    def test_the_fewest_trainers_of_at_most_n_over_c_sub_models(self, n, cpus):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            p = bagging._trainer_count(n)
+        assert min(n, cpus) <= p <= n
+        assert p < 2 * cpus
+        most = max(1, n // cpus)  # the most sub-models one trainer may take
+        assert -(-n // p) <= most
+        assert p == 1 or -(-n // (p - 1)) > most
+
+    def meminfo(self, tmp_path, available_kb):
+        (tmp_path / "meminfo").write_text(
+            f"MemTotal:  99999999 kB\nMemAvailable:  {available_kb} kB\n")
+
+    def test_memory_caps_only_the_extra_trainers(self, tmp_path):
+        per = lambda: 1 << 20  # one trainer's bytes
+        assert bagging._trainer_count(20) == 10
+        assert bagging._within_memory(10, 20, per) == 10  # nothing to read
+        for available_kb, p in [(100 << 10, 10), (9 << 10, 9), (3 << 10, 8), (0, 8)]:
+            self.meminfo(tmp_path, available_kb)
+            assert bagging._within_memory(10, 20, per) == p
+
+    @pytest.mark.parametrize("files, p", [
+        ({"memory.max": "max\n", "memory.current": "1\n"}, 10),
+        ({"memory.max": f"{10 << 20}\n", "memory.current": f"{1 << 20}\n"}, 9),
+        ({"memory.max": f"{10 << 20}\n", "memory.current": f"{20 << 20}\n"}, 8),
+        ({"memory/memory.limit_in_bytes": f"{12 << 20}\n",
+          "memory/memory.usage_in_bytes": f"{3 << 20}\n"}, 9),
+        ({"memory/memory.limit_in_bytes": "9223372036854771712\n",  # v1's "no limit"
+          "memory/memory.usage_in_bytes": "0\n"}, 10),
+    ])
+    def test_the_memory_cgroups_headroom_caps_memavailable(self, tmp_path, files, p):
+        self.meminfo(tmp_path, 100 << 10)
+        self.write(tmp_path, files)
+        assert bagging._within_memory(10, 20, lambda: 1 << 20) == p
+
+    def test_memory_is_read_only_for_trainers_above_the_cpus(self, tmp_path):
+        def unread():
+            raise AssertionError("trainer bytes computed")
+
+        self.meminfo(tmp_path, 0)
+        for n_models in (1, 5, 8, 16):
+            p = bagging._trainer_count(n_models)
+            assert p == min(n_models, 8)
+            assert bagging._within_memory(p, n_models, unread) == p
 
 
 def running(pid):

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import struct
 import time
 
@@ -101,6 +102,49 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         loaded, _ = checkpoint.load_checkpoint(path)
         assert loaded.combiner == "stacking"
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer is a forked child")
+    def test_a_killed_writer_leaves_the_previous_checkpoint_whole(self, trained, tmp_path):
+        ens, _ = trained
+        path = tmp_path / "ck.bin"
+        checkpoint.save_checkpoint(path, ens)
+        before = path.read_bytes()
+        pid = os.fork()
+        if pid == 0:  # the child: killed by its own hand on its third write
+            try:
+                real_open = open
+
+                class KilledFile:
+                    def __init__(self, fh):
+                        self.fh, self.writes = fh, 0
+
+                    def __enter__(self):
+                        return self
+
+                    def __exit__(self, *exc):
+                        self.fh.close()
+
+                    def write(self, data):
+                        self.writes += 1
+                        if self.writes == 3:
+                            self.fh.flush()
+                            os.kill(os.getpid(), signal.SIGKILL)
+                        return self.fh.write(data)
+
+                checkpoint.open = lambda *a: KilledFile(real_open(*a))
+                ens.combiner = "average"
+                checkpoint.save_checkpoint(path, ens)
+            finally:
+                os._exit(1)  # not reached unless the kill failed
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert path.read_bytes() == before
+        loaded, _ = checkpoint.load_checkpoint(path)
+        assert loaded.combiner == "stacking"
+        # the killed writer's part-written file is left beside it
+        assert sorted(os.listdir(tmp_path)) == ["ck.bin", f"ck.bin.{pid}.tmp"]
+        assert 0 < os.path.getsize(tmp_path / f"ck.bin.{pid}.tmp") < len(before)
 
 
 class TestFailures:

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -215,6 +216,47 @@ class TestTrain:
         _, _, ensemble, _, _ = cli.run_pipeline(cfg)
         assert len(calls) == forks
         assert len(ensemble.forest.trees) == cfg.n_trees
+
+    def test_the_real_rule_forks_once_with_the_bytes_of_one_trainer(self, workspace, tmp_path,
+                                                                    monkeypatch):
+        # 5 sub-models on 2 CPUs: 3 trainers, so 2 workers, forked once for
+        # training and the trees; every trainer and the serial run at 1 thread
+        if bagging._BLAS_THREADS is None or "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("training is serial without fork or numpy's BLAS thread call")
+        _, _, cfg_path = workspace
+        five = tmp_path / "run5.cfg"
+        five.write_text(cfg_path.read_text().replace("n_models = 2", "n_models = 5"))
+        cfg = cli.load_run_config(five)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(bagging, "_CGROUP", str(tmp_path / "no_cgroup"))
+        assert bagging._trainer_count(5) == 3
+        calls, fork = [], os.fork
+
+        def counted_fork():
+            calls.append(os.getpid())
+            return fork()
+
+        get, set_threads = bagging._BLAS_THREADS
+        before = get()
+        runs = []
+        try:
+            set_threads(1)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fork", counted_fork)
+                runs.append(cli.run_pipeline(cfg))
+            assert len(calls) == 2
+            monkeypatch.setattr(bagging, "_trainer_count", lambda n_models: 1)
+            runs.append(cli.run_pipeline(cfg))
+        finally:
+            set_threads(before)
+        (_, _, pooled, bags, hists), (_, _, serial, serial_bags, serial_hists) = runs
+        assert hists == serial_hists
+        assert all(np.array_equal(a, b) for a, b in zip(bags.bags, serial_bags.bags))
+        for params, serial_params in zip(pooled.param_sets, serial.param_sets, strict=True):
+            assert list(params) == list(serial_params)
+            assert all(params[k].tobytes() == serial_params[k].tobytes() for k in params)
+        assert checkpoint._forest_to_dict(pooled.forest) == checkpoint._forest_to_dict(
+            serial.forest)
 
     def test_stale_histories_removed(self, workspace, tmp_path):
         # a 2-model run into the out dir of a 3-model run

@@ -43,6 +43,35 @@ class TestReplaceFile:
             fh.write("whole")
         assert os.listdir(tmp_path) == ["new.txt"] and path.read_text() == "whole"
 
+    def test_a_container_write_that_raises_keeps_the_earlier_container(self, rng, tmp_path,
+                                                                        monkeypatch):
+        path = tmp_path / "ds.bsec"
+        data.save_container(small_container(rng), path)
+        before = path.read_bytes()
+
+        class FailingFile:  # fails on its third write, the image payload
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.fh.write(chunk)
+
+        with monkeypatch.context() as patch, pytest.raises(OSError, match="disk full"):
+            patch.setattr(data, "open", lambda *a: FailingFile(open(*a)), raising=False)
+            data.save_container(small_container(rng, n=7), path)
+        assert os.listdir(tmp_path) == ["ds.bsec"]
+        assert path.read_bytes() == before
+        assert len(data.load_container(path)) == 12
+
     def test_metrics_text_files_keep_the_previous_file(self, tmp_path, monkeypatch):
         cfg = types.SimpleNamespace(excluded_classes=())
         cli.write_metrics_files(tmp_path, np.array([[2, 0], [1, 3]]), cfg)
