@@ -101,35 +101,31 @@ def submodel_seed(master_seed, index):
     return int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
 
 
-def _blas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
-    None where numpy carries another BLAS."""
+def _c_function(name, argtypes, restype=ctypes.c_int, in_numpy=False):
+    """The C function name with its argument and result types, from numpy's
+    extension module, which links the OpenBLAS numpy bundles, where
+    in_numpy, else from this process's own symbols (the C library's); None
+    where it is missing."""
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        calls = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__ if in_numpy else None)
+        call = getattr(lib, name)
     except (AttributeError, OSError):
         return None
-    calls[0].argtypes, calls[0].restype = (), ctypes.c_int
-    calls[1].argtypes, calls[1].restype = (ctypes.c_int,), None
-    return calls
-
-
-_BLAS_THREADS = _blas_thread_calls()
-
-
-def _blas_thread_shutdown():
-    """The call that ends the threads of numpy's OpenBLAS until its next
-    BLAS call, which OpenBLAS also makes before a fork; a no-op where
-    numpy's BLAS lacks it."""
-    try:
-        call = ctypes.CDLL(np._core._multiarray_umath.__file__).blas_thread_shutdown_
-    except (AttributeError, OSError):
-        return lambda: None
-    call.argtypes, call.restype = (), ctypes.c_int
+    call.argtypes, call.restype = argtypes, restype
     return call
 
 
-_END_BLAS_THREADS = _blas_thread_shutdown()
+# (get, set) of the thread count of numpy's OpenBLAS; None under another BLAS
+_BLAS_THREADS = (_c_function("scipy_openblas_get_num_threads64_", (), in_numpy=True),
+                 _c_function("scipy_openblas_set_num_threads64_", (ctypes.c_int,), None,
+                             in_numpy=True))
+if None in _BLAS_THREADS:
+    _BLAS_THREADS = None
+# Ends the threads of numpy's OpenBLAS until its next BLAS call, as OpenBLAS
+# does itself before a fork
+_END_BLAS_THREADS = _c_function("blas_thread_shutdown_", (), in_numpy=True) or (lambda: None)
+# glibc's malloc_trim: gives the heap's free pages back to the kernel
+_TRIM_HEAP = _c_function("malloc_trim", (ctypes.c_size_t,)) or (lambda pad: 0)
 
 
 @contextlib.contextmanager
@@ -260,11 +256,9 @@ def _start_worker(state, parent):
     on."""
     global _worker
     _worker = state
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError):
+    prctl = _c_function("prctl", (ctypes.c_int, ctypes.c_ulong))
+    if prctl is None:
         return
-    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # it ended before the call
         os._exit(1)
@@ -283,12 +277,7 @@ def _share(fn, ks):
         except Exception as exc:
             out.append(exc)
             break
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError):
-        return out
-    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
-    trim(0)
+    _TRIM_HEAP(0)
     return out
 
 
@@ -319,8 +308,12 @@ class Trainers:
     def fork(self, n_procs, state):
         """Start n_procs - 1 workers, each keeping state, which they inherit
         rather than unpickle.  They fork at the first `run`, and with them
-        the BLAS thread count this process has then."""
+        the BLAS thread count this process has then.  This process first
+        gives its free heap pages back: glibc keeps up to 128 MB of them
+        (`network._keep_heap_resident`), and a worker would share them,
+        both processes counting them in their peak resident sets."""
         if n_procs > 1:
+            _TRIM_HEAP(0)
             self.n_procs = n_procs
             self._pool = ProcessPoolExecutor(n_procs - 1,
                                              mp_context=multiprocessing.get_context("fork"),

@@ -1,6 +1,7 @@
 import mmap
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -482,6 +483,73 @@ class TestTrainerCount:
             p = bagging._trainer_count(n_models)
             assert p == min(n_models, 8)
             assert bagging._within_memory(p, n_models, unread) == p
+
+
+class TestHeapTrimAtFork:
+    """The caller gives its free heap back once per fork of trainers, before
+    any worker starts, so the workers do not share it."""
+
+    @pytest.mark.parametrize("n_procs", [1, 2, 3])
+    def test_the_caller_trims_once_before_any_worker_starts(self, tmp_path, monkeypatch,
+                                                            n_procs):
+        log, caller, start_worker = tmp_path / "log", os.getpid(), bagging._start_worker
+
+        def note(what):
+            with open(log, "a") as fh:
+                fh.write(f"{what} {os.getpid()}\n")
+
+        def start_noted(state, parent):
+            note("start")
+            start_worker(state, parent)
+
+        monkeypatch.setattr(bagging, "_TRIM_HEAP", lambda pad: note(f"trim{pad}"))
+        monkeypatch.setattr(bagging, "_start_worker", start_noted)
+        with bagging.Trainers() as trainers:
+            trainers.fork(n_procs, None)
+            assert trainers.run(5, abs, abs, "lost {k}") == list(range(5))
+        lines = log.read_text().splitlines() if log.exists() else []
+        if n_procs == 1:
+            assert lines == []
+        else:  # each worker also trims after its share
+            assert lines[0] == f"trim0 {caller}"
+            assert [line for line in lines if line.endswith(f" {caller}")] == lines[:1]
+            assert sum(line.startswith("start ") for line in lines) == n_procs - 1
+
+
+# Frees 64 MB of 1 MB heap blocks, forks two trainers and prints the
+# caller's resident MB with the blocks, after freeing them, and after the
+# fork of trainers but before its worker runs.
+TRIM_AT_FORK = textwrap.dedent("""
+    import os
+    import numpy as np
+    from baggedcnn import bagging
+
+    def resident_mb():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+    blocks = [np.ones(1 << 17) for _ in range(64)]
+    held = resident_mb()
+    del blocks
+    freed = resident_mb()
+    with bagging.Trainers() as trainers:
+        trainers.fork(2, None)
+        forked = resident_mb()
+        trainers.run(2, abs, abs, "lost {k}")
+    print(held, freed, forked)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="reads /proc/self/statm; malloc_trim and the heap settings are glibc's")
+def test_the_free_heap_leaves_the_caller_before_its_workers_fork():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bagging.__file__)))
+    proc = subprocess.run([sys.executable, "-c", TRIM_AT_FORK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    held, freed, forked = map(float, proc.stdout.split())
+    assert held - freed < 16  # below the trim threshold the heap keeps the freed blocks
+    assert freed - forked > 48
 
 
 def running(pid):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from baggedcnn import bagging, checkpoint, cli, data, errors, metrics, network, training
@@ -93,6 +93,45 @@ def test_config_edges_end_with_a_documented_code(files, fuzz):
         code = cli.main(["--config", str(config), command])
     assert code in {0, 2, 3, 4, 5}
     assert len(err.getvalue().splitlines()) == (code != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_drawn_datasets_and_configs_end_with_a_documented_code(files, fuzz):
+    # the dataset's size, image shape and classes drawn with the config
+    work = files[0]
+    n = fuzz.draw(st.integers(0, 40), label="images")
+    side = fuzz.draw(st.integers(1, 24), label="side")
+    channels = fuzz.draw(st.integers(1, 3), label="channels")
+    classes = fuzz.draw(st.integers(1, 5), label="classes")
+    labels = np.array(fuzz.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n),
+                                label="labels"), dtype=np.uint8)
+    images = np.random.default_rng(n).uniform(size=(n, side, side, channels))
+    data.save_container(data.DatasetContainer(images, labels, metrics.binarize_labels(labels)),
+                        work / "drawn.bsec")
+    options = {
+        "dataset": {"split": ["0.6,0.1,0.2,0.1", "0.5,0,0.25,0.25", "0.4,0.2,0.2,0.2"]},
+        "model": {"widths": ["2", "2,3", "4,4,4"], "dense_units": ["1", "6"],
+                  "n_classes": ["2", "5"]},
+        "bagging": {"n_models": ["1", "2", "3"], "bagging_ratio": ["0.3", "1"]},
+        "train": {"epochs": ["1", "2"], "batch_size": ["1", "5", "64"]},
+        "combiner": {"method": ["average", "vote", "stacking"], "n_trees": ["1", "4"],
+                     "max_depth": ["1", "4"]},
+        "metrics": {"excluded_classes": ["", "0", "1"]},
+        "run": {"precision": ["32", "64"], "seed": ["0", "7"]},
+    }
+    lines = {"dataset": [f"path = {work / 'drawn.bsec'}"], "run": [f"out = {work / 'drawn'}"]}
+    for section, keys in options.items():
+        lines.setdefault(section, []).extend(
+            f"{key} = {fuzz.draw(st.sampled_from(values), label=key)}"
+            for key, values in keys.items())
+    config = work / "drawn.cfg"
+    config.write_text("".join(f"[{section}]\n" + "\n".join(items) + "\n"
+                              for section, items in lines.items()))
+    code, err = TestDatasetEdges.run("--config", config, "train")
+    event(f"exit {code}")
+    assert code in {0, 2, 3, 4}
+    assert len(err.splitlines()) == (code != 0)
 
 
 @pytest.mark.parametrize("command", ["train", "sweep", "compare-combiners"])
