@@ -84,13 +84,32 @@ def read_exact(fh, count, what, error=FormatError):
     return fh.read(count)
 
 
+def _writer_gone(pid):
+    """Whether no process has this pid (one of another user's counts as live)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass
+    return False
+
+
 @contextlib.contextmanager
 def replace_file(path):
     """The name of a temporary file beside path, for the block to write,
     renamed onto path when the block ends.  A block that raises removes it
     and leaves any earlier file at path whole; a killed writer leaves it
-    behind.  No fsync: this guards against a failing writer, not a power
-    cut."""
+    behind, and the next write of path removes each such <path>.<pid>.tmp
+    whose writer's process no longer exists.  No fsync: this guards
+    against a failing writer, not a power cut."""
+    folder, name = os.path.split(os.fspath(path))
+    for entry in os.listdir(folder or "."):
+        pid = entry[len(name) + 1 : -len(".tmp")]
+        if (entry.startswith(f"{name}.") and entry.endswith(".tmp") and pid.isdecimal()
+                and _writer_gone(int(pid))):
+            with contextlib.suppress(FileNotFoundError):  # another writer was first
+                os.remove(os.path.join(folder, entry))
     tmp = f"{path}.{os.getpid()}.tmp"  # same directory, so the rename cannot cross devices
     try:
         yield tmp

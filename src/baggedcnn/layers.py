@@ -364,16 +364,44 @@ def dense_forward(x, weights, bias):
     return x @ weights + bias
 
 
+# Values per block of a weight gradient handed on in pieces (`dense_vjp`),
+# and of the in-place Adam update: a block's gradient, moments and work
+# arrays stay in cache between its passes (256 kB in float32).
+BLOCK_VALUES = 1 << 16
+
+
+def row_blocks(n_rows, row_values):
+    """Slices of n_rows rows of row_values values each, in order, about
+    BLOCK_VALUES values a slice.  None holds a lone row unless n_rows is 1:
+    a product with one row runs as a GEMV, which can round differently from
+    the GEMM of the whole (float64 did at the desk dense shape)."""
+    step = max(2, BLOCK_VALUES // max(1, row_values))
+    starts = range(0, max(n_rows - 1, 1), step)  # a lone last row joins the block before
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n_rows])]
+
+
 def dense_vjp(x, weights, bias):
-    """Forward pass plus backward(upstream) -> (dInput, dWeights, dBias)."""
+    """Forward pass plus backward(upstream, weight_rows=None) -> (dInput,
+    dWeights, dBias).
+
+    With weight_rows, dWeights is not returned (None takes its place) but
+    handed on after dInput is made, as weight_rows(rows, dWeights[rows])
+    per slice of `row_blocks`: the caller may then write the weights.  The
+    blocks are the bytes of the whole product's rows.
+    """
     out = dense_forward(x, weights, bias)
 
-    def backward(upstream):
+    def backward(upstream, weight_rows=None):
         if upstream.shape != out.shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match output {out.shape}"
             )
-        return upstream @ weights.T, x.T @ upstream, upstream.sum(axis=0)
+        dx, db = upstream @ weights.T, upstream.sum(axis=0)
+        if weight_rows is None:
+            return dx, x.T @ upstream, db
+        for rows in row_blocks(*weights.shape):
+            weight_rows(rows, x.T[rows] @ upstream)
+        return dx, None, db
 
     return out, backward
 

@@ -9,6 +9,7 @@ the optimizer can treat them uniformly.
 """
 
 import ctypes
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -252,16 +253,23 @@ def forward_batch(model, params, batch):
 def forward_vjp(model, params, batch):
     """(logits, backward) where backward(upstream [B,n_classes]) -> grad dict
     with the same keys as params, summed over the batch.  backward runs once:
-    it drops each layer's saved arrays as soon as it has used them."""
+    it drops each layer's saved arrays as soon as it has used them.
+
+    backward(upstream, update=update) returns None and hands each gradient
+    on instead, as update(key, rows, grad) with grad the gradient of
+    params[key][rows], as soon as its layer has made it and no longer reads
+    the parameter: a conv's whole, a dense weight's in blocks of rows
+    (`layers.dense_vjp`).  So update may write params[key] in place, and
+    no full set of gradients is ever held."""
     _check_batch(model, batch)
     x = batch
-    tape = []  # (parameter name prefix or None, backward)
+    tape = []  # (parameter name prefix or None, kernel name, backward)
     for name, vjp, args in _steps(model, params, want_vjp=True):
         x, bwd = getattr(layers, vjp)(x, *args)
-        tape.append((name, bwd))
+        tape.append((name, vjp, bwd))
     logits = x
 
-    def backward(upstream):
+    def backward(upstream, update=None):
         if upstream.shape != logits.shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match logits {logits.shape}"
@@ -271,15 +279,23 @@ def forward_vjp(model, params, batch):
         grads = {}
         g = upstream
         while tape:
-            name, bwd = tape.pop()
+            name, vjp, bwd = tape.pop()
             first = not tape  # the gradient of the batch itself is never used
-            if name:
+            if not name:
+                if not first:
+                    g = bwd(g)
+            elif update is None:
                 # a first layer with parameters is a conv: dense needs flat input
                 result = bwd(g, input_grad=False) if first else bwd(g)
                 g, grads[f"{name}/w"], grads[f"{name}/b"] = result
-            elif not first:
-                g = bwd(g)
-        return grads
+            else:
+                if vjp == "dense_vjp":
+                    g, _, db = bwd(g, weight_rows=functools.partial(update, f"{name}/w"))
+                else:
+                    g, dw, db = bwd(g, input_grad=False) if first else bwd(g)
+                    update(f"{name}/w", slice(None), dw)
+                update(f"{name}/b", slice(None), db)
+        return None if update else grads
 
     return logits, backward
 
@@ -436,16 +452,24 @@ def _steps(model, params, want_vjp):
 def training_bytes(model, batch, dtype):
     """Estimated bytes one training step on `batch` images in `dtype` holds
     at its peak: the im2col matrix each conv keeps for its backward pass
-    (with corners, only the rows its pool reads), plus four arrays the size
-    of the parameters: the parameters, their gradients and Adam's two
-    moments.  Activations, masks and the backward's own arrays are left
-    out, so it reads below a traced step's peak (see the tests)."""
-    cols = 0
+    (with corners, only the rows its pool reads), three arrays the size of
+    the parameters (the parameters and Adam's two moments), and the largest
+    gradient piece one layer holds (`forward_vjp` with update): a conv's
+    weight and bias gradients, or a dense layer's bias gradient and one
+    block of rows of its weight gradient.  Activations, masks and the
+    backward's own arrays are left out, so it reads below a traced step's
+    peak (see the tests)."""
+    cols = piece = 0
     for (_, layer, out, weights), corners in _run_order(model):
         if layer.kind == "conv2d":
             h, w = (out[0] // 2 * 2, out[1] // 2 * 2) if corners else out[:2]
             cols += h * w * math.prod(weights[:3])
-    return (batch * cols + 4 * count_params(model)) * np.dtype(dtype).itemsize
+        if layer.kind == "dense":
+            rows = max(block.stop - block.start for block in layers.row_blocks(*weights))
+            piece = max(piece, (rows + 1) * weights[1])
+        elif weights:
+            piece = max(piece, math.prod(weights) + weights[-1])
+    return (batch * cols + 3 * count_params(model) + piece) * np.dtype(dtype).itemsize
 
 
 def _first_stage(model):

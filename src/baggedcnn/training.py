@@ -4,12 +4,14 @@ Loss is reported as the batch mean; gradients from the network are summed
 over the batch, so the fused softmax+loss gradient is (probs - onehot)/B.
 """
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network
+from . import layers, network
 from .data import write_csv
 from .errors import InputError, NumericError
 from .layers import softmax
@@ -59,47 +61,85 @@ class AdamState:
         )
 
 
+def _adam_update(state, theta, g, m, v):
+    """Adam's update of theta from its gradient g, in place, and of its
+    moments m and v: the operations of the textbook form in its order, so
+    the same bits.  An array of more than `layers.BLOCK_VALUES` values runs
+    in the blocks of rows of `layers.row_blocks`, so each block's arrays
+    stay in cache.  Returns whether the new theta is finite."""
+    t = state.t
+    b1, b2 = state.beta1, state.beta2
+    finite = True
+    big = theta.size > layers.BLOCK_VALUES  # so at least 1-d
+    for rows in layers.row_blocks(len(theta), theta[0].size) if big else [...]:
+        th, gr, mo, ve = theta[rows], g[rows], m[rows], v[rows]
+        mo *= b1
+        work = np.multiply(gr, 1 - b1)
+        mo += work
+        ve *= b2
+        np.square(gr, out=work)
+        work *= 1 - b2
+        ve += work
+        # work = sqrt(vhat + eps); new = eta * mhat / work, then theta - new
+        np.divide(ve, 1 - b2**t, out=work)
+        work += state.epsilon
+        np.sqrt(work, out=work)
+        new = mo / (1 - b1**t)
+        new *= state.eta
+        new /= work
+        np.subtract(th, new, out=th)
+        finite &= bool(np.isfinite(th).all())
+    return finite
+
+
+_NON_FINITE_GRADIENT = "non-finite gradient for parameter {!r}"
+_NON_FINITE_VALUE = "non-finite value in parameter {!r} after an Adam step"
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def adam_step(params, grads, state: AdamState):
     """One update: moment EMAs, bias correction, step of size
-    eta/sqrt(vhat + eps) * mhat (epsilon inside the root).
+    eta/sqrt(vhat + eps) * mhat (epsilon inside the root).  Returns
+    (parameters, state).  A non-finite gradient or new parameter raises
+    NumericError naming the parameter, the first in params' order.
 
-    Returns new parameter arrays; params and grads are not written.  The
-    update runs in place on the moments, one work array and the new
-    parameter array, with the operations of the textbook form in the same
-    order, so its results are the same bits.  The work array lives for one
-    parameter's update only: kept across steps, the paper net's would add
-    37 MB to the peak of the next backward pass.  A non-finite gradient or
-    new parameter raises NumericError naming the parameter.
+    grads is either a mapping of gradients, or the backward of a
+    `network.forward_vjp` pass bound to its upstream.  Given a mapping,
+    the step is out of place: it returns new parameter arrays, writes
+    neither params nor grads, and a non-finite gradient raises before its
+    parameter's moments move.  Given the backward, it drives it and
+    updates params in place, each piece as the backward hands it on, so
+    no full set of gradients is held (`network.forward_vjp`); it returns
+    params itself, and its verdict comes after the whole pass.  Both forms
+    run one in-place update (`_adam_update`), the same bits.
     """
     state.t += 1
-    t = state.t
-    b1, b2 = state.beta1, state.beta2
-    out = {}
-    for key, theta in params.items():
-        g = grads[key]
+    if isinstance(grads, Mapping):
+        out = {}
+        for key, theta in params.items():
+            g = np.asarray(grads[key])
+            if not np.all(np.isfinite(g)):
+                raise NumericError(_NON_FINITE_GRADIENT.format(key))
+            out[key] = theta.copy()
+            if not _adam_update(state, out[key], g, state.m[key], state.v[key]):
+                raise NumericError(_NON_FINITE_VALUE.format(key))
+        return out, state
+    bad_grads, bad_values = set(), set()
+
+    def update(key, rows, g):
         if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {key!r}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= b1
-        work = np.multiply(g, 1 - b1)
-        m += work
-        v *= b2
-        np.square(g, out=work)
-        work *= 1 - b2
-        v += work
-        # work = sqrt(vhat + eps); new = eta * mhat / work, then theta - new
-        np.divide(v, 1 - b2**t, out=work)
-        work += state.epsilon
-        np.sqrt(work, out=work)
-        new = m / (1 - b1**t)
-        new *= state.eta
-        new /= work
-        out[key] = np.subtract(theta, new, out=new).astype(theta.dtype, copy=False)
-        if not np.all(np.isfinite(out[key])):
-            raise NumericError(f"non-finite value in parameter {key!r} after an Adam step")
-    return out, state
+            bad_grads.add(key)
+        elif not _adam_update(state, params[key][rows], g, state.m[key][rows],
+                              state.v[key][rows]):
+            bad_values.add(key)
+
+    grads(update=update)
+    for key in params:
+        if key in bad_grads:
+            raise NumericError(_NON_FINITE_GRADIENT.format(key))
+        if key in bad_values:
+            raise NumericError(_NON_FINITE_VALUE.format(key))
+    return params, state
 
 
 def integer_at_least(low):
@@ -208,8 +248,8 @@ def train_submodel(model, images, labels, config: TrainConfig, val=None):
             xb, yb = images[sel], labels[sel]
             logits, bwd = network.forward_vjp(model, params, xb)
             loss, probs, dlogits = softmax_cce(logits, yb)
-            # no name holds the gradients, so they are freed before the next forward pass
-            params, state = adam_step(params, bwd(dlogits), state)
+            # updates params in place as the backward makes each gradient
+            params, state = adam_step(params, functools.partial(bwd, dlogits), state)
             epoch_loss += loss * len(sel)
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
         history.train_loss.append(epoch_loss / n)

@@ -1,5 +1,7 @@
 import os
+import signal
 import struct
+import time
 import types
 
 import numpy as np
@@ -42,6 +44,35 @@ class TestReplaceFile:
         with data.replace_file(path) as tmp, open(tmp, "w") as fh:
             fh.write("whole")
         assert os.listdir(tmp_path) == ["new.txt"] and path.read_text() == "whole"
+
+    def test_the_next_write_removes_a_killed_writer_s_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        ready, signal_ready = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                with data.replace_file(path) as tmp, open(tmp, "w") as fh:
+                    fh.write("part")
+                    fh.flush()
+                    os.write(signal_ready, b".")
+                    time.sleep(60)
+            finally:
+                os._exit(1)  # not reached unless the kill failed
+        os.close(signal_ready)
+        assert os.read(ready, 1) == b"."
+        os.close(ready)
+        os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        # beside it: a live writer's file, and names that are not path's
+        kept = [f"t.csv.{os.getppid()}.tmp", "t.csv.x1.tmp", f"t.csvx.{pid}.tmp",
+                f"u.csv.{pid}.tmp"]
+        for name in kept:
+            (tmp_path / name).write_text("other")
+        assert sorted(os.listdir(tmp_path)) == sorted(kept + [f"t.csv.{pid}.tmp"])
+        data.write_csv(path, ["a"], [[1]])
+        assert sorted(os.listdir(tmp_path)) == sorted(kept + ["t.csv"])
+        assert path.read_bytes() == b"a\r\n1\r\n"
 
     def test_a_container_write_that_raises_keeps_the_earlier_container(self, rng, tmp_path,
                                                                         monkeypatch):

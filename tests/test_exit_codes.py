@@ -95,14 +95,28 @@ def test_config_edges_end_with_a_documented_code(files, fuzz):
     assert len(err.getvalue().splitlines()) == (code != 0)
 
 
+@pytest.fixture(scope="module")
+def trained(files):
+    """The checkpoint of a small ensemble trained once on the 16x16 dataset,
+    for `eval`."""
+    work, dataset = files
+    config = work / "trained.cfg"
+    config.write_text(f"[dataset]\npath = {dataset}\n[model]\nwidths = 2\ndense_units = 6\n"
+                      f"[bagging]\nn_models = 2\n[train]\nepochs = 1\n[combiner]\nn_trees = 2\n"
+                      f"[run]\nout = {work / 'trained'}\n")
+    assert TestDatasetEdges.run("--config", config, "train") == (0, "")
+    return work / "trained" / "checkpoint.bin"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_drawn_datasets_and_configs_end_with_a_documented_code(files, fuzz):
-    # the dataset's size, image shape and classes drawn with the config
+def test_drawn_datasets_and_configs_end_with_a_documented_code(files, trained, fuzz):
+    # the dataset's size, image shape and classes drawn with the config and
+    # the command; eval reads the checkpoint of a 16x16x1 five-class model
     work = files[0]
     n = fuzz.draw(st.integers(0, 40), label="images")
-    side = fuzz.draw(st.integers(1, 24), label="side")
-    channels = fuzz.draw(st.integers(1, 3), label="channels")
+    side = fuzz.draw(st.just(16) | st.integers(1, 24), label="side")
+    channels = fuzz.draw(st.just(1) | st.integers(1, 3), label="channels")
     classes = fuzz.draw(st.integers(1, 5), label="classes")
     labels = np.array(fuzz.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n),
                                 label="labels"), dtype=np.uint8)
@@ -119,6 +133,7 @@ def test_drawn_datasets_and_configs_end_with_a_documented_code(files, fuzz):
                      "max_depth": ["1", "4"]},
         "metrics": {"excluded_classes": ["", "0", "1"]},
         "run": {"precision": ["32", "64"], "seed": ["0", "7"]},
+        "sweep": {"grid": ["1:1", "0.5:1,1:2"]},
     }
     lines = {"dataset": [f"path = {work / 'drawn.bsec'}"], "run": [f"out = {work / 'drawn'}"]}
     for section, keys in options.items():
@@ -128,8 +143,11 @@ def test_drawn_datasets_and_configs_end_with_a_documented_code(files, fuzz):
     config = work / "drawn.cfg"
     config.write_text("".join(f"[{section}]\n" + "\n".join(items) + "\n"
                               for section, items in lines.items()))
-    code, err = TestDatasetEdges.run("--config", config, "train")
-    event(f"exit {code}")
+    command = fuzz.draw(st.sampled_from(["train", "sweep", "compare-combiners", "eval"]),
+                        label="command")
+    args = ["eval", trained, work / "drawn.bsec"] if command == "eval" else [command]
+    code, err = TestDatasetEdges.run("--config", config, *args)
+    event(f"{command} exit {code}")
     assert code in {0, 2, 3, 4}
     assert len(err.splitlines()) == (code != 0)
 

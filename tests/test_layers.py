@@ -253,6 +253,46 @@ class TestDense:
         with pytest.raises(DimensionError, match="inner"):
             layers.dense_forward(np.zeros((1, 3)), np.zeros((4, 2)), np.zeros(2))
 
+    # the desk and paper dense shapes, and a few rows; a block of 100 values
+    # splits each into blocks of two or three rows
+    @pytest.mark.parametrize("block", [None, 100])
+    @pytest.mark.parametrize("batch", [1, 3, 8, 32])
+    @pytest.mark.parametrize("n_in, units", [(576, 64), (64, 5), (18432, 512), (7, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_rows_are_the_whole_product_s_bytes(self, monkeypatch, dtype, n_in, units,
+                                                       batch, block):
+        if block:
+            monkeypatch.setattr(layers, "BLOCK_VALUES", block)
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, n_in)).astype(dtype)
+        w, b = rng.normal(size=(n_in, units)).astype(dtype), np.zeros(units, dtype)
+        up = rng.normal(size=(batch, units)).astype(dtype)
+        want = layers.dense_vjp(x, w.copy(), b)[1](up)
+        blocks = []
+
+        def weight_rows(rows, block):
+            blocks.append((rows, block))
+            w[rows] = np.nan  # the caller may write the weights once handed their rows
+
+        dx, dw, db = layers.dense_vjp(x, w, b)[1](up, weight_rows=weight_rows)
+        assert dw is None
+        assert dx.tobytes() == want[0].tobytes() and db.tobytes() == want[2].tobytes()
+        assert [rows for rows, _ in blocks] == layers.row_blocks(n_in, units)
+        assert np.concatenate([block for _, block in blocks]).tobytes() == want[1].tobytes()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4, 5, 7, 128, 129, 18432])
+    @pytest.mark.parametrize("row_values", [0, 1, 9, 512, 40000, 1 << 17])
+    def test_whole_rows_in_order_none_alone(self, n_rows, row_values):
+        blocks = layers.row_blocks(n_rows, row_values)
+        assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [len(range(n_rows)[rows]) for rows in blocks]
+        step = max(2, layers.BLOCK_VALUES // max(1, row_values))
+        assert all(size >= min(2, n_rows) for size in sizes)
+        assert all(size == step for size in sizes[:-1]) and sizes[-1] <= step + 1
+
 
 class TestSoftmax:
     def test_uniform_logits(self):

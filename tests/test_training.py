@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from baggedcnn import network, training
+import test_network
+from baggedcnn import layers, network, training
 from baggedcnn.errors import InputError, LabelError, NumericError
 from baggedcnn.layers import softmax
 from conftest import max_rel_err, numeric_grad
@@ -170,6 +172,202 @@ class TestFusedAdamMatchesReference:
             training.adam_step(params, {"a": np.array([1.0, np.inf, 0.0]), "b": np.ones(2)},
                                state)
         assert state.m["a"].tobytes() == m.tobytes() and state.v["a"].tobytes() == v.tobytes()
+
+
+def reference_training(model, images, labels, config):
+    """train_submodel's loop on the public gradient dict and
+    reference_adam_step, raising as adam_step does: key by key in parameter
+    order, a non-finite gradient, then a non-finite new value.  Returns the
+    parameters."""
+    params = network.init_params(model, config.seed, dtype=images.dtype)
+    state = training.AdamState.fresh(params, config.beta1, config.beta2, config.eta,
+                                     config.epsilon)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
+    n = len(labels)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, config.batch_size):
+            sel = order[lo : lo + config.batch_size]
+            logits, backward = network.forward_vjp(model, params, images[sel])
+            _, _, dlogits = training.softmax_cce(logits, labels[sel])
+            grads, t, new = backward(dlogits), state.t, {}
+            for key in params:
+                state.t = t  # each call takes step t + 1
+                new.update(reference_adam_step({key: params[key]}, {key: grads[key]}, state)[0])
+                if not np.all(np.isfinite(new[key])):
+                    raise NumericError(f"non-finite value in parameter {key!r} after an Adam step")
+            params = new
+    return params
+
+
+def outcome(train, *args):
+    """train(*args)'s parameters, or the NumericError it raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return train(*args)
+        except NumericError as exc:
+            return exc
+
+
+class TestFusedStepMatchesReference:
+    """train_submodel, whose Adam steps update the parameters in place as the
+    backward makes each gradient, against the reference loop."""
+
+    NETS = {"desk": network.build_scaled_cnn((32, 32, 1), (8, 16), 5, dense_units=64),
+            "odd": test_network.TestTrainingBytes.NETS["odd"][0]}
+
+    def run_both(self, net, dtype, config, n=23):
+        model = self.NETS[net]
+        rng = np.random.default_rng(5)
+        images = rng.uniform(size=(n, *model.input_shape)).astype(dtype)
+        labels = np.arange(n) % model.n_classes
+        fused = outcome(lambda: training.train_submodel(model, images, labels, config)[0])
+        return fused, outcome(reference_training, model, images, labels, config)
+
+    # 23 images at batch 5: a last batch of 3; a block of 100 values splits
+    # each dense weight gradient into one-row blocks and the conv updates too
+    @pytest.mark.parametrize("block", [None, 100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("net", ["desk", "odd"])
+    def test_bytes_equal_after_two_epochs(self, monkeypatch, net, dtype, block):
+        if block:
+            monkeypatch.setattr(layers, "BLOCK_VALUES", block)
+        fused, ref = self.run_both(net, dtype, training.TrainConfig(epochs=2, batch_size=5,
+                                                                     seed=3))
+        assert list(fused) == list(ref)
+        for key in ref:
+            assert fused[key].dtype == dtype
+            assert fused[key].tobytes() == ref[key].tobytes(), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("net", ["desk", "odd"])
+    def test_a_non_finite_gradient_names_the_same_key(self, monkeypatch, net, dtype):
+        # conv2d_1's third bias gradient in each run is made NaN: its input
+        # gradient and every earlier key stay finite, so conv2d_1/b is the
+        # first bad key
+        shape = network._param_shapes(self.NETS[net])["conv2d_1/w"]
+        conv2d_vjp, calls = layers.conv2d_vjp, []
+
+        def spoiled(x, kernels, *args):
+            out, backward = conv2d_vjp(x, kernels, *args)
+            if kernels.weights.shape != shape:
+                return out, backward
+            calls.append(None)
+            spoil = len(calls) % 3 == 0  # the fused run's calls, then the reference's
+
+            def spoiled_backward(*bargs, **bkwargs):
+                dx, dw, db = backward(*bargs, **bkwargs)
+                return dx, dw, db * np.nan if spoil else db
+
+            return out, spoiled_backward
+
+        monkeypatch.setattr(layers, "conv2d_vjp", spoiled)
+        fused, ref = self.run_both(net, dtype, training.TrainConfig(epochs=2, batch_size=5))
+        assert len(calls) == 3 + 3
+        message = "non-finite gradient for parameter 'conv2d_1/b'"
+        assert (type(fused), str(fused)) == (type(ref), str(ref)) == (NumericError, message)
+
+    @pytest.mark.parametrize("dtype, eta", [(np.float32, 3e35), (np.float64, 1.8e305)])
+    @pytest.mark.parametrize("net", ["desk", "odd"])
+    def test_an_overflowing_step_names_the_same_key(self, net, dtype, eta):
+        fused, ref = self.run_both(net, dtype, training.TrainConfig(epochs=2, batch_size=5,
+                                                                     eta=eta))
+        message = "non-finite value in parameter 'conv2d/w' after an Adam step"
+        assert (type(fused), str(fused)) == (type(ref), str(ref)) == (NumericError, message)
+
+
+class TestFusedStepPeak:
+    def test_the_dense_weight_gradient_never_sits_beside_the_im2col_matrices(self, rng,
+                                                                            monkeypatch):
+        # The dense weight, 400 x 2500 values, outweighs the conv's im2col
+        # rows, 4 x 20 x 20 x 9.  The backward of a training step starts with
+        # every im2col matrix held (traced in `before`); one that made the
+        # dense weight's whole gradient would rise by at least its bytes.
+        model = network.ModelSpec((22, 22, 1), (
+            network.conv(3, 3, 4), network.relu(), network.pool(), network.flat(),
+            network.dense(2500), network.relu(), network.dense(2)), 2)
+        forward_vjp, rises = network.forward_vjp, []
+
+        def traced(*args):
+            logits, backward = forward_vjp(*args)
+
+            def traced_backward(*bargs, **bkwargs):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = backward(*bargs, **bkwargs)
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+                return result
+
+            return logits, traced_backward
+
+        monkeypatch.setattr(network, "forward_vjp", traced)
+        x = rng.uniform(size=(4, 22, 22, 1))
+        tracemalloc.start()
+        try:
+            training.train_submodel(model, x, np.arange(4) % 2,
+                                    training.TrainConfig(epochs=1, batch_size=4))
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 1 and rises[0] < 400 * 2500 * x.itemsize // 2
+
+
+class TestAdamDrivingTheBackward:
+    """adam_step given a backward: pieces handed in any order and in blocks of
+    rows update in place, with the bits and the verdict of the mapping form."""
+
+    SHAPES = {"a": (6, 4), "b": (5,), "c": (3, 2, 2)}
+
+    @staticmethod
+    def backward(grads, pieces):
+        """A backward that hands grads[key][rows] on per (key, rows) of pieces."""
+        def run(update):
+            for key, rows in pieces:
+                update(key, rows, grads[key][rows].copy())
+        return run
+
+    PIECES = [("c", slice(None)), ("a", slice(4, 6)), ("b", slice(None)), ("a", slice(0, 4))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_mapping_form(self, rng, monkeypatch, dtype):
+        monkeypatch.setattr(layers, "BLOCK_VALUES", 5)  # rows of "a" one at a time
+        params = {k: rng.normal(size=sh).astype(dtype) for k, sh in self.SHAPES.items()}
+        fused, ref = {k: v.copy() for k, v in params.items()}, params
+        fused_state = training.AdamState.fresh(params, eta=0.01)
+        ref_state = training.AdamState.fresh(params, eta=0.01)
+        for scale in [1.0, 0.0, 1e-30, 5.0]:
+            grads = {k: (scale * rng.normal(size=sh)).astype(dtype)
+                     for k, sh in self.SHAPES.items()}
+            inputs = dict(fused)
+            out, fused_state = training.adam_step(fused, self.backward(grads, self.PIECES),
+                                                  fused_state)
+            ref, ref_state = training.adam_step(ref, grads, ref_state)
+            assert out is fused and fused_state.t == ref_state.t
+            for k in self.SHAPES:
+                assert fused[k] is inputs[k]  # in place
+                assert fused[k].tobytes() == ref[k].tobytes(), k
+                assert fused_state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+                assert fused_state.v[k].tobytes() == ref_state.v[k].tobytes(), k
+
+    # per key: None, "grad" (a NaN gradient) or "value" (an overflowing
+    # step), and the key and message the mapping form raises first
+    @pytest.mark.parametrize("spoil, key, message", [
+        ({"a": "value", "b": "grad"}, "a", "non-finite value in parameter 'a' after an Adam step"),
+        ({"b": "value", "c": "grad"}, "b", "non-finite value in parameter 'b' after an Adam step"),
+        ({"a": "grad", "b": "value"}, "a", "non-finite gradient for parameter 'a'"),
+        ({"c": "value"}, "c", "non-finite value in parameter 'c' after an Adam step"),
+    ])
+    def test_the_verdict_is_the_mapping_form_s(self, spoil, key, message):
+        params = {k: np.zeros(sh) for k, sh in self.SHAPES.items()}
+        grads = {k: np.full(sh, 0.5) for k, sh in self.SHAPES.items()}
+        for k, how in spoil.items():
+            grads[k].reshape(-1)[-1] = np.nan if how == "grad" else 1e300
+        raised = []
+        for form in (grads, self.backward(grads, self.PIECES)):
+            state = training.AdamState.fresh(params, eta=1e10)  # 1e300 * 1e10 overflows
+            with pytest.raises(NumericError) as info:
+                training.adam_step(params, form, state)
+            raised.append(str(info.value))
+        assert raised == [message, message]
 
 
 def separable_dataset(rng, n=200, size=16):
