@@ -103,30 +103,37 @@ def _first_improvement(flat):
     return best
 
 
-def _grow(features, labels, n_classes, max_depth, n_candidates, rng, nodes, depth):
-    """Append the subtree's node rows [feature, threshold, left, right, label]
-    to nodes in preorder; returns its root id."""
-    node_id = len(nodes)
-    counts = np.bincount(labels, minlength=n_classes)
-    nodes.append([-1, 0.0, -1, -1, int(counts.argmax())])  # a leaf unless it splits
-    if depth >= max_depth or np.count_nonzero(counts) <= 1:
-        return node_id
-    d = features.shape[1]
-    if n_candidates >= d:
-        candidates = np.arange(d)
-    else:
-        candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
-    split = _best_split(features, labels, candidates, n_classes)
-    if split is None:
-        return node_id
-    f, thr = split
-    mask = features[:, f] <= thr
-    left = _grow(features[mask], labels[mask], n_classes, max_depth, n_candidates,
-                 rng, nodes, depth + 1)
-    right = _grow(features[~mask], labels[~mask], n_classes, max_depth, n_candidates,
-                  rng, nodes, depth + 1)
-    nodes[node_id] = [f, thr, left, right, -1]
-    return node_id
+def _grow(features, labels, n_classes, max_depth, n_candidates, rng):
+    """Node rows [feature, threshold, left, right, label] of a tree grown on
+    features and labels, in preorder.  A stack of subtrees still to grow
+    stands in for recursion, so a chain of any depth grows; each node draws
+    its candidates when it is reached, in preorder, as a recursive walk
+    would."""
+    nodes = []
+    stack = [(features, labels, 0, None)]  # (features, labels, depth, parent's child slot)
+    while stack:
+        features, labels, depth, slot = stack.pop()
+        if slot:
+            nodes[slot[0]][slot[1]] = len(nodes)
+        counts = np.bincount(labels, minlength=n_classes)
+        node = [-1, 0.0, -1, -1, int(counts.argmax())]  # a leaf unless it splits
+        nodes.append(node)
+        if depth >= max_depth or np.count_nonzero(counts) <= 1:
+            continue
+        d = features.shape[1]
+        if n_candidates >= d:
+            candidates = np.arange(d)
+        else:
+            candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
+        split = _best_split(features, labels, candidates, n_classes)
+        if split is None:
+            continue
+        node[0], node[1], node[4] = *split, -1
+        mask = features[:, split[0]] <= split[1]
+        # the right subtree goes under the left, which grows first
+        stack.append((features[~mask], labels[~mask], depth + 1, (len(nodes) - 1, 3)))
+        stack.append((features[mask], labels[mask], depth + 1, (len(nodes) - 1, 2)))
+    return nodes
 
 
 @dataclass
@@ -170,8 +177,7 @@ def _grow_tree(features, labels, n_classes, max_depth, n_candidates, bootstrap, 
         rows = rng.integers(0, len(labels), size=len(labels))
     else:
         rows = np.arange(len(labels))
-    nodes = []
-    _grow(features[rows], labels[rows], n_classes, max_depth, n_candidates, rng, nodes, 0)
+    nodes = _grow(features[rows], labels[rows], n_classes, max_depth, n_candidates, rng)
     feature, threshold, left, right, label = zip(*nodes)
     return DecisionTree(
         feature=np.array(feature, dtype=np.int64),

@@ -13,8 +13,11 @@ over the batch for parameter gradients.  The conv backward takes
 `input_grad=False` to skip the input gradient, which a network's first layer
 never needs.  A conv keeps its im2col matrix only until the weight gradient,
 so the input gradient's arrays never sit beside it, and its backward runs
-once.  The pool and relu backward closures keep masks and indices rather
-than forward activations.
+once.  A training conv whose matrix is larger than STREAM_VALUES keeps its
+input instead and builds the matrix a chunk at a time, in the forward and
+again for the weight gradient; the corner-order input gradient runs a
+group of images at a time under the same budget.  The pool and relu
+backward closures keep masks and indices rather than forward activations.
 
 A conv that feeds a pool builds its im2col rows in 2x2 window-corner order
 and returns [2, 2, B, H'//2, W'//2, Cout], which the pool reads as four
@@ -45,6 +48,7 @@ first-maximum index, and with it the gradient.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -103,19 +107,94 @@ def _windows(xb, kh, kw, stride, corners):
                                            writeable=False)
 
 
+def _matrix(win, planar):
+    """The im2col matrix [rows, kh*kw*Cin] of a window view [*rows, kh, kw,
+    Cin]: planar, the transposed view of planes [kh*kw*Cin, rows] copied
+    from it, or row-major, one window copy."""
+    k = math.prod(win.shape[-3:])
+    if planar:
+        return np.ascontiguousarray(np.moveaxis(win, (-3, -2, -1), (0, 1, 2))).reshape(k, -1).T
+    return np.ascontiguousarray(win).reshape(-1, k)
+
+
 def _im2col(xb, kh, kw, stride, corners=False):
     """Row-major im2col matrix [rows, kh*kw*Cin] of x [B,H,W,C], one window
     copy; returns (matrix, row shape), the rows as `_windows` orders them."""
     win = _windows(xb, kh, kw, stride, corners)
-    return np.ascontiguousarray(win).reshape(-1, kh * kw * xb.shape[3]), win.shape[:-3]
+    return _matrix(win, False), win.shape[:-3]
 
 
 def _im2col_planar(xb, kh, kw, stride, corners=False):
     """The same matrix as _im2col: the transposed view of planes
     [kh*kw*Cin, rows] copied from the window view."""
     win = _windows(xb, kh, kw, stride, corners)
-    planes = np.ascontiguousarray(np.moveaxis(win, (-3, -2, -1), (0, 1, 2)))
-    return planes.reshape(kh * kw * xb.shape[3], -1).T, win.shape[:-3]
+    return _matrix(win, True), win.shape[:-3]
+
+
+# Values in one chunk of a streamed im2col matrix, and in one image group
+# of a corner-order input gradient's planes (`conv2d_vjp`).  Part of the
+# numerics, as network.PREDICT_BATCH is: a streamed weight gradient sums its
+# chunks one at a time, so another size rounds it differently.  A paper
+# sub-model (1 BLAS thread, 2 vCPU, OpenBLAS 0.3.31) trained in 985 ms at
+# 1 << 20 (4 MB in float32) and 1003 ms at 1 << 22 against 1145 ms with
+# whole matrices, and peaked at 299 MB at either against 423 MB.  At
+# 1 << 20 every desk conv's matrix at batch 32 fits in one chunk; at
+# BLOCK_VALUES it would not.
+STREAM_VALUES = 1 << 20
+
+
+def _slab_values(x_shape, w_shape, stride, corners):
+    """Values of one image's rows of one pool-corner slab (of the plain
+    order) in the im2col matrix of x_shape [B,H,W,Cin]."""
+    _, h, w, _ = x_shape
+    kh, kw, cin, _ = w_shape
+    hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
+    return ((hp // 2) * (wp // 2) if corners else hp * wp) * kh * kw * cin
+
+
+def _stream_images(x_shape, w_shape, stride, corners):
+    """Images per im2col chunk of a training conv on x_shape [B,H,W,Cin],
+    or 0 when its matrix fits in one chunk and is held whole.  A chunk is
+    whole images of one pool-corner slab (whole images in plain order), as
+    many as STREAM_VALUES holds, at least one."""
+    images = max(1, STREAM_VALUES // _slab_values(x_shape, w_shape, stride, corners))
+    return images if (4 if corners else 1) * x_shape[0] > images else 0
+
+
+def _chunk_rows(bsz, images, corners):
+    """The index, into a [*rows] row shape of `_windows`, of each chunk of
+    `images` images, in row order."""
+    spans = [slice(lo, lo + images) for lo in range(0, bsz, images)]
+    return [(r, c, span) for r, c in _CORNERS for span in spans] if corners else spans
+
+
+def _plane_group(w_shape, h2, w2, stride):
+    """((hq, wq), values of one image's planes, images per group) of
+    `_corner_input_grad` for kernels of w_shape and pool rows h2 x w2."""
+    kh, kw, cin, _ = w_shape
+    per = 2 * stride
+    hq, wq = h2 + (stride + kh - 1) // per, w2 + (stride + kw - 1) // per
+    values = 4 * kh * kw * cin * hq * wq
+    return (hq, wq), values, max(1, STREAM_VALUES // values)
+
+
+def conv_training_values(x_shape, w_shape, stride, corners):
+    """Values `conv2d_vjp` on x_shape [B,H,W,Cin] keeps from its forward to
+    its backward: its im2col matrix, with corners only the rows a pool
+    reads; or, when it streams the matrix, its input, one chunk and, with
+    corners, one image group of input-gradient planes."""
+    bsz = x_shape[0]
+    slab = _slab_values(x_shape, w_shape, stride, corners)
+    images = _stream_images(x_shape, w_shape, stride, corners)
+    if not images:
+        return (4 if corners else 1) * bsz * slab
+    planes = 0
+    if corners:
+        kh, kw = w_shape[:2]
+        hp, wp = (x_shape[1] - kh) // stride + 1, (x_shape[2] - kw) // stride + 1
+        _, values, group = _plane_group(w_shape, hp // 2, wp // 2, stride)
+        planes = min(bsz, group) * values
+    return math.prod(x_shape) + images * slab + planes
 
 
 def _add_bias(out, bias):
@@ -125,9 +204,12 @@ def _add_bias(out, bias):
     lines += np.tile(bias, out.shape[-2])
 
 
-def _conv_core(x, kernels, stride, corners, add_bias=True):
+def _conv_core(x, kernels, stride, corners, add_bias=True, stream=False):
     """im2col forward of x [B,H,W,Cin] on the matrix _PLANAR_MAX_CIN picks:
-    returns (out [*rows, Cout], col [rows, kh*kw*Cin])."""
+    returns (out [*rows, Cout], col [rows, kh*kw*Cin], images).  With
+    stream, a matrix larger than one chunk is built and multiplied a chunk
+    at a time into its rows of out (`_stream_images`): col is None and
+    images the chunk's images, else 0."""
     _check_batch(x, "conv input")
     w, b = kernels.weights, kernels.bias
     kh, kw, cin, cout = w.shape
@@ -140,12 +222,22 @@ def _conv_core(x, kernels, stride, corners, add_bias=True):
             f"{axis} axis smaller than kernel: input {x.shape[1:3]}, kernel {(kh, kw)}")
     if corners:
         _check_pool_window((x.shape[1] - kh) // stride + 1, (x.shape[2] - kw) // stride + 1)
-    im2col = _im2col_planar if cin <= _PLANAR_MAX_CIN else _im2col
-    col, rows = im2col(x, kh, kw, stride, corners)
-    out = (col @ w.reshape(kh * kw * cin, cout)).reshape(*rows, cout)
+    images = _stream_images(x.shape, w.shape, stride, corners) if stream else 0
+    w2 = w.reshape(kh * kw * cin, cout)
+    if images:
+        col, win = None, _windows(x, kh, kw, stride, corners)
+        out = np.empty((*win.shape[:-3], cout), np.result_type(x, w))
+        for rows in _chunk_rows(len(x), images, corners):
+            # each chunk's rows are the whole matrix's: a row partition of its GEMM
+            np.matmul(_matrix(win[rows], cin <= _PLANAR_MAX_CIN), w2,
+                      out=out[rows].reshape(-1, cout))
+    else:
+        im2col = _im2col_planar if cin <= _PLANAR_MAX_CIN else _im2col
+        col, rows = im2col(x, kh, kw, stride, corners)
+        out = (col @ w2).reshape(*rows, cout)
     if add_bias:
         _add_bias(out, b)
-    return out.astype(x.dtype, copy=False), col
+    return out.astype(x.dtype, copy=False), col, images
 
 
 def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False, add_bias=True):
@@ -176,6 +268,21 @@ def _bias_grad(up_flat):
     return np.einsum("ij->j", up_flat)
 
 
+def _streamed_weight_grad(x, upstream, kh, kw, stride, corners, images):
+    """col.T @ upstream [*rows, Cout] over x's im2col matrix, rebuilt a chunk
+    of `images` images at a time; the chunks' products add in row order."""
+    win = _windows(x, kh, kw, stride, corners)
+    dw = None
+    for rows in _chunk_rows(len(x), images, corners):
+        part = _matrix(win[rows], x.shape[3] <= _PLANAR_MAX_CIN).T @ upstream[rows].reshape(
+            -1, upstream.shape[-1])
+        if dw is None:
+            dw = part
+        else:
+            dw += part
+    return dw
+
+
 def _corner_input_grad(w, upstream, in_shape, stride):
     """dInput [B,H,W,Cin] of a corner-order upstream [2, 2, B, H2, W2, Cout].
 
@@ -186,32 +293,44 @@ def _corner_input_grad(w, upstream, in_shape, stride):
     a zero border, so each adds into its phase as one contiguous add, in its
     (i, j) order.  At paper conv2 this took 0.6x the time of four slab copies
     per offset onto a zero-bordered grid of the plain order.
+
+    The images run in groups whose planes hold at most STREAM_VALUES values
+    (one image at least): each group's GEMMs are columns of the whole
+    batch's, and the border a shifted add carries into the next image holds
+    only zeros, so every group size gives the same bytes.
     """
     kh, kw, cin, cout = w.shape
     bsz, h2, w2 = upstream.shape[2:5]
     per = 2 * stride
-    hq, wq = h2 + (stride + kh - 1) // per, w2 + (stride + kw - 1) // per
-    size = cin * bsz * hq * wq
-    pad = np.zeros((bsz, hq, wq, cout), upstream.dtype)
-    planes = np.empty((4, kh, kw, size), upstream.dtype)
-    for (r, c), plane in zip(_CORNERS, planes):
-        pad[:, :h2, :w2] = upstream[r, c]
-        np.matmul(w.reshape(-1, cout), pad.reshape(-1, cout).T, out=plane.reshape(-1, size // cin))
-    phases = np.zeros((per, per, size), upstream.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            for (r, c), plane in zip(_CORNERS, planes):
-                ty, tx = r * stride + i, c * stride + j
-                offset = ty // per * wq + tx // per
-                phases[ty % per, tx % per, offset:] += plane[i, j, : size - offset]
-    del planes
-    phases = phases.reshape(per, per, cin, bsz, hq, wq)
-    dx = np.zeros(in_shape, upstream.dtype)
-    for p in range(per):
-        for q in range(per):
-            view = dx[:, p::per, q::per]  # rows past the last window stay 0
-            h, w_ = min(hq, view.shape[1]), min(wq, view.shape[2])
-            view[:, :h, :w_] = np.moveaxis(phases[p, q, :, :, :h, :w_], 0, 3)
+    (hq, wq), _, group = _plane_group(w.shape, h2, w2, stride)
+    dx = None
+    for lo in range(0, max(bsz, 1), group):  # an empty batch makes an empty dx
+        up = upstream[:, :, lo : lo + group]
+        images = up.shape[2]
+        size = cin * images * hq * wq
+        pad = np.zeros((images, hq, wq, cout), upstream.dtype)
+        planes = np.empty((4, kh, kw, size), upstream.dtype)
+        for (r, c), plane in zip(_CORNERS, planes):
+            pad[:, :h2, :w2] = up[r, c]
+            np.matmul(w.reshape(-1, cout), pad.reshape(-1, cout).T,
+                      out=plane.reshape(-1, size // cin))
+        phases = np.zeros((per, per, size), upstream.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                for (r, c), plane in zip(_CORNERS, planes):
+                    ty, tx = r * stride + i, c * stride + j
+                    offset = ty // per * wq + tx // per
+                    phases[ty % per, tx % per, offset:] += plane[i, j, : size - offset]
+        del planes, plane, pad  # the loop's last plane is a view that keeps planes
+        phases = phases.reshape(per, per, cin, images, hq, wq)
+        if dx is None:
+            dx = np.zeros(in_shape, upstream.dtype)
+        for p in range(per):
+            for q in range(per):
+                view = dx[lo : lo + images, p::per, q::per]  # rows past the last window stay 0
+                h, w_ = min(hq, view.shape[1]), min(wq, view.shape[2])
+                view[:, :h, :w_] = np.moveaxis(phases[p, q, :, :, :h, :w_], 0, 3)
+        del phases
     return dx
 
 
@@ -223,26 +342,39 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
     no gradient.  input_grad=False skips dInput, the costliest part of the
     backward pass, and returns None in its place.
 
-    backward runs once: it lets go of the im2col matrix, at paper conv2 the
-    largest array it holds (107 MB), as soon as it has dWeights, and a
-    second call raises InputError.
+    An im2col matrix larger than one chunk (`STREAM_VALUES`) is streamed:
+    the forward builds and multiplies it a chunk at a time and keeps the
+    input, and the backward rebuilds the same chunks from it and adds each
+    chunk's `col.T @ upstream` into dWeights in row order.  Such a dWeights
+    rounds differently from the whole product, within 8 eps of the sum of
+    its terms' magnitudes.  A matrix within one chunk is held whole.
+
+    backward runs once: it lets go of the im2col matrix (or the input), at
+    paper conv2 the largest array it holds (107 MB whole), as soon as it has
+    dWeights, and a second call raises InputError.
     """
-    out, col = _conv_core(x, kernels, stride, corners)
+    out, kept, images = _conv_core(x, kernels, stride, corners, stream=True)
+    if images:
+        kept = x  # the input, from which the backward rebuilds the chunks
     w = kernels.weights
     kh, kw, cin, cout = w.shape
     in_shape, in_dtype, out_shape = x.shape, x.dtype, out.shape
 
     def backward(upstream, input_grad=True):
-        nonlocal col
+        nonlocal kept
         if upstream.shape != out_shape:
             raise DimensionError(
                 f"upstream shape {upstream.shape} does not match forward output {out_shape}"
             )
-        if col is None:
+        if kept is None:
             raise InputError("backward already ran for this conv forward pass")
         up_flat = upstream.reshape(-1, cout)
-        dw = (col.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
-        col = None  # so the input gradient's arrays never sit beside it
+        if images:
+            dw = _streamed_weight_grad(kept, upstream, kh, kw, stride, corners, images)
+        else:
+            dw = kept.T @ up_flat
+        dw = dw.reshape(w.shape).astype(w.dtype, copy=False)
+        kept = None  # so the input gradient's arrays never sit beside it
         db = _bias_grad(up_flat).astype(w.dtype, copy=False)
         if not input_grad:
             return None, dw, db

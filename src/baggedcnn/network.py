@@ -451,25 +451,27 @@ def _steps(model, params, want_vjp):
 
 def training_bytes(model, batch, dtype):
     """Estimated bytes one training step on `batch` images in `dtype` holds
-    at its peak: the im2col matrix each conv keeps for its backward pass
-    (with corners, only the rows its pool reads), three arrays the size of
-    the parameters (the parameters and Adam's two moments), and the largest
-    gradient piece one layer holds (`forward_vjp` with update): a conv's
-    weight and bias gradients, or a dense layer's bias gradient and one
-    block of rows of its weight gradient.  Activations, masks and the
-    backward's own arrays are left out, so it reads below a traced step's
-    peak (see the tests)."""
-    cols = piece = 0
-    for (_, layer, out, weights), corners in _run_order(model):
+    at its peak: what each conv keeps for its backward pass
+    (`layers.conv_training_values`: its im2col matrix, or when it streams
+    the matrix, its input, one chunk and one image group of input-gradient
+    planes), three arrays the size of the parameters (the parameters and
+    Adam's two moments), and the largest gradient piece one layer holds
+    (`forward_vjp` with update): a conv's weight and bias gradients, or a
+    dense layer's bias gradient and one block of rows of its weight
+    gradient.  Activations, masks and the rest of the backward's own arrays
+    are left out, so it reads below a traced step's peak (see the tests)."""
+    inputs = dict(zip(layer_names(model), [model.input_shape, *infer_shapes(model)]))
+    kept = piece = 0
+    for (name, layer, _, weights), corners in _run_order(model):
         if layer.kind == "conv2d":
-            h, w = (out[0] // 2 * 2, out[1] // 2 * 2) if corners else out[:2]
-            cols += h * w * math.prod(weights[:3])
+            kept += layers.conv_training_values((batch, *inputs[name]), weights, layer.stride,
+                                                corners)
         if layer.kind == "dense":
             rows = max(block.stop - block.start for block in layers.row_blocks(*weights))
             piece = max(piece, (rows + 1) * weights[1])
         elif weights:
             piece = max(piece, math.prod(weights) + weights[-1])
-    return (batch * cols + 3 * count_params(model) + piece) * np.dtype(dtype).itemsize
+    return (kept + 3 * count_params(model) + piece) * np.dtype(dtype).itemsize
 
 
 def _first_stage(model):

@@ -267,3 +267,65 @@ class TestFastPaths:
     def test_predict_no_rows(self):
         rf = forest.fit_forest(np.array([[0.0], [1.0]]), np.array([0, 1]), n_trees=2)
         assert rf.predict(np.zeros((0, 1))).shape == (0,)
+
+
+def recursive_grow(features, labels, n_classes, max_depth, n_candidates, rng, nodes, depth):
+    """The recursive tree growth forest._grow replaced: appends the subtree's
+    node rows to nodes in preorder and returns its root id."""
+    node_id = len(nodes)
+    counts = np.bincount(labels, minlength=n_classes)
+    nodes.append([-1, 0.0, -1, -1, int(counts.argmax())])
+    if depth >= max_depth or np.count_nonzero(counts) <= 1:
+        return node_id
+    d = features.shape[1]
+    if n_candidates >= d:
+        candidates = np.arange(d)
+    else:
+        candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
+    split = forest._best_split(features, labels, candidates, n_classes)
+    if split is None:
+        return node_id
+    f, thr = split
+    mask = features[:, f] <= thr
+    left = recursive_grow(features[mask], labels[mask], n_classes, max_depth, n_candidates,
+                          rng, nodes, depth + 1)
+    right = recursive_grow(features[~mask], labels[~mask], n_classes, max_depth, n_candidates,
+                           rng, nodes, depth + 1)
+    nodes[node_id] = [f, thr, left, right, -1]
+    return node_id
+
+
+class TestGrowthWithoutRecursion:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=tie_heavy_problem(), max_depth=st.integers(0, 12),
+           n_candidates=st.integers(1, 6), bootstrap=st.booleans())
+    def test_trees_equal_the_recursive_reference(self, problem, max_depth, n_candidates,
+                                                 bootstrap):
+        features, labels, c, seed = problem
+        rf = forest.fit_forest(features, labels, n_trees=3, max_depth=max_depth, seed=seed,
+                               n_candidates=n_candidates, bootstrap=bootstrap, n_classes=c)
+        for k, tree in enumerate(rf.trees):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+            rows = (rng.integers(0, len(labels), size=len(labels)) if bootstrap
+                    else np.arange(len(labels)))
+            nodes = []
+            recursive_grow(features[rows], labels[rows], c, max_depth, n_candidates, rng,
+                           nodes, 0)
+            ref = [np.array(column) for column in zip(*nodes)]
+            for field, want in zip(("feature", "threshold", "left", "right", "label"), ref):
+                got = getattr(tree, field)
+                assert got.tolist() == want.tolist(), field
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # alternating labels on a sorted feature: every split peels off the
+        # first row into a leaf, a chain of 2999 internal nodes
+        labels = np.arange(3000) % 2
+        rf = forest.fit_forest(np.arange(3000.)[:, None], labels, n_trees=1,
+                               max_depth=100000, bootstrap=False)
+        tree = rf.trees[0]
+        depth, node = 0, 0
+        while tree.feature[node] >= 0:
+            assert tree.feature[tree.left[node]] < 0
+            node, depth = tree.right[node], depth + 1
+        assert depth == 2999
+        assert rf.predict(np.arange(3000.)[:, None]).tolist() == labels.tolist()

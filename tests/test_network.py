@@ -847,13 +847,27 @@ class TestTrainingBytes:
     }
 
     def test_counts_by_hand(self):
-        # paper at batch 8: the four convs' corner rows times kh*kw*Cin (the
-        # odd last row and column of conv2d_1 dropped), 3 x 9,683,658 values,
-        # and conv2d_3's weight and bias gradients, 3*3*128*128 + 128, which
-        # outweigh a 128-row block of the dense weight's, 128*512 + 512
+        # paper at batch 8: every conv's matrix is larger than one chunk of
+        # 2^20 values, so each counts its input, one chunk of whole images of
+        # one corner slab (3, 1, 2 and 6 images of 111*111*27, 54*54*288,
+        # 26*26*576 and 12*12*1152 values) and one image of input-gradient
+        # planes, 4 x 3*3*Cin x hq*wq with hq = pool rows + 1; then
+        # 3 x 9,683,658 values, and conv2d_3's weight and bias gradients,
+        # 3*3*128*128 + 128, which outweigh a 128-row block of the dense
+        # weight's, 128*512 + 512
         paper = network.training_bytes(network.build_paper_cnn(10), 8, np.float32)
-        cols = 222 * 222 * 27 + 108 * 108 * 288 + 52 * 52 * 576 + 24 * 24 * 1152
-        assert paper == (8 * cols + 3 * 9_683_658 + 3 * 3 * 128 * 128 + 128) * 4
+        inputs = 8 * (224 * 224 * 3 + 111 * 111 * 32 + 54 * 54 * 64 + 26 * 26 * 128)
+        chunks = (3 * 111 * 111 * 27 + 1 * 54 * 54 * 288 + 2 * 26 * 26 * 576
+                  + 6 * 12 * 12 * 1152)
+        planes = 4 * 9 * (3 * 112 * 112 + 32 * 55 * 55 + 64 * 27 * 27 + 128 * 13 * 13)
+        assert paper == (inputs + chunks + planes + 3 * 9_683_658 + 3 * 3 * 128 * 128 + 128) * 4
+        # the desk convs' matrices fit in one chunk and are held whole: their
+        # corner rows times kh*kw*Cin; the largest piece is the first dense
+        # layer's whole weight and bias gradients, (576 + 1) * 64
+        desk, batch = self.NETS["desk"]
+        cols = 15 * 15 * 4 * 9 + 6 * 6 * 4 * 72
+        assert network.training_bytes(desk, batch, np.float32) == (
+            batch * cols + 3 * network.count_params(desk) + 577 * 64) * 4
         odd, batch = self.NETS["odd"]
         cols = 18 * 18 * 4 * 3 * 2 + 8 * 8 * 2 * 2 * 6 + 6 * 6 * 3 * 3 * 5
         # the largest piece is the whole first dense layer's, 63*9 + 9
