@@ -16,7 +16,10 @@ so the input gradient's arrays never sit beside it, and its backward runs
 once.  A training conv whose matrix is larger than STREAM_VALUES keeps its
 input instead and builds the matrix a chunk at a time, in the forward and
 again for the weight gradient; the corner-order input gradient runs a
-group of images at a time under the same budget.  The pool and relu
+group of images at a time under the same budget.  Under it too, a network
+runs a training conv that feeds a pool together with that pool on groups
+of whole images once the conv's corner-order output would pass the budget
+(`network.forward_vjp`), so that output is never whole.  The pool and relu
 backward closures keep masks and indices rather than forward activations.
 
 A conv that feeds a pool builds its im2col rows in 2x2 window-corner order
@@ -131,10 +134,13 @@ def _im2col_planar(xb, kh, kw, stride, corners=False):
     return _matrix(win, True), win.shape[:-3]
 
 
-# Values in one chunk of a streamed im2col matrix, and in one image group
-# of a corner-order input gradient's planes (`conv2d_vjp`).  Part of the
-# numerics, as network.PREDICT_BATCH is: a streamed weight gradient sums its
-# chunks one at a time, so another size rounds it differently.  A paper
+# Values in one chunk of a streamed im2col matrix, in one image group of a
+# corner-order input gradient's planes (`conv2d_vjp`), and in one image
+# group of a training conv's corner-order output, which a network runs
+# with its pool (`network._pair_images`).  Part of the numerics, as
+# network.PREDICT_BATCH is: a streamed weight gradient sums its chunks one
+# at a time, and a grouped conv its groups, so another size rounds them
+# differently.  A paper
 # sub-model (1 BLAS thread, 2 vCPU, OpenBLAS 0.3.31) trained in 985 ms at
 # 1 << 20 (4 MB in float32) and 1003 ms at 1 << 22 against 1145 ms with
 # whole matrices, and peaked at 299 MB at either against 423 MB.  At
@@ -178,23 +184,26 @@ def _plane_group(w_shape, h2, w2, stride):
     return (hq, wq), values, max(1, STREAM_VALUES // values)
 
 
-def conv_training_values(x_shape, w_shape, stride, corners):
-    """Values `conv2d_vjp` on x_shape [B,H,W,Cin] keeps from its forward to
-    its backward: its im2col matrix, with corners only the rows a pool
-    reads; or, when it streams the matrix, its input, one chunk and, with
-    corners, one image group of input-gradient planes."""
+def conv_training_values(x_shape, w_shape, stride, corners, input_grad=True):
+    """(kept, work): the values `conv2d_vjp` on x_shape [B,H,W,Cin] keeps
+    from its forward to its backward, and the most it builds at once on the
+    way.  A held conv keeps its im2col matrix, with corners only the rows
+    a pool reads, and counts no work.  A streamed conv keeps its input, and
+    its work is one chunk or, when its backward makes a corner-order input
+    gradient (`input_grad`), one image group of planes, whichever is larger:
+    the chunks are gone before the planes are built."""
     bsz = x_shape[0]
     slab = _slab_values(x_shape, w_shape, stride, corners)
     images = _stream_images(x_shape, w_shape, stride, corners)
     if not images:
-        return (4 if corners else 1) * bsz * slab
+        return (4 if corners else 1) * bsz * slab, 0
     planes = 0
-    if corners:
+    if corners and input_grad:
         kh, kw = w_shape[:2]
         hp, wp = (x_shape[1] - kh) // stride + 1, (x_shape[2] - kw) // stride + 1
         _, values, group = _plane_group(w_shape, hp // 2, wp // 2, stride)
         planes = min(bsz, group) * values
-    return math.prod(x_shape) + images * slab + planes
+    return math.prod(x_shape), max(min(bsz, images) * slab, planes)
 
 
 def _add_bias(out, bias):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from baggedcnn import layers, network, training
 from baggedcnn.errors import BuildError, DimensionError, InputError
 from conftest import max_rel_err, numeric_grad, tie_heavy
+from test_layers import STREAMED_DW_EPS, weight_grad_error
 
 FULLSIZE_TRACE = [
     (222, 222, 32), (111, 111, 32), (109, 109, 64), (54, 54, 64),
@@ -830,9 +831,9 @@ class TestBiasAfterPool:
 
 
 class TestTrainingBytes:
-    """network.training_bytes: the im2col matrices a training step keeps,
-    the parameters and both Adam moments, and the largest gradient piece
-    one layer holds."""
+    """network.training_bytes: what a training step's convs keep and the
+    largest work one of them builds, the parameters and both Adam moments,
+    and the largest gradient piece one layer holds."""
 
     NETS = {
         "desk": (network.build_scaled_cnn((32, 32, 1), (8, 16), 5, dense_units=64), 32),
@@ -847,20 +848,31 @@ class TestTrainingBytes:
     }
 
     def test_counts_by_hand(self):
-        # paper at batch 8: every conv's matrix is larger than one chunk of
-        # 2^20 values, so each counts its input, one chunk of whole images of
-        # one corner slab (3, 1, 2 and 6 images of 111*111*27, 54*54*288,
-        # 26*26*576 and 12*12*1152 values) and one image of input-gradient
-        # planes, 4 x 3*3*Cin x hq*wq with hq = pool rows + 1; then
-        # 3 x 9,683,658 values, and conv2d_3's weight and bias gradients,
-        # 3*3*128*128 + 128, which outweigh a 128-row block of the dense
-        # weight's, 128*512 + 512
+        # paper at batch 8: conv1 to conv3 run with their pools in groups of
+        # 1, 1 and 3 images, each group a streamed conv that keeps its
+        # images of the input, so the three pairs and the streamed conv4
+        # keep the inputs; the pairs keep their pools' uint8 indices, one
+        # byte per pooled value.  The largest work is the first pair's
+        # forward: its whole pooled output beside one image's corner-order
+        # output (4 pooled outputs) and the pool's work arrays (2 pooled
+        # outputs and 4 bytes per pooled value).  Then 3 x 9,683,658
+        # values, and conv2d_3's weight and bias gradients, 3*3*128*128 +
+        # 128, which outweigh a 128-row block of the dense weight's,
+        # 128*512 + 512
         paper = network.training_bytes(network.build_paper_cnn(10), 8, np.float32)
         inputs = 8 * (224 * 224 * 3 + 111 * 111 * 32 + 54 * 54 * 64 + 26 * 26 * 128)
-        chunks = (3 * 111 * 111 * 27 + 1 * 54 * 54 * 288 + 2 * 26 * 26 * 576
-                  + 6 * 12 * 12 * 1152)
-        planes = 4 * 9 * (3 * 112 * 112 + 32 * 55 * 55 + 64 * 27 * 27 + 128 * 13 * 13)
-        assert paper == (inputs + chunks + planes + 3 * 9_683_658 + 3 * 3 * 128 * 128 + 128) * 4
+        indices = 8 * (111 * 111 * 32 + 54 * 54 * 64 + 26 * 26 * 128)
+        work = (8 + 4 + 2) * 111 * 111 * 32 * 4 + 4 * 111 * 111 * 32
+        assert paper == (inputs + 3 * 9_683_658 + 3 * 3 * 128 * 128 + 128) * 4 + indices + work
+        # a streamed conv counts the larger of one chunk (2 images of
+        # 26*26*576 at conv3) and one image group of input-gradient planes,
+        # 4 x 3*3*64 x 27*27 with 27 = pool rows + 1; the first layer makes
+        # no input gradient, and so counts its chunk (3 images of 111*111*27)
+        conv3 = ((8, 54, 54, 64), (3, 3, 64, 128), 1, True)
+        assert layers.conv_training_values(*conv3) == (8 * 54 * 54 * 64, 4 * 9 * 64 * 27 * 27)
+        assert layers.conv_training_values(*conv3, False) == (8 * 54 * 54 * 64, 2 * 26 * 26 * 576)
+        conv1 = ((8, 224, 224, 3), (3, 3, 3, 32), 1, True, False)
+        assert layers.conv_training_values(*conv1) == (8 * 224 * 224 * 3, 3 * 111 * 111 * 27)
         # the desk convs' matrices fit in one chunk and are held whole: their
         # corner rows times kh*kw*Cin; the largest piece is the first dense
         # layer's whole weight and bias gradients, (576 + 1) * 64
@@ -880,9 +892,9 @@ class TestTrainingBytes:
         monkeypatch.setattr(layers, "BLOCK_VALUES", 20)  # 2 rows of 9; conv2d_2's 315 + 7 lead
         assert whole - network.training_bytes(odd, batch, np.float64) == (576 - 322) * 8
 
-    # The estimate leaves out activations, masks and the backward's own
-    # arrays.  It read 0.69-0.71 (desk), 0.80-0.82 (odd) and 0.94 (paper)
-    # of the traced peak, so it is held to [0.6, 1.0] of it.
+    # The estimate leaves out most activations, masks and the backward's
+    # own arrays.  It read 0.74-0.75 (desk), 0.82-0.84 (odd) and 0.975
+    # (paper) of the traced peak, so it is held to [0.6, 1.0] of it.
     @pytest.mark.parametrize("net, dtype", [
         ("desk", np.float32), ("desk", np.float64), ("odd", np.float32), ("odd", np.float64),
         ("paper", np.float32)])
@@ -903,3 +915,205 @@ class TestTrainingBytes:
             tracemalloc.stop()
         estimate = network.training_bytes(model, batch, dtype)
         assert 0.6 * peak <= estimate <= peak
+
+
+class TestGroupedConvPool:
+    """forward_vjp runs a conv with corners and its pool on groups of whole
+    images once the conv's corner-order output passes layers.STREAM_VALUES.
+
+    The budget is set small.  Each case's budget gives the grouped and the
+    whole conv im2col chunks whose GEMMs OpenBLAS 0.3.31 rounds alike, so
+    the forward bytes can be compared; a small chunk of another size can
+    round a last bit differently (CHANGES.md, FOUND on OpenBLAS row blocks).
+    """
+
+    # (net, batch, budget, images per group of each conv with corners or 0)
+    CASES = [
+        ("desk", 7, 20000, {"conv2d": 2, "conv2d_1": 0}),  # conv1 in 2, 2, 2, 1
+        ("desk", 7, 5000, {"conv2d": 1, "conv2d_1": 2}),  # conv2 in 2, 2, 2, 1
+        # the strided first conv, 19 x 18 rows pooled to 9 x 9: in 3, 3, 3,
+        # 3, 1, conv3 whole; then one image a group, conv3 in 3, 3, 3, 3, 1
+        ("odd", 13, 3 * 4 * 9 * 9 * 6, {"conv2d": 3, "conv2d_2": 0}),
+        ("odd", 13, 756, {"conv2d": 1, "conv2d_2": 3}),
+    ]
+
+    @staticmethod
+    def record(monkeypatch):
+        """Per conv2d_vjp call, its input and its backward's upstream and
+        input_grad."""
+        calls = []
+        conv2d_vjp = layers.conv2d_vjp
+
+        def spy(x, kernels, stride=1, corners=False):
+            out, bwd = conv2d_vjp(x, kernels, stride, corners)
+            call = {"x": x, "weights": kernels.weights}
+            calls.append(call)
+
+            def backward(up, input_grad=True):
+                call["up"], call["input_grad"] = up, input_grad
+                return bwd(up, input_grad=input_grad)
+
+            return out, backward
+
+        monkeypatch.setattr(layers, "conv2d_vjp", spy)
+        return calls
+
+    @staticmethod
+    def by_conv(calls, params):
+        """The calls of each conv, keyed by its weights' name, in call order."""
+        names = {id(value): key[:-2] for key, value in params.items()}
+        out = {}
+        for call in calls:
+            out.setdefault(names[id(call["weights"])], []).append(call)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("net, bsz, budget, groups", CASES)
+    def test_against_the_whole_batch_reference(self, monkeypatch, rng, net, bsz, budget, groups,
+                                               dtype):
+        # logits and every other gradient are the bytes of the kept
+        # whole-batch reference; a grouped conv's dW and db are within
+        # STREAMED_DW_EPS of its terms' sum in a wider dtype
+        model = TestTrainingBytes.NETS[net][0]
+        monkeypatch.setattr(layers, "STREAM_VALUES", budget)
+        params = network.init_params(model, seed=5, dtype=dtype)
+        params = {k: (v + 0.1 * rng.normal(size=v.shape)).astype(dtype) for k, v in params.items()}
+        batch = rng.normal(size=(bsz, *model.input_shape)).astype(dtype)
+        up = rng.normal(size=(bsz, model.n_classes)).astype(dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            ref_calls = self.record(mp)
+            ref_logits, ref_bwd = spec_order_vjp(model, params, batch)
+            ref = ref_bwd(up)
+        calls = self.record(monkeypatch)
+        logits, bwd = network.forward_vjp(model, params, batch)
+        grads = bwd(up)
+        calls, ref_calls = self.by_conv(calls, params), self.by_conv(ref_calls, params)
+        assert logits.dtype == dtype and logits.tobytes() == ref_logits.tobytes()
+        assert list(grads) == list(ref)
+        eps = np.finfo(dtype).eps
+        first = network.layer_names(model)[0]
+        for name, images in groups.items():
+            sizes = [len(call["x"]) for call in calls[name]]
+            step = images or bsz
+            assert sizes == [min(step, bsz - lo) for lo in range(0, bsz, step)], name
+            assert [call["input_grad"] for call in calls[name]] == [name != first] * len(sizes)
+            (whole,) = ref_calls[name]
+            x = np.concatenate([call["x"] for call in calls[name]])
+            up_rows = np.concatenate([call["up"] for call in calls[name]], axis=2)
+            assert x.tobytes() == whole["x"].tobytes() and up_rows.tobytes() == whole["up"].tobytes()
+            if not images:
+                continue
+            dw, db = grads[f"{name}/w"], grads[f"{name}/b"]
+            assert dw.dtype == db.dtype == dtype
+            stride = dict(zip(network.layer_names(model), model.layers))[name].stride
+            assert weight_grad_error(dw, x, up_rows, stride, True).max() <= STREAMED_DW_EPS * eps
+            wide = up_rows.reshape(-1, db.size).astype(np.float64 if dtype == np.float32
+                                                       else np.longdouble)
+            assert np.all(np.abs(db - wide.sum(axis=0)) <= STREAMED_DW_EPS * eps
+                          * np.abs(wide).sum(axis=0)), name
+        for key in ref:
+            if groups.get(key[:-2]):
+                continue
+            assert grads[key].dtype == dtype and grads[key].tobytes() == ref[key].tobytes(), key
+
+    def test_backward_runs_once_and_frees_each_group(self, monkeypatch, rng):
+        monkeypatch.setattr(layers, "STREAM_VALUES", 5000)
+        closures = []
+        for name in ("conv2d_vjp", "maxpool2d_vjp"):
+            kernel = getattr(layers, name)
+
+            def spy(*args, _kernel=kernel):
+                out, bwd = _kernel(*args)
+                closures.append(weakref.ref(bwd))
+                return out, bwd
+
+            monkeypatch.setattr(layers, name, spy)
+        model = TestTrainingBytes.NETS["desk"][0]
+        params = network.init_params(model, seed=0, dtype=np.float32)
+        batch = rng.normal(size=(7, 32, 32, 1)).astype(np.float32)
+        _, bwd = network.forward_vjp(model, params, batch)
+        assert len(closures) == 2 * (7 + 4)  # one image a group at conv1, two at conv2
+        bwd(np.ones((7, 5), np.float32))
+        assert all(ref() is None for ref in closures)
+        with pytest.raises(InputError, match="backward already ran"):
+            bwd(np.ones((7, 5), np.float32))
+        # the pair alone: a second backward and a wrong upstream shape
+        x = rng.normal(size=(3, 15, 15, 8))
+        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 8, 16)), np.zeros(16))
+        pooled, bwd = network._conv_pool_vjp(x, ks, 1, 2)
+        assert pooled.shape == (3, 6, 6, 16)
+        with pytest.raises(DimensionError, match="does not match pooled output"):
+            bwd(np.ones((2, 6, 6, 16)))
+        dx, dw, db = bwd(np.ones(pooled.shape))
+        assert dx.shape == x.shape and dw.shape == ks.weights.shape and db.shape == (16,)
+        with pytest.raises(InputError, match="backward already ran"):
+            bwd(np.ones(pooled.shape))
+
+    def test_the_whole_corner_output_never_exists(self, monkeypatch, rng):
+        # one conv of 128 channels on a narrow input straight into its pool:
+        # the corner-order output, 16 images x 4 x 8*8*128 values, outweighs
+        # everything else the step holds, and one image is one group
+        model = network.ModelSpec((18, 18, 1), (
+            network.conv(3, 3, 128), network.pool(), network.flat(), network.dense(2)), 2)
+        params = network.init_params(model, seed=0, dtype=np.float64)
+        batch = rng.normal(size=(16, 18, 18, 1))
+        up = rng.normal(size=(16, 2))
+        whole = 16 * 4 * 8 * 8 * 128 * 8
+        monkeypatch.setattr(layers, "STREAM_VALUES", whole // 16 // 8)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                _, bwd = network.forward_vjp(model, params, batch)
+                bwd(up)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert network._pair_images(batch.shape, (3, 3, 1, 128), 1) == 1
+        assert peak() < whole
+        monkeypatch.setattr(network, "_pair_images", lambda *args: 0)  # the pair whole
+        assert peak() > whole
+
+
+class TestGroupedPairAtPaperShapes:
+    """The paper net at batch 8 in float32, at the real budget: conv1, conv2
+    and conv3 run with their pools in groups of 1, 1 and 3 images."""
+
+    @pytest.mark.parametrize("shape, cout, images", [
+        ((224, 224, 3), 32, 1), ((111, 111, 32), 64, 1), ((54, 54, 64), 128, 3)])
+    def test_pooled_output_and_indices_equal_the_whole_pair(self, monkeypatch, rng, shape,
+                                                           cout, images):
+        x = rng.uniform(size=(8, *shape)).astype(np.float32)
+        w = (rng.normal(size=(3, 3, shape[2], cout)) / np.sqrt(9 * shape[2])).astype(np.float32)
+        ks = layers.ConvKernelSet(w, (0.1 * rng.normal(size=cout)).astype(np.float32))
+        assert network._pair_images(x.shape, w.shape, 1) == images
+        pools = []
+        maxpool2d_vjp = layers.maxpool2d_vjp
+
+        def spy(corners):
+            out, bwd = maxpool2d_vjp(corners)
+            pools.append(bwd)
+            return out, bwd
+
+        monkeypatch.setattr(layers, "maxpool2d_vjp", spy)
+        pooled, _ = network._conv_pool_vjp(x, ks, 1, images)
+        whole, whole_bwd = maxpool2d_vjp(layers.conv2d_vjp(x, ks, 1, True)[0])
+        assert pooled.tobytes() == whole.tobytes()
+        # a distinct upstream value per window lands on its first maximum, so
+        # the routed gradients are equal exactly when the indices are
+        up = np.arange(1, whole.size + 1, dtype=np.float32).reshape(whole.shape)
+        ref = whole_bwd(up)
+        assert len(pools) == len(range(0, 8, images))
+        for lo, bwd in zip(range(0, 8, images), pools):
+            assert bwd(up[lo : lo + images]).tobytes() == ref[:, :, lo : lo + images].tobytes()
+
+    def test_logits_equal_the_whole_pairs(self, monkeypatch, rng):
+        model = network.build_paper_cnn(5)
+        params = network.init_params(model, seed=2)
+        params = {k: (v + 0.01 * rng.normal(size=v.shape)).astype(np.float32)
+                  for k, v in params.items()}
+        batch = rng.uniform(size=(8, 224, 224, 3)).astype(np.float32)
+        logits, _ = network.forward_vjp(model, params, batch)
+        monkeypatch.setattr(network, "_pair_images", lambda *args: 0)
+        assert logits.tobytes() == network.forward_vjp(model, params, batch)[0].tobytes()
