@@ -13,14 +13,12 @@ over the batch for parameter gradients.  The conv backward takes
 `input_grad=False` to skip the input gradient, which a network's first layer
 never needs.  A conv keeps its im2col matrix only until the weight gradient,
 so the input gradient's arrays never sit beside it, and its backward runs
-once.  A training conv whose matrix is larger than STREAM_VALUES keeps its
-input instead and builds the matrix a chunk at a time, in the forward and
-again for the weight gradient; the corner-order input gradient runs a
-group of images at a time under the same budget.  Under it too, a network
-runs a training conv that feeds a pool together with that pool on groups
-of whole images once the conv's corner-order output would pass the budget
-(`network.forward_vjp`), so that output is never whole.  The pool and relu
-backward closures keep masks and indices rather than forward activations.
+once.  With keep_input it keeps its input instead and rebuilds the matrix
+in the backward.  A network sets that switch, on groups of whole images,
+for a training conv whose whole batch would build an array larger than
+STREAM_VALUES (`network.forward_vjp`); `conv_image_values` gives the
+per-image sizes it compares.  The pool and relu backward closures keep
+masks and indices rather than forward activations.
 
 A conv that feeds a pool builds its im2col rows in 2x2 window-corner order
 and returns [2, 2, B, H'//2, W'//2, Cout], which the pool reads as four
@@ -120,90 +118,38 @@ def _matrix(win, planar):
     return np.ascontiguousarray(win).reshape(-1, k)
 
 
-def _im2col(xb, kh, kw, stride, corners=False):
-    """Row-major im2col matrix [rows, kh*kw*Cin] of x [B,H,W,C], one window
-    copy; returns (matrix, row shape), the rows as `_windows` orders them."""
-    win = _windows(xb, kh, kw, stride, corners)
-    return _matrix(win, False), win.shape[:-3]
-
-
-def _im2col_planar(xb, kh, kw, stride, corners=False):
-    """The same matrix as _im2col: the transposed view of planes
-    [kh*kw*Cin, rows] copied from the window view."""
-    win = _windows(xb, kh, kw, stride, corners)
-    return _matrix(win, True), win.shape[:-3]
-
-
-# Values in one chunk of a streamed im2col matrix, in one image group of a
-# corner-order input gradient's planes (`conv2d_vjp`), and in one image
-# group of a training conv's corner-order output, which a network runs
-# with its pool (`network._pair_images`).  Part of the numerics, as
-# network.PREDICT_BATCH is: a streamed weight gradient sums its chunks one
-# at a time, and a grouped conv its groups, so another size rounds them
-# differently.  A paper
-# sub-model (1 BLAS thread, 2 vCPU, OpenBLAS 0.3.31) trained in 985 ms at
-# 1 << 20 (4 MB in float32) and 1003 ms at 1 << 22 against 1145 ms with
-# whole matrices, and peaked at 299 MB at either against 423 MB.  At
-# 1 << 20 every desk conv's matrix at batch 32 fits in one chunk; at
-# BLOCK_VALUES it would not.
+# Values the largest array of one training conv may hold before a network
+# runs that conv on groups of whole images (`network.forward_vjp`), which
+# keep their input and rebuild their im2col matrix in the backward.  Part
+# of the numerics, as network.PREDICT_BATCH is: a grouped conv's weight and
+# bias gradients sum its groups one at a time, so another size rounds them
+# differently.  At 1 << 20 (4 MB in float32) every desk conv at batch 32
+# runs whole and every paper conv at batch 8 runs one image a group.
 STREAM_VALUES = 1 << 20
 
 
-def _slab_values(x_shape, w_shape, stride, corners):
-    """Values of one image's rows of one pool-corner slab (of the plain
-    order) in the im2col matrix of x_shape [B,H,W,Cin]."""
-    _, h, w, _ = x_shape
-    kh, kw, cin, _ = w_shape
-    hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
-    return ((hp // 2) * (wp // 2) if corners else hp * wp) * kh * kw * cin
-
-
-def _stream_images(x_shape, w_shape, stride, corners):
-    """Images per im2col chunk of a training conv on x_shape [B,H,W,Cin],
-    or 0 when its matrix fits in one chunk and is held whole.  A chunk is
-    whole images of one pool-corner slab (whole images in plain order), as
-    many as STREAM_VALUES holds, at least one."""
-    images = max(1, STREAM_VALUES // _slab_values(x_shape, w_shape, stride, corners))
-    return images if (4 if corners else 1) * x_shape[0] > images else 0
-
-
-def _chunk_rows(bsz, images, corners):
-    """The index, into a [*rows] row shape of `_windows`, of each chunk of
-    `images` images, in row order."""
-    spans = [slice(lo, lo + images) for lo in range(0, bsz, images)]
-    return [(r, c, span) for r, c in _CORNERS for span in spans] if corners else spans
-
-
-def _plane_group(w_shape, h2, w2, stride):
-    """((hq, wq), values of one image's planes, images per group) of
-    `_corner_input_grad` for kernels of w_shape and pool rows h2 x w2."""
-    kh, kw, cin, _ = w_shape
+def _plane_rows(w_shape, h2, w2, stride):
+    """(hq, wq): the rows and columns of each phase plane that
+    `_corner_input_grad` builds for kernels of w_shape and h2 x w2 pool rows,
+    the pool rows and a zero border."""
     per = 2 * stride
-    hq, wq = h2 + (stride + kh - 1) // per, w2 + (stride + kw - 1) // per
-    values = 4 * kh * kw * cin * hq * wq
-    return (hq, wq), values, max(1, STREAM_VALUES // values)
+    return h2 + (stride + w_shape[0] - 1) // per, w2 + (stride + w_shape[1] - 1) // per
 
 
-def conv_training_values(x_shape, w_shape, stride, corners, input_grad=True):
-    """(kept, work): the values `conv2d_vjp` on x_shape [B,H,W,Cin] keeps
-    from its forward to its backward, and the most it builds at once on the
-    way.  A held conv keeps its im2col matrix, with corners only the rows
-    a pool reads, and counts no work.  A streamed conv keeps its input, and
-    its work is one chunk or, when its backward makes a corner-order input
-    gradient (`input_grad`), one image group of planes, whichever is larger:
-    the chunks are gone before the planes are built."""
-    bsz = x_shape[0]
-    slab = _slab_values(x_shape, w_shape, stride, corners)
-    images = _stream_images(x_shape, w_shape, stride, corners)
-    if not images:
-        return (4 if corners else 1) * bsz * slab, 0
+def conv_image_values(image_shape, w_shape, stride, corners, input_grad):
+    """(matrix, output, planes): the values per image of the largest arrays
+    a training conv on images of image_shape [H,W,Cin] builds: its im2col
+    matrix and its output, with corners only the rows a pool reads, and its
+    corner-order input gradient's planes, 0 without corners or input_grad
+    (the plain order's per-offset planes are the matrix's size)."""
+    h, w, _ = image_shape
+    kh, kw, cin, cout = w_shape
+    hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
+    rows = 4 * (hp // 2) * (wp // 2) if corners else hp * wp
     planes = 0
     if corners and input_grad:
-        kh, kw = w_shape[:2]
-        hp, wp = (x_shape[1] - kh) // stride + 1, (x_shape[2] - kw) // stride + 1
-        _, values, group = _plane_group(w_shape, hp // 2, wp // 2, stride)
-        planes = min(bsz, group) * values
-    return math.prod(x_shape), max(min(bsz, images) * slab, planes)
+        planes = 4 * kh * kw * cin * math.prod(_plane_rows(w_shape, hp // 2, wp // 2, stride))
+    return rows * kh * kw * cin, rows * cout, planes
 
 
 def _add_bias(out, bias):
@@ -213,12 +159,9 @@ def _add_bias(out, bias):
     lines += np.tile(bias, out.shape[-2])
 
 
-def _conv_core(x, kernels, stride, corners, add_bias=True, stream=False):
+def _conv_core(x, kernels, stride, corners, add_bias=True):
     """im2col forward of x [B,H,W,Cin] on the matrix _PLANAR_MAX_CIN picks:
-    returns (out [*rows, Cout], col [rows, kh*kw*Cin], images).  With
-    stream, a matrix larger than one chunk is built and multiplied a chunk
-    at a time into its rows of out (`_stream_images`): col is None and
-    images the chunk's images, else 0."""
+    returns (out [*rows, Cout], col [rows, kh*kw*Cin])."""
     _check_batch(x, "conv input")
     w, b = kernels.weights, kernels.bias
     kh, kw, cin, cout = w.shape
@@ -231,22 +174,12 @@ def _conv_core(x, kernels, stride, corners, add_bias=True, stream=False):
             f"{axis} axis smaller than kernel: input {x.shape[1:3]}, kernel {(kh, kw)}")
     if corners:
         _check_pool_window((x.shape[1] - kh) // stride + 1, (x.shape[2] - kw) // stride + 1)
-    images = _stream_images(x.shape, w.shape, stride, corners) if stream else 0
-    w2 = w.reshape(kh * kw * cin, cout)
-    if images:
-        col, win = None, _windows(x, kh, kw, stride, corners)
-        out = np.empty((*win.shape[:-3], cout), np.result_type(x, w))
-        for rows in _chunk_rows(len(x), images, corners):
-            # each chunk's rows are the whole matrix's: a row partition of its GEMM
-            np.matmul(_matrix(win[rows], cin <= _PLANAR_MAX_CIN), w2,
-                      out=out[rows].reshape(-1, cout))
-    else:
-        im2col = _im2col_planar if cin <= _PLANAR_MAX_CIN else _im2col
-        col, rows = im2col(x, kh, kw, stride, corners)
-        out = (col @ w2).reshape(*rows, cout)
+    win = _windows(x, kh, kw, stride, corners)
+    col = _matrix(win, cin <= _PLANAR_MAX_CIN)
+    out = (col @ w.reshape(kh * kw * cin, cout)).reshape(*win.shape[:-3], cout)
     if add_bias:
         _add_bias(out, b)
-    return out.astype(x.dtype, copy=False), col, images
+    return out.astype(x.dtype, copy=False), col
 
 
 def conv2d_forward(x, kernels: ConvKernelSet, stride=1, corners=False, add_bias=True):
@@ -277,21 +210,6 @@ def _bias_grad(up_flat):
     return np.einsum("ij->j", up_flat)
 
 
-def _streamed_weight_grad(x, upstream, kh, kw, stride, corners, images):
-    """col.T @ upstream [*rows, Cout] over x's im2col matrix, rebuilt a chunk
-    of `images` images at a time; the chunks' products add in row order."""
-    win = _windows(x, kh, kw, stride, corners)
-    dw = None
-    for rows in _chunk_rows(len(x), images, corners):
-        part = _matrix(win[rows], x.shape[3] <= _PLANAR_MAX_CIN).T @ upstream[rows].reshape(
-            -1, upstream.shape[-1])
-        if dw is None:
-            dw = part
-        else:
-            dw += part
-    return dw
-
-
 def _corner_input_grad(w, upstream, in_shape, stride):
     """dInput [B,H,W,Cin] of a corner-order upstream [2, 2, B, H2, W2, Cout].
 
@@ -303,47 +221,41 @@ def _corner_input_grad(w, upstream, in_shape, stride):
     (i, j) order.  At paper conv2 this took 0.6x the time of four slab copies
     per offset onto a zero-bordered grid of the plain order.
 
-    The images run in groups whose planes hold at most STREAM_VALUES values
-    (one image at least): each group's GEMMs are columns of the whole
-    batch's, and the border a shifted add carries into the next image holds
-    only zeros, so every group size gives the same bytes.
+    The border a shifted add carries into the next image holds only zeros,
+    so the images of any group of the batch get the bytes they get in the
+    whole batch (`network.forward_vjp` runs groups).  An empty batch makes
+    an empty dx.
     """
     kh, kw, cin, cout = w.shape
     bsz, h2, w2 = upstream.shape[2:5]
     per = 2 * stride
-    (hq, wq), _, group = _plane_group(w.shape, h2, w2, stride)
-    dx = None
-    for lo in range(0, max(bsz, 1), group):  # an empty batch makes an empty dx
-        up = upstream[:, :, lo : lo + group]
-        images = up.shape[2]
-        size = cin * images * hq * wq
-        pad = np.zeros((images, hq, wq, cout), upstream.dtype)
-        planes = np.empty((4, kh, kw, size), upstream.dtype)
-        for (r, c), plane in zip(_CORNERS, planes):
-            pad[:, :h2, :w2] = up[r, c]
-            np.matmul(w.reshape(-1, cout), pad.reshape(-1, cout).T,
-                      out=plane.reshape(-1, size // cin))
-        phases = np.zeros((per, per, size), upstream.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                for (r, c), plane in zip(_CORNERS, planes):
-                    ty, tx = r * stride + i, c * stride + j
-                    offset = ty // per * wq + tx // per
-                    phases[ty % per, tx % per, offset:] += plane[i, j, : size - offset]
-        del planes, plane, pad  # the loop's last plane is a view that keeps planes
-        phases = phases.reshape(per, per, cin, images, hq, wq)
-        if dx is None:
-            dx = np.zeros(in_shape, upstream.dtype)
-        for p in range(per):
-            for q in range(per):
-                view = dx[lo : lo + images, p::per, q::per]  # rows past the last window stay 0
-                h, w_ = min(hq, view.shape[1]), min(wq, view.shape[2])
-                view[:, :h, :w_] = np.moveaxis(phases[p, q, :, :, :h, :w_], 0, 3)
-        del phases
+    hq, wq = _plane_rows(w.shape, h2, w2, stride)
+    size = cin * bsz * hq * wq
+    pad = np.zeros((bsz, hq, wq, cout), upstream.dtype)
+    planes = np.empty((4, kh, kw, size), upstream.dtype)
+    for (r, c), plane in zip(_CORNERS, planes):
+        pad[:, :h2, :w2] = upstream[r, c]
+        np.matmul(w.reshape(-1, cout), pad.reshape(-1, cout).T,
+                  out=plane.reshape(kh * kw * cin, bsz * hq * wq))
+    phases = np.zeros((per, per, size), upstream.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            for (r, c), plane in zip(_CORNERS, planes):
+                ty, tx = r * stride + i, c * stride + j
+                offset = ty // per * wq + tx // per
+                phases[ty % per, tx % per, offset:] += plane[i, j, : size - offset]
+    del planes, plane, pad  # the loop's last plane is a view that keeps planes
+    phases = phases.reshape(per, per, cin, bsz, hq, wq)
+    dx = np.zeros(in_shape, upstream.dtype)
+    for p in range(per):
+        for q in range(per):
+            view = dx[:, p::per, q::per]  # rows past the last window stay 0
+            h, w_ = min(hq, view.shape[1]), min(wq, view.shape[2])
+            view[:, :h, :w_] = np.moveaxis(phases[p, q, :, :, :h, :w_], 0, 3)
     return dx
 
 
-def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
+def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False, keep_input=False):
     """Forward pass plus backward(upstream, input_grad=True) -> (dInput, dWeights, dBias).
 
     The forward is `conv2d_forward`'s, corners included, and upstream
@@ -351,20 +263,19 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
     no gradient.  input_grad=False skips dInput, the costliest part of the
     backward pass, and returns None in its place.
 
-    An im2col matrix larger than one chunk (`STREAM_VALUES`) is streamed:
-    the forward builds and multiplies it a chunk at a time and keeps the
-    input, and the backward rebuilds the same chunks from it and adds each
-    chunk's `col.T @ upstream` into dWeights in row order.  Such a dWeights
-    rounds differently from the whole product, within 8 eps of the sum of
-    its terms' magnitudes.  A matrix within one chunk is held whole.
+    The conv holds its im2col matrix from the forward to the backward, or
+    with keep_input lets it go after the forward, keeps x, and rebuilds
+    the same matrix in the backward: the same bytes either way.  A network
+    sets keep_input on the groups of images a large conv runs in
+    (`network.forward_vjp`).
 
-    backward runs once: it lets go of the im2col matrix (or the input), at
-    paper conv2 the largest array it holds (107 MB whole), as soon as it has
-    dWeights, and a second call raises InputError.
+    backward runs once: it lets go of the im2col matrix (or the input) as
+    soon as it has dWeights, so the input gradient's arrays never sit beside
+    it, and a second call raises InputError.
     """
-    out, kept, images = _conv_core(x, kernels, stride, corners, stream=True)
-    if images:
-        kept = x  # the input, from which the backward rebuilds the chunks
+    out, kept = _conv_core(x, kernels, stride, corners)
+    if keep_input:
+        kept = x  # the matrix goes; the backward rebuilds it from x
     w = kernels.weights
     kh, kw, cin, cout = w.shape
     in_shape, in_dtype, out_shape = x.shape, x.dtype, out.shape
@@ -378,11 +289,9 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False):
         if kept is None:
             raise InputError("backward already ran for this conv forward pass")
         up_flat = upstream.reshape(-1, cout)
-        if images:
-            dw = _streamed_weight_grad(kept, upstream, kh, kw, stride, corners, images)
-        else:
-            dw = kept.T @ up_flat
-        dw = dw.reshape(w.shape).astype(w.dtype, copy=False)
+        if keep_input:
+            kept = _matrix(_windows(kept, kh, kw, stride, corners), cin <= _PLANAR_MAX_CIN)
+        dw = (kept.T @ up_flat).reshape(w.shape).astype(w.dtype, copy=False)
         kept = None  # so the input gradient's arrays never sit beside it
         db = _bias_grad(up_flat).astype(w.dtype, copy=False)
         if not input_grad:

@@ -262,23 +262,28 @@ def forward_vjp(model, params, batch):
     (`layers.dense_vjp`).  So update may write params[key] in place, and
     no full set of gradients is ever held.
 
-    A conv with corners and its pool run as one pair on groups of whole
-    images when the conv's corner-order output for the whole batch would
-    be larger than `layers.STREAM_VALUES` (`_pair_images`,
-    `_conv_pool_vjp`), so that output is never whole.  The pooled output
-    and indices are the whole pair's, its bytes at the paper shapes; the
-    conv's weight and bias gradients sum the groups' in group order, and
-    so round differently."""
+    A conv whose whole batch would build an array larger than
+    `layers.STREAM_VALUES` (its im2col matrix, its output or its
+    corner-order input gradient's planes) runs on groups of whole images
+    (`_conv_images`, `_grouped_conv_vjp`), each keeping its input and
+    rebuilding its matrix in the backward; a conv with corners runs its
+    pool in the same group, so its corner-order output is never whole.
+    The output and the pool's indices are the whole batch's, their bytes
+    at the paper shapes; the conv's weight and bias gradients sum the
+    groups' in group order, and so round differently."""
     _check_batch(model, batch)
     x = batch
     tape = []  # (parameter name prefix or None, kernel name, backward)
     steps = iter(_steps(model, params, want_vjp=True))
     for name, vjp, args in steps:
-        # only a conv with corners takes a third argument
-        images = _pair_images(x.shape, args[0].weights.shape, args[1]) if args[2:] else 0
+        images = 0
+        if vjp == "conv2d_vjp":  # (kernels, stride[, corners]); the first layer makes no dx
+            corners = bool(args[2:])
+            images = _conv_images(x.shape, args[0].weights.shape, args[1], corners, bool(tape))
         if images:
-            next(steps)  # the pool, which the pair runs
-            x, bwd = _conv_pool_vjp(x, *args[:2], images)
+            if corners:
+                next(steps)  # the pool, which each group runs
+            x, bwd = _grouped_conv_vjp(x, *args[:2], corners, images)
         else:
             x, bwd = getattr(layers, vjp)(x, *args)
         tape.append((name, vjp, bwd))
@@ -315,47 +320,49 @@ def forward_vjp(model, params, batch):
     return logits, backward
 
 
-def _pair_images(x_shape, w_shape, stride):
-    """Images per group of a training conv with corners on x_shape
-    [B,H,W,Cin] and its pool, or 0 when the conv's corner-order output for
-    the whole batch fits in `layers.STREAM_VALUES` and the pair runs
-    whole.  A group holds as many images as the budget holds, at least one."""
-    bsz, h, w, _ = x_shape
-    kh, kw, _, cout = w_shape
-    h2, w2 = ((h - kh) // stride + 1) // 2, ((w - kw) // stride + 1) // 2
-    images = max(1, layers.STREAM_VALUES // (4 * h2 * w2 * cout))
-    return images if bsz > images else 0
+def _conv_images(x_shape, w_shape, stride, corners, input_grad):
+    """Images per group of a training conv on x_shape [B,H,W,Cin], or 0 when
+    the largest array its whole batch builds (`layers.conv_image_values`)
+    fits in `layers.STREAM_VALUES` and it runs whole.  A group holds as many
+    images as keep that array within the budget, at least one."""
+    largest = max(layers.conv_image_values(x_shape[1:], w_shape, stride, corners, input_grad))
+    if x_shape[0] * largest <= layers.STREAM_VALUES:
+        return 0
+    return max(1, layers.STREAM_VALUES // largest)
 
 
-def _conv_pool_vjp(x, kernels, stride, images):
-    """`layers.conv2d_vjp` with corners and then `layers.maxpool2d_vjp`,
-    run on groups of `images` images of x [B,H,W,Cin]: (pooled
-    [B, H2, W2, Cout], backward(upstream, input_grad=True) -> (dInput,
-    dWeights, dBias)), as `conv2d_vjp`'s backward returns them.
+def _grouped_conv_vjp(x, kernels, stride, corners, images):
+    """`layers.conv2d_vjp` with keep_input, and with corners then
+    `layers.maxpool2d_vjp`, run on groups of `images` images of x
+    [B,H,W,Cin]: (output [B, ...], with corners the pooled output, and
+    backward(upstream, input_grad=True) -> (dInput, dWeights, dBias)), as
+    `conv2d_vjp`'s backward returns them.
 
-    The pooled rows are the whole pair's: a group's conv rows are rows of
+    The output rows are the whole batch's: a group's conv rows are rows of
     the whole conv's, the same bytes where OpenBLAS rounds their GEMM
-    blocks alike (`layers.conv2d_vjp`), and the pool acts per image.
-    The backward runs each group's pool backward and then its conv
-    backward, writes its input gradient into the group's rows, and adds
-    the groups' weight and bias gradients in group order.  It runs once,
-    dropping each group's saved arrays as soon as it has used them."""
-    pooled, groups = None, []
+    blocks alike, and the pool acts per image.  The backward runs each
+    group's pool backward and then its conv backward, writes its input
+    gradient into the group's rows, and adds the groups' weight and bias
+    gradients in group order.  It runs once, dropping each group's saved
+    arrays as soon as it has used them."""
+    out, groups = None, []
     for lo in range(0, len(x), images):
-        corners, conv_bwd = layers.conv2d_vjp(x[lo : lo + images], kernels, stride, True)
-        out, pool_bwd = layers.maxpool2d_vjp(corners)
-        del corners  # so the next group's corner output never sits beside it
-        if pooled is None:
-            pooled = np.empty((len(x), *out.shape[1:]), out.dtype)
-        pooled[lo : lo + images] = out
+        y, conv_bwd = layers.conv2d_vjp(x[lo : lo + images], kernels, stride, corners,
+                                        keep_input=True)
+        pool_bwd = None
+        if corners:
+            y, pool_bwd = layers.maxpool2d_vjp(y)  # the corner output goes before the next group
+        if out is None:
+            out = np.empty((len(x), *y.shape[1:]), y.dtype)
+        out[lo : lo + images] = y
         groups.append((slice(lo, lo + images), pool_bwd, conv_bwd))
-    in_shape, out_shape = x.shape, pooled.shape
+    in_shape, out_shape = x.shape, out.shape
     groups.reverse()  # popped from the end, in group order
 
     def backward(upstream, input_grad=True):
         if upstream.shape != out_shape:
             raise DimensionError(
-                f"upstream shape {upstream.shape} does not match pooled output {out_shape}"
+                f"upstream shape {upstream.shape} does not match output {out_shape}"
             )
         if not groups:
             raise InputError("backward already ran for this conv forward pass")
@@ -363,7 +370,8 @@ def _conv_pool_vjp(x, kernels, stride, images):
         dw = db = None
         while groups:
             rows, pool_bwd, conv_bwd = groups.pop()
-            dx_rows, dw_rows, db_rows = conv_bwd(pool_bwd(upstream[rows]), input_grad=input_grad)
+            up = upstream[rows] if pool_bwd is None else pool_bwd(upstream[rows])
+            dx_rows, dw_rows, db_rows = conv_bwd(up, input_grad=input_grad)
             if input_grad:
                 dx[rows] = dx_rows
             if dw is None:
@@ -373,7 +381,7 @@ def _conv_pool_vjp(x, kernels, stride, images):
                 db += db_rows
         return dx, dw, db
 
-    return pooled, backward
+    return out, backward
 
 
 # Images per forward pass in `predict_probs`.  Not a tuning value: a GEMM
@@ -527,44 +535,30 @@ def _steps(model, params, want_vjp):
 
 def training_bytes(model, batch, dtype):
     """Estimated bytes one training step on `batch` images in `dtype` holds
-    at its peak: what each conv keeps for its backward pass and the largest
-    work one of them builds on the way (`layers.conv_training_values`: an
-    im2col matrix, or when it streams the matrix, its input, and one chunk
-    or one image group of input-gradient planes, none in the first layer),
-    three arrays the size of the parameters (the parameters and Adam's two
-    moments), and the largest gradient piece one layer holds (`forward_vjp`
+    at its peak: what each conv keeps for its backward pass, its im2col
+    matrix or, when it runs in groups (`_conv_images`), its input; the
+    largest array one group builds (`layers.conv_image_values`); three
+    arrays the size of the parameters (the parameters and Adam's two
+    moments); and the largest gradient piece one layer holds (`forward_vjp`
     with update): a conv's weight and bias gradients, or a dense layer's
-    bias gradient and one block of rows of its weight gradient.
-
-    A conv and pool that run in groups (`_pair_images`) keep each group's
-    conv arrays and the pool's uint8 indices, and at their forward build
-    the whole pooled output beside one group's corner-order output and the
-    pool's work arrays: two arrays of values and four of bytes the size of
-    the group's pooled output.  Other activations, masks and the rest of
-    the backward's own arrays are left out, so it reads below a traced
-    step's peak (see the tests)."""
-    itemsize = np.dtype(dtype).itemsize
+    bias gradient and one block of rows of its weight gradient.  Other
+    activations, masks, pool indices and the rest of the backward's own
+    arrays are left out, so it reads below a traced step's peak (see the
+    tests)."""
     inputs = dict(zip(layer_names(model), [model.input_shape, *infer_shapes(model)]))
-    kept = work = piece = 0  # bytes
-    for n, ((name, layer, out, weights), corners) in enumerate(_run_order(model)):
+    kept = work = piece = 0  # values
+    for n, ((name, layer, _, weights), corners) in enumerate(_run_order(model)):
         if layer.kind == "conv2d":
-            images = corners and _pair_images((batch, *inputs[name]), weights, layer.stride)
-            step = images or batch
-            for lo in range(0, batch, step):
-                group_kept, group_work = layers.conv_training_values(
-                    (min(step, batch - lo), *inputs[name]), weights, layer.stride, corners, n > 0)
-                kept += group_kept * itemsize
-                work = max(work, group_work * itemsize)
-            if images:
-                pooled = out[0] // 2 * (out[1] // 2) * out[2]  # per image
-                kept += batch * pooled
-                work = max(work, (batch + 6 * images) * pooled * itemsize + 4 * images * pooled)
+            sizes = layers.conv_image_values(inputs[name], weights, layer.stride, corners, n > 0)
+            images = _conv_images((batch, *inputs[name]), weights, layer.stride, corners, n > 0)
+            kept += batch * (math.prod(inputs[name]) if images else sizes[0])
+            work = max(work, images * max(sizes))
         if layer.kind == "dense":
             rows = max(block.stop - block.start for block in layers.row_blocks(*weights))
             piece = max(piece, (rows + 1) * weights[1])
         elif weights:
             piece = max(piece, math.prod(weights) + weights[-1])
-    return kept + work + (3 * count_params(model) + piece) * itemsize
+    return (kept + work + 3 * count_params(model) + piece) * np.dtype(dtype).itemsize
 
 
 def _first_stage(model):

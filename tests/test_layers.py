@@ -131,17 +131,20 @@ class TestConvBackward:
         with pytest.raises(InputError, match="backward already ran"):
             bwd(up)
 
+    @pytest.mark.parametrize("keep_input", [False, True])
     @pytest.mark.parametrize("corners", [False, True])
-    def test_backward_lets_go_of_im2col_before_the_input_gradient(self, rng, corners):
+    def test_backward_lets_go_of_im2col_before_the_input_gradient(self, rng, corners,
+                                                                   keep_input):
         # Cin 16 and Cout 4: the im2col matrix is the largest array, and the
         # input gradient's planes, one per kernel offset, are about its size.
-        # A backward that held the matrix (traced in `before`) beside them
-        # would rise by at least the planes' bytes.
+        # A held matrix is traced in `before` and a rebuilt one is not; a
+        # backward that held either beside the planes would rise by at least
+        # the planes' bytes, and a rebuilt one by the matrix's too
         x = rng.normal(size=(2, 34, 34, 16))
         ks = kernels(rng.normal(size=(3, 3, 16, 4)), np.zeros(4))
         tracemalloc.start()
         try:
-            out, bwd = layers.conv2d_vjp(x, ks, corners=corners)
+            out, bwd = layers.conv2d_vjp(x, ks, corners=corners, keep_input=keep_input)
             up = rng.normal(size=out.shape)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -152,7 +155,25 @@ class TestConvBackward:
         # dcol [kh, kw, Cin, B, 32, 32], or the corner planes
         # [4, kh, kw, Cin, B, 17, 17]: 16 pool rows and a border of one
         rows = 4 * 2 * 17 * 17 if corners else 2 * 32 * 32
-        assert peak - before < 9 * 16 * rows * x.itemsize
+        planes = 9 * 16 * rows * x.itemsize
+        matrix = 9 * 16 * 2 * 32 * 32 * x.itemsize  # with corners, the rows a pool reads
+        assert peak - before < (planes + matrix if keep_input else planes)
+        if keep_input:
+            assert peak - before > matrix  # the rebuilt matrix is traced
+
+    @pytest.mark.parametrize("keep_input", [False, True])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("corners", [False, True])
+    def test_empty_batch(self, corners, dtype, input_grad, keep_input):
+        x = np.zeros((0, 8, 8, 2), dtype)
+        ks = layers.ConvKernelSet(np.ones((3, 3, 2, 4), dtype), np.zeros(4, dtype))
+        out, bwd = layers.conv2d_vjp(x, ks, 1, corners, keep_input)
+        assert out.shape == ((2, 2, 0, 3, 3, 4) if corners else (0, 6, 6, 4))
+        dx, dw, db = bwd(np.zeros(out.shape, dtype), input_grad)
+        assert dx is None if not input_grad else (dx.shape == x.shape and dx.dtype == dtype)
+        assert not dw.any() and dw.shape == ks.weights.shape and dw.dtype == dtype
+        assert not db.any() and db.shape == (4,) and db.dtype == dtype
 
 
 class TestMaxPool:
@@ -486,11 +507,11 @@ class TestPlanarIm2col:
     def test_planar_matrix_equals_row_major(self, case):
         seed, bsz, h, w, cin, kh, kw, stride, dtype, cout = case
         x, _ = conv_case(*case)
-        planar, dims = layers._im2col_planar(x, kh, kw, stride)
-        row_major, row_dims = layers._im2col(x, kh, kw, stride)
+        win = layers._windows(x, kh, kw, stride, False)
         ref = reference_im2col(x, kh, kw, stride)
-        assert dims == row_dims == (bsz, (h - kh) // stride + 1, (w - kw) // stride + 1)
-        for col in (planar, row_major):
+        assert win.shape[:-3] == (bsz, (h - kh) // stride + 1, (w - kw) // stride + 1)
+        for planar in (True, False):
+            col = layers._matrix(win, planar)
             assert col.dtype == ref.dtype and col.shape == ref.shape
             assert np.ascontiguousarray(col).tobytes() == ref.tobytes()
 
@@ -582,12 +603,14 @@ class TestCornerOrder:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("cin", [1, 2, 3, 4, 8])
-    @pytest.mark.parametrize("build", [layers._im2col, layers._im2col_planar])
-    def test_im2col_rows_in_corner_order(self, rng, build, cin, stride, dtype):
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_im2col_rows_in_corner_order(self, rng, planar, cin, stride, dtype):
         for h, w in ((9, 8), (10, 11), (12, 12), (7, 7)):
             x = rng.normal(size=(3, h, w, cin)).astype(dtype)
-            plain, (bsz, hp, wp) = build(x, 3, 3, stride)
-            col, rows = build(x, 3, 3, stride, True)
+            win = layers._windows(x, 3, 3, stride, False)
+            plain, (bsz, hp, wp) = layers._matrix(win, planar), win.shape[:-3]
+            win = layers._windows(x, 3, 3, stride, True)
+            col, rows = layers._matrix(win, planar), win.shape[:-3]
             want = corner_rows(np.ascontiguousarray(plain).reshape(bsz, hp, wp, -1))
             assert rows == (2, 2, bsz, hp // 2, wp // 2)
             assert col.dtype == want.dtype and col.shape == (want.size // col.shape[1], 9 * cin)
@@ -961,13 +984,7 @@ class TestConvBackwardMatchesReference:
         assert layers._bias_grad(up).tobytes() == up.sum(axis=0).tobytes()
 
 
-# -- streamed im2col: a training conv whose matrix is larger than one chunk --
-
-def whole_matrix(mp):
-    """Set layers.STREAM_VALUES so that no matrix is streamed and every
-    image is in one group: today's whole-matrix path."""
-    mp.setattr(layers, "STREAM_VALUES", 1 << 62)
-
+# -- keep_input: a conv that rebuilds its im2col matrix in the backward -------
 
 def kept_rows(x, kh, kw, stride, corners, dtype):
     """The im2col rows of x in dtype that a conv's weight gradient sums, in
@@ -990,13 +1007,14 @@ def weight_grad_error(dw, x, up, stride, corners):
     return np.divide(err, mag, out=np.zeros_like(err), where=mag > 0)
 
 
-# A streamed weight gradient sums its chunks' products one after another, so
-# it rounds differently from the whole GEMM.  Each element stays within
-# this many eps of the sum of its terms' magnitudes, fixed from the dtype
-# before measuring; measured at the paper conv shapes it was 0.03-0.4 eps.
+# A conv run on groups of images (`network.forward_vjp`) sums its groups'
+# weight and bias gradients one after another, so they round differently
+# from the whole GEMM and row sum.  Each element stays within this many eps
+# of the sum of its terms' magnitudes, fixed from the dtype before
+# measuring; measured at the paper conv shapes it was 0.03-0.4 eps.
 STREAMED_DW_EPS = 8
 
-streamed_cases = st.tuples(
+keep_input_cases = st.tuples(
     st.integers(0, 2**32 - 1),
     st.integers(1, 5),  # batch
     st.integers(4, 12), st.integers(4, 12),  # H and W, odd and even
@@ -1006,170 +1024,47 @@ streamed_cases = st.tuples(
     st.sampled_from([np.float32, np.float64]),
     st.sampled_from([1, 2, 3, 8, 16, 32, 48]),  # Cout
     st.booleans(),  # corners
+    st.booleans(),  # input_grad
 )
 
 
-class TestStreamedConv:
-    """conv2d_vjp with its matrix built a chunk at a time.  STREAM_VALUES is
-    set small, so every chunk is one image of one corner slab (one image in
-    plain order) and every input-gradient group one image."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(streamed_cases)
-    def test_forward_equals_the_whole_matrix_forward(self, case):
-        # A chunk's GEMM is a row block of the whole one.  OpenBLAS 0.3.31
-        # gives it the whole product's bytes when Cout is a multiple of 16
-        # and a chunk has two rows or more (Cin <= 16 here); at a narrower
-        # Cout its small-matrix kernels can round a last bit differently,
-        # and a one-row chunk runs as a GEMV.
-        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout, corners = case
-        hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
-        assume(not corners or min(hp, wp) >= 2)
-        x, ks = conv_case(seed, bsz, h, w, cin, kh, kw, stride, dtype, cout)
-        ref = layers.conv2d_forward(x, ks, stride, corners)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(layers, "STREAM_VALUES", 1)
-            assert bool(layers._stream_images(x.shape, ks.weights.shape, stride, corners)) == (
-                bsz > 1 or corners)
-            out, _ = layers.conv2d_vjp(x, ks, stride, corners)
-        assert out.dtype == ref.dtype and out.shape == ref.shape
-        slab = (hp // 2) * (wp // 2) if corners else hp * wp
-        if cout % 16 == 0 and slab > 1:
-            assert out.tobytes() == ref.tobytes()
-        else:
-            tol = 1e-5 if dtype == np.float32 else 1e-12
-            assert np.allclose(out, ref, rtol=tol, atol=tol)
+class TestKeepInput:
+    """conv2d_vjp with keep_input lets its im2col matrix go after the
+    forward and rebuilds the same matrix from its input in the backward."""
 
     @settings(max_examples=150, deadline=None)
-    @given(streamed_cases)
-    def test_backward_within_the_stated_tolerances(self, case):
-        # dW within STREAMED_DW_EPS of a wider reference; db the bytes of the
-        # whole upstream's row sum; dx the one-group input gradient's bytes
-        # in plain order, and within the corner tolerance of it in corner
-        # order, where a small group GEMM can round like a small whole one
-        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout, corners = case
+    @given(keep_input_cases)
+    def test_bytes_of_the_held_matrix(self, case):
+        seed, bsz, h, w, cin, kh, kw, stride, dtype, cout, corners, input_grad = case
         hp, wp = (h - kh) // stride + 1, (w - kw) // stride + 1
         assume(not corners or min(hp, wp) >= 2)
         x, ks = conv_case(seed, bsz, h, w, cin, kh, kw, stride, dtype, cout)
-        with pytest.MonkeyPatch.context() as mp:
-            whole_matrix(mp)
-            out, bwd = layers.conv2d_vjp(x, ks, stride, corners)
-            up = np.random.default_rng(seed + 1).normal(size=out.shape).astype(dtype)
-            ref_dx, _, ref_db = bwd(up)
-            mp.setattr(layers, "STREAM_VALUES", 1)
-            _, bwd = layers.conv2d_vjp(x, ks, stride, corners)
-            dx, dw, db = bwd(up)
-        assert dw.dtype == dtype and dw.shape == ks.weights.shape
-        eps = np.finfo(dtype).eps
-        assert weight_grad_error(dw, x, up, stride, corners).max() <= STREAMED_DW_EPS * eps
-        assert db.tobytes() == ref_db.tobytes()
-        assert dx.dtype == dtype and dx.shape == x.shape and dx.flags.c_contiguous
-        if corners:
-            tol = F32_CORNER_DX_TOL if dtype == np.float32 else F64_DX_TOL
-            assert np.max(np.abs(dx - ref_dx)) <= tol * np.max(np.abs(ref_dx))
-        else:
-            assert dx.tobytes() == ref_dx.tobytes()
+        ref_out, ref_bwd = layers.conv2d_vjp(x, ks, stride, corners)
+        out, bwd = layers.conv2d_vjp(x, ks, stride, corners, keep_input=True)
+        assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+        up = np.random.default_rng(seed + 1).normal(size=out.shape).astype(dtype)
+        for got, ref in zip(bwd(up, input_grad), ref_bwd(up, input_grad)):
+            if ref is None:
+                assert got is None
+            else:
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape, cout", [((32, 32, 1), 8), ((15, 15, 8), 16)])
-    def test_desk_convs_streamed_one_image_a_chunk(self, monkeypatch, rng, shape, cout, dtype):
-        # the desk convs, planar and row-major, at every batch of an epoch
-        monkeypatch.setattr(layers, "STREAM_VALUES", 1)
-        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, shape[2], cout)).astype(dtype),
-                                  rng.normal(size=cout).astype(dtype))
-        for bsz in range(1, 33):
-            x = rng.normal(size=(bsz, *shape)).astype(dtype)
-            out, _ = layers.conv2d_vjp(x, ks, corners=True)
-            assert out.tobytes() == layers.conv2d_forward(x, ks, corners=True).tobytes(), bsz
-
-    # (input shape, Cout, batch): the paper's four convs at batches that
-    # stream at the real budget, conv1 and conv4 with more images than one
-    # chunk holds (3 and 6 images of a corner slab)
-    PAPER = [((224, 224, 3), 32, 4), ((111, 111, 32), 64, 2), ((54, 54, 64), 128, 3),
-             ((26, 26, 128), 128, 8)]
-
-    @pytest.mark.parametrize("shape, cout, bsz", PAPER)
-    def test_paper_convs_at_the_real_budget(self, rng, shape, cout, bsz):
-        # forward bytes in both dtypes; in float32 dW within STREAMED_DW_EPS
-        # of float64 and, over all its elements, no further from it than the
-        # whole-matrix GEMM (mean relative error 0.56-0.96x of the whole's)
-        w = rng.normal(size=(3, 3, shape[2], cout)) / np.sqrt(9 * shape[2])
-        for dtype in (np.float64, np.float32):
-            ks = layers.ConvKernelSet(w.astype(dtype), rng.normal(size=cout).astype(dtype))
-            x = rng.normal(size=(bsz, *shape)).astype(dtype)
-            assert layers._stream_images(x.shape, w.shape, 1, True) < bsz * 4
-            out, bwd = layers.conv2d_vjp(x, ks, corners=True)
-            assert out.tobytes() == layers.conv2d_forward(x, ks, corners=True).tobytes()
-        up = rng.normal(size=out.shape).astype(np.float32)
-        _, dw, _ = bwd(up, input_grad=False)
-        with pytest.MonkeyPatch.context() as mp:
-            whole_matrix(mp)
-            _, whole, _ = layers.conv2d_vjp(x, ks, corners=True)[1](up, input_grad=False)
-        streamed_err = weight_grad_error(dw, x, up, 1, True)
-        assert streamed_err.max() <= STREAMED_DW_EPS * np.finfo(np.float32).eps
-        assert streamed_err.mean() <= weight_grad_error(whole, x, up, 1, True).mean()
-
-    # (input shape, Cout, stride, batch): desk conv2, the paper's convs 2-4
-    # and an odd-sized case at both strides
-    GROUPS = [((15, 15, 8), 16, 1, 8), ((111, 111, 32), 64, 1, 3), ((54, 54, 64), 128, 1, 3),
-              ((26, 26, 128), 128, 1, 4), ((17, 17, 5), 7, 1, 3), ((17, 17, 5), 7, 2, 3)]
-
-    @pytest.mark.parametrize("values", ["normal", "signed_zeros"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape, cout, stride, bsz", GROUPS)
-    def test_input_gradient_bytes_at_every_group_size(self, monkeypatch, rng, shape, cout,
-                                                      stride, bsz, dtype, values):
-        h, w, cin = shape
-        h2, w2 = ((h - 3) // stride + 1) // 2, ((w - 3) // stride + 1) // 2
-        weights = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
-        up = rng.normal(size=(2, 2, bsz, h2, w2, cout)).astype(dtype)
-        if values == "signed_zeros":
-            weights = tie_heavy(1, weights.shape, dtype, values)
-            up = tie_heavy(2, up.shape, dtype, values)
-        whole_matrix(monkeypatch)
-        ref = layers._corner_input_grad(weights, up, (bsz, *shape), stride)
-        # one image's planes: 4 corners x 3*3*Cin x hq*wq, a border of
-        # (stride + 2) // (2 * stride) rows and columns
-        border = (stride + 2) // (2 * stride)
-        image = 4 * 9 * cin * (h2 + border) * (w2 + border)
-        for group in range(1, bsz):
-            monkeypatch.setattr(layers, "STREAM_VALUES", group * image)
-            dx = layers._corner_input_grad(weights, up, (bsz, *shape), stride)
-            assert dx.tobytes() == ref.tobytes(), group
-            assert not np.signbit(dx[dx == 0]).any() or values == "normal"
+    def test_keeps_the_input_not_the_matrix(self, rng):
+        x = rng.normal(size=(2, 6, 6, 2))
+        ks = kernels(rng.normal(size=(3, 3, 2, 4)), np.zeros(4))
+        for keep_input in (False, True):
+            _, bwd = layers.conv2d_vjp(x, ks, corners=True, keep_input=keep_input)
+            kept = [cell.cell_contents for cell in bwd.__closure__]
+            assert any(a is x for a in kept) == keep_input
+            assert max(a.size for a in kept if isinstance(a, np.ndarray)) == (
+                x.size if keep_input else 4 * 2 * 2 * 2 * 9 * 2)
 
     @pytest.mark.parametrize("input_grad", [True, False])
-    def test_backward_runs_once(self, monkeypatch, rng, input_grad):
-        monkeypatch.setattr(layers, "STREAM_VALUES", 1)
+    def test_backward_runs_once(self, rng, input_grad):
         x = rng.normal(size=(2, 6, 6, 2))
         out, bwd = layers.conv2d_vjp(x, kernels(rng.normal(size=(3, 3, 2, 2)), np.zeros(2)),
-                                     corners=True)
+                                     corners=True, keep_input=True)
         up = rng.normal(size=out.shape)
         bwd(up, input_grad=input_grad)
         with pytest.raises(InputError, match="backward already ran"):
             bwd(up)
-
-    def test_holds_no_more_than_its_input_output_upstream_one_chunk_and_one_group(
-            self, monkeypatch, rng):
-        # Cin 16 and Cout 4 at one image per chunk and per group: the whole
-        # matrix, 4 corners x 4 images x 16*16 rows x 144, is 1.8x the
-        # bound, and the whole batch's input-gradient planes 2.0x it
-        monkeypatch.setattr(layers, "STREAM_VALUES", 1)
-        x = rng.normal(size=(4, 34, 34, 16))
-        ks = kernels(rng.normal(size=(3, 3, 16, 4)), np.zeros(4))
-        tracemalloc.start()
-        try:
-            out, bwd = layers.conv2d_vjp(x, ks, corners=True)
-            up = rng.normal(size=out.shape)
-            bwd(up)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        chunk = 16 * 16 * 144  # one image of one corner slab
-        # one image's planes [4, 3, 3, 16 x 17 x 17] (16 pool rows and a
-        # border of one), its zero-padded upstream [17, 17, 4] and its
-        # phases [2, 2, 16 x 17 x 17]
-        group = (4 * 9 + 4) * 16 * 17 * 17 + 17 * 17 * 4
-        bound = (x.size + out.size + up.size + chunk + group) * x.itemsize
-        assert peak < bound
-        assert 4 * 4 * chunk * x.itemsize > 1.5 * bound

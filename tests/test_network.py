@@ -295,8 +295,22 @@ class TestBackwardBatch:
         for k in full:
             assert np.allclose(full[k], g0[k] + g1[k])
 
-    def test_full_model_finite_differences(self, tiny, rng):
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("net", ["tiny", "plain_order_conv"])
+    def test_full_model_finite_differences(self, tiny, rng, monkeypatch, net, grouped):
+        # grouped: every conv runs one image a group; the plain-order conv
+        # (no pool straight after it) also groups alone
         m, params = tiny
+        if net == "plain_order_conv":
+            m = network.ModelSpec((8, 8, 1), (network.conv(3, 3, 2), network.relu(),
+                                              network.conv(3, 3, 3), network.pool(),
+                                              network.flat(), network.dense(2)), 2)
+            params = network.init_params(m, seed=3, dtype=np.float64)
+        # the last layer starts at 0, which would leave every other gradient 0
+        last = [key for key in params if key.endswith("/w")][-1]
+        params = {**params, last: rng.normal(size=params[last].shape)}
+        if grouped:
+            monkeypatch.setattr(layers, "STREAM_VALUES", 1)
         batch = rng.normal(size=(2, 8, 8, 1))
         up = rng.normal(size=(2, 2))
         grads = network.backward_batch(m, params, batch, up)
@@ -848,34 +862,28 @@ class TestTrainingBytes:
     }
 
     def test_counts_by_hand(self):
-        # paper at batch 8: conv1 to conv3 run with their pools in groups of
-        # 1, 1 and 3 images, each group a streamed conv that keeps its
-        # images of the input, so the three pairs and the streamed conv4
-        # keep the inputs; the pairs keep their pools' uint8 indices, one
-        # byte per pooled value.  The largest work is the first pair's
-        # forward: its whole pooled output beside one image's corner-order
-        # output (4 pooled outputs) and the pool's work arrays (2 pooled
-        # outputs and 4 bytes per pooled value).  Then 3 x 9,683,658
-        # values, and conv2d_3's weight and bias gradients, 3*3*128*128 +
-        # 128, which outweigh a 128-row block of the dense weight's,
-        # 128*512 + 512
+        # paper at batch 8: every conv runs one image a group, so each keeps
+        # its input, and the largest array one group builds is conv2's
+        # input-gradient planes, 4 x 3*3*32 x 55*55 (54 pool rows and a
+        # border of one).  Then 3 x 9,683,658 values, and conv2d_3's weight
+        # and bias gradients, 3*3*128*128 + 128, which outweigh a 128-row
+        # block of the dense weight's, 128*512 + 512
         paper = network.training_bytes(network.build_paper_cnn(10), 8, np.float32)
         inputs = 8 * (224 * 224 * 3 + 111 * 111 * 32 + 54 * 54 * 64 + 26 * 26 * 128)
-        indices = 8 * (111 * 111 * 32 + 54 * 54 * 64 + 26 * 26 * 128)
-        work = (8 + 4 + 2) * 111 * 111 * 32 * 4 + 4 * 111 * 111 * 32
-        assert paper == (inputs + 3 * 9_683_658 + 3 * 3 * 128 * 128 + 128) * 4 + indices + work
-        # a streamed conv counts the larger of one chunk (2 images of
-        # 26*26*576 at conv3) and one image group of input-gradient planes,
-        # 4 x 3*3*64 x 27*27 with 27 = pool rows + 1; the first layer makes
-        # no input gradient, and so counts its chunk (3 images of 111*111*27)
-        conv3 = ((8, 54, 54, 64), (3, 3, 64, 128), 1, True)
-        assert layers.conv_training_values(*conv3) == (8 * 54 * 54 * 64, 4 * 9 * 64 * 27 * 27)
-        assert layers.conv_training_values(*conv3, False) == (8 * 54 * 54 * 64, 2 * 26 * 26 * 576)
-        conv1 = ((8, 224, 224, 3), (3, 3, 3, 32), 1, True, False)
-        assert layers.conv_training_values(*conv1) == (8 * 224 * 224 * 3, 3 * 111 * 111 * 27)
-        # the desk convs' matrices fit in one chunk and are held whole: their
-        # corner rows times kh*kw*Cin; the largest piece is the first dense
-        # layer's whole weight and bias gradients, (576 + 1) * 64
+        planes = 4 * 9 * 32 * 55 * 55
+        assert paper == (inputs + planes + 3 * 9_683_658 + 3 * 3 * 128 * 128 + 128) * 4
+        # per image: the matrix and output rows a pool reads, and the
+        # planes, none in the first layer or in plain order
+        assert layers.conv_image_values((54, 54, 64), (3, 3, 64, 128), 1, True, True) == (
+            4 * 26 * 26 * 576, 4 * 26 * 26 * 128, 4 * 9 * 64 * 27 * 27)
+        assert layers.conv_image_values((224, 224, 3), (3, 3, 3, 32), 1, True, False) == (
+            4 * 111 * 111 * 27, 4 * 111 * 111 * 32, 0)
+        assert layers.conv_image_values((9, 9, 6), (2, 2, 6, 5), 1, False, True) == (
+            8 * 8 * 24, 8 * 8 * 5, 0)
+        # the desk convs and the odd net's run whole and hold their matrices:
+        # their corner rows (every row in plain order) times kh*kw*Cin; the
+        # largest piece is the first dense layer's whole weight and bias
+        # gradients, (576 + 1) * 64
         desk, batch = self.NETS["desk"]
         cols = 15 * 15 * 4 * 9 + 6 * 6 * 4 * 72
         assert network.training_bytes(desk, batch, np.float32) == (
@@ -893,7 +901,7 @@ class TestTrainingBytes:
         assert whole - network.training_bytes(odd, batch, np.float64) == (576 - 322) * 8
 
     # The estimate leaves out most activations, masks and the backward's
-    # own arrays.  It read 0.74-0.75 (desk), 0.82-0.84 (odd) and 0.975
+    # own arrays.  It read 0.74-0.75 (desk), 0.82-0.84 (odd) and 0.89
     # (paper) of the traced peak, so it is held to [0.6, 1.0] of it.
     @pytest.mark.parametrize("net, dtype", [
         ("desk", np.float32), ("desk", np.float64), ("odd", np.float32), ("odd", np.float64),
@@ -917,36 +925,39 @@ class TestTrainingBytes:
         assert 0.6 * peak <= estimate <= peak
 
 
-class TestGroupedConvPool:
-    """forward_vjp runs a conv with corners and its pool on groups of whole
-    images once the conv's corner-order output passes layers.STREAM_VALUES.
+class TestGroupedConv:
+    """forward_vjp runs a conv on groups of whole images, each keeping its
+    input, once the largest array its whole batch builds passes
+    layers.STREAM_VALUES; a conv with corners runs its pool in the group.
 
     The budget is set small.  Each case's budget gives the grouped and the
-    whole conv im2col chunks whose GEMMs OpenBLAS 0.3.31 rounds alike, so
-    the forward bytes can be compared; a small chunk of another size can
-    round a last bit differently (CHANGES.md, FOUND on OpenBLAS row blocks).
+    whole conv GEMMs that OpenBLAS 0.3.31 rounds alike, so the forward bytes
+    can be compared; a small GEMM of another size can round a last bit
+    differently (CHANGES.md, FOUND on OpenBLAS row blocks).
     """
 
-    # (net, batch, budget, images per group of each conv with corners or 0)
+    # (net, batch, budget, images per group of each conv or 0).  Per image,
+    # desk conv1's largest array is its matrix, 8100 values (its planes,
+    # 9216, would be larger, but the first layer makes none), conv2's its
+    # planes, 14112; odd conv1's is its matrix, 7776 (planes 9600), the
+    # plain-order conv2's its matrix, 1536, and conv3's its planes, 2880
     CASES = [
-        ("desk", 7, 20000, {"conv2d": 2, "conv2d_1": 0}),  # conv1 in 2, 2, 2, 1
-        ("desk", 7, 5000, {"conv2d": 1, "conv2d_1": 2}),  # conv2 in 2, 2, 2, 1
-        # the strided first conv, 19 x 18 rows pooled to 9 x 9: in 3, 3, 3,
-        # 3, 1, conv3 whole; then one image a group, conv3 in 3, 3, 3, 3, 1
-        ("odd", 13, 3 * 4 * 9 * 9 * 6, {"conv2d": 3, "conv2d_2": 0}),
-        ("odd", 13, 756, {"conv2d": 1, "conv2d_2": 3}),
+        ("desk", 7, 3 * 8100, {"conv2d": 3, "conv2d_1": 1}),  # conv1 in 3, 3, 1
+        ("desk", 7, 2 * 14112, {"conv2d": 3, "conv2d_1": 2}),  # conv2 in 2, 2, 2, 1
+        ("odd", 13, 3 * 7776, {"conv2d": 3, "conv2d_1": 0, "conv2d_2": 8}),
+        ("odd", 13, 3 * 1536, {"conv2d": 1, "conv2d_1": 3, "conv2d_2": 1}),
     ]
 
     @staticmethod
     def record(monkeypatch):
-        """Per conv2d_vjp call, its input and its backward's upstream and
-        input_grad."""
+        """Per conv2d_vjp call, its input, keep_input, and its backward's
+        upstream and input_grad."""
         calls = []
         conv2d_vjp = layers.conv2d_vjp
 
-        def spy(x, kernels, stride=1, corners=False):
-            out, bwd = conv2d_vjp(x, kernels, stride, corners)
-            call = {"x": x, "weights": kernels.weights}
+        def spy(x, kernels, stride=1, corners=False, keep_input=False):
+            out, bwd = conv2d_vjp(x, kernels, stride, corners, keep_input)
+            call = {"x": x, "weights": kernels.weights, "keep_input": keep_input}
             calls.append(call)
 
             def backward(up, input_grad=True):
@@ -992,21 +1003,25 @@ class TestGroupedConvPool:
         assert list(grads) == list(ref)
         eps = np.finfo(dtype).eps
         first = network.layer_names(model)[0]
+        convs = dict(zip(network.layer_names(model), model.layers))
+        assert sorted(groups) == sorted(calls)
         for name, images in groups.items():
             sizes = [len(call["x"]) for call in calls[name]]
             step = images or bsz
             assert sizes == [min(step, bsz - lo) for lo in range(0, bsz, step)], name
             assert [call["input_grad"] for call in calls[name]] == [name != first] * len(sizes)
+            assert [call["keep_input"] for call in calls[name]] == [bool(images)] * len(sizes)
             (whole,) = ref_calls[name]
             x = np.concatenate([call["x"] for call in calls[name]])
-            up_rows = np.concatenate([call["up"] for call in calls[name]], axis=2)
+            axis = 2 if whole["up"].ndim == 6 else 0  # corner order puts the images third
+            up_rows = np.concatenate([call["up"] for call in calls[name]], axis=axis)
             assert x.tobytes() == whole["x"].tobytes() and up_rows.tobytes() == whole["up"].tobytes()
             if not images:
                 continue
             dw, db = grads[f"{name}/w"], grads[f"{name}/b"]
             assert dw.dtype == db.dtype == dtype
-            stride = dict(zip(network.layer_names(model), model.layers))[name].stride
-            assert weight_grad_error(dw, x, up_rows, stride, True).max() <= STREAMED_DW_EPS * eps
+            error = weight_grad_error(dw, x, up_rows, convs[name].stride, axis == 2)
+            assert error.max() <= STREAMED_DW_EPS * eps
             wide = up_rows.reshape(-1, db.size).astype(np.float64 if dtype == np.float32
                                                        else np.longdouble)
             assert np.all(np.abs(db - wide.sum(axis=0)) <= STREAMED_DW_EPS * eps
@@ -1016,14 +1031,62 @@ class TestGroupedConvPool:
                 continue
             assert grads[key].dtype == dtype and grads[key].tobytes() == ref[key].tobytes(), key
 
+    # (input shape, Cout, stride, batch): desk conv2, the paper's convs 2-4
+    # and an odd-sized case at both strides
+    GROUPS = [((15, 15, 8), 16, 1, 8), ((111, 111, 32), 64, 1, 3), ((54, 54, 64), 128, 1, 3),
+              ((26, 26, 128), 128, 1, 4), ((17, 17, 5), 7, 1, 3), ((17, 17, 5), 7, 2, 3)]
+
+    @pytest.mark.parametrize("values", ["normal", "signed_zeros"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, cout, stride, bsz", GROUPS)
+    def test_input_gradient_bytes_at_every_group_size(self, rng, shape, cout, stride, bsz,
+                                                      dtype, values):
+        # a group's corner-order input gradient is its rows of the whole
+        # batch's: the border a shifted add carries into the next image
+        # holds only zeros
+        x = rng.normal(size=(bsz, *shape)).astype(dtype)
+        weights = rng.normal(size=(3, 3, shape[2], cout)).astype(dtype)
+        if values == "signed_zeros":
+            weights = tie_heavy(1, weights.shape, dtype, values)
+        ks = layers.ConvKernelSet(weights, np.zeros(cout, dtype))
+        pooled, bwd = network._grouped_conv_vjp(x, ks, stride, True, bsz)
+        up = rng.normal(size=pooled.shape).astype(dtype)
+        if values == "signed_zeros":
+            up = tie_heavy(2, up.shape, dtype, values)
+        ref = bwd(up)[0]
+        for group in range(1, bsz):
+            out, bwd = network._grouped_conv_vjp(x, ks, stride, True, group)
+            assert out.tobytes() == pooled.tobytes(), group
+            dx = bwd(up)[0]
+            assert dx.tobytes() == ref.tobytes(), group
+            assert not np.signbit(dx[dx == 0]).any() or values == "normal"
+
+    @pytest.mark.parametrize("corners", [False, True])
+    def test_keeps_no_group_matrix_between_its_passes(self, rng, corners):
+        # Cin 16 and Cout 4, one image a group: each group's matrix, 16*16
+        # rows (32*32 in plain order) x 144 per corner, is 36x its output;
+        # the conv keeps its input, a view of x, and the output it returns
+        x = rng.normal(size=(4, 34, 34, 16))
+        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 16, 4)), np.zeros(4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, bwd = network._grouped_conv_vjp(x, ks, 1, corners, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        matrices = 4 * 32 * 32 * 144 * x.itemsize  # every group's, the rows a pool reads
+        assert held < out.nbytes + matrices / 16
+        assert bwd(np.ones(out.shape))[0].shape == x.shape
+
     def test_backward_runs_once_and_frees_each_group(self, monkeypatch, rng):
         monkeypatch.setattr(layers, "STREAM_VALUES", 5000)
         closures = []
         for name in ("conv2d_vjp", "maxpool2d_vjp"):
             kernel = getattr(layers, name)
 
-            def spy(*args, _kernel=kernel):
-                out, bwd = _kernel(*args)
+            def spy(*args, _kernel=kernel, **kwargs):
+                out, bwd = _kernel(*args, **kwargs)
                 closures.append(weakref.ref(bwd))
                 return out, bwd
 
@@ -1032,22 +1095,24 @@ class TestGroupedConvPool:
         params = network.init_params(model, seed=0, dtype=np.float32)
         batch = rng.normal(size=(7, 32, 32, 1)).astype(np.float32)
         _, bwd = network.forward_vjp(model, params, batch)
-        assert len(closures) == 2 * (7 + 4)  # one image a group at conv1, two at conv2
+        assert len(closures) == 2 * (7 + 7)  # one image a group at both convs
         bwd(np.ones((7, 5), np.float32))
         assert all(ref() is None for ref in closures)
         with pytest.raises(InputError, match="backward already ran"):
             bwd(np.ones((7, 5), np.float32))
-        # the pair alone: a second backward and a wrong upstream shape
+        # a grouped conv alone, with and without its pool: a second backward
+        # and a wrong upstream shape
         x = rng.normal(size=(3, 15, 15, 8))
         ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 8, 16)), np.zeros(16))
-        pooled, bwd = network._conv_pool_vjp(x, ks, 1, 2)
-        assert pooled.shape == (3, 6, 6, 16)
-        with pytest.raises(DimensionError, match="does not match pooled output"):
-            bwd(np.ones((2, 6, 6, 16)))
-        dx, dw, db = bwd(np.ones(pooled.shape))
-        assert dx.shape == x.shape and dw.shape == ks.weights.shape and db.shape == (16,)
-        with pytest.raises(InputError, match="backward already ran"):
-            bwd(np.ones(pooled.shape))
+        for corners, shape in ((True, (3, 6, 6, 16)), (False, (3, 13, 13, 16))):
+            out, bwd = network._grouped_conv_vjp(x, ks, 1, corners, 2)
+            assert out.shape == shape
+            with pytest.raises(DimensionError, match="does not match output"):
+                bwd(np.ones((2, *shape[1:])))
+            dx, dw, db = bwd(np.ones(out.shape))
+            assert dx.shape == x.shape and dw.shape == ks.weights.shape and db.shape == (16,)
+            with pytest.raises(InputError, match="backward already ran"):
+                bwd(np.ones(out.shape))
 
     def test_the_whole_corner_output_never_exists(self, monkeypatch, rng):
         # one conv of 128 channels on a narrow input straight into its pool:
@@ -1070,24 +1135,29 @@ class TestGroupedConvPool:
             finally:
                 tracemalloc.stop()
 
-        assert network._pair_images(batch.shape, (3, 3, 1, 128), 1) == 1
+        assert network._conv_images(batch.shape, (3, 3, 1, 128), 1, True, False) == 1
         assert peak() < whole
-        monkeypatch.setattr(network, "_pair_images", lambda *args: 0)  # the pair whole
+        monkeypatch.setattr(network, "_conv_images", lambda *args: 0)  # the conv whole
         assert peak() > whole
 
 
-class TestGroupedPairAtPaperShapes:
-    """The paper net at batch 8 in float32, at the real budget: conv1, conv2
-    and conv3 run with their pools in groups of 1, 1 and 3 images."""
+class TestGroupedConvAtPaperShapes:
+    """The paper net in float32 at the real budget: every conv runs one
+    image a group with its pool."""
 
-    @pytest.mark.parametrize("shape, cout, images", [
-        ((224, 224, 3), 32, 1), ((111, 111, 32), 64, 1), ((54, 54, 64), 128, 3)])
-    def test_pooled_output_and_indices_equal_the_whole_pair(self, monkeypatch, rng, shape,
-                                                           cout, images):
-        x = rng.uniform(size=(8, *shape)).astype(np.float32)
+    # (input shape, Cout, batch): the paper's four convs, at small batches
+    PAPER = [((224, 224, 3), 32, 4), ((111, 111, 32), 64, 2), ((54, 54, 64), 128, 3),
+             ((26, 26, 128), 128, 8)]
+
+    @pytest.mark.parametrize("shape, cout, bsz", PAPER)
+    def test_against_the_whole_conv_and_pool(self, monkeypatch, rng, shape, cout, bsz):
+        # the pooled output and indices are the whole pair's bytes; dW is
+        # within STREAMED_DW_EPS of float64 and, over all its elements, no
+        # further from it than the whole GEMM
+        x = rng.uniform(size=(bsz, *shape)).astype(np.float32)
         w = (rng.normal(size=(3, 3, shape[2], cout)) / np.sqrt(9 * shape[2])).astype(np.float32)
         ks = layers.ConvKernelSet(w, (0.1 * rng.normal(size=cout)).astype(np.float32))
-        assert network._pair_images(x.shape, w.shape, 1) == images
+        assert network._conv_images(x.shape, w.shape, 1, True, shape[2] > 3) == 1
         pools = []
         maxpool2d_vjp = layers.maxpool2d_vjp
 
@@ -1097,23 +1167,38 @@ class TestGroupedPairAtPaperShapes:
             return out, bwd
 
         monkeypatch.setattr(layers, "maxpool2d_vjp", spy)
-        pooled, _ = network._conv_pool_vjp(x, ks, 1, images)
-        whole, whole_bwd = maxpool2d_vjp(layers.conv2d_vjp(x, ks, 1, True)[0])
+        pooled, bwd = network._grouped_conv_vjp(x, ks, 1, True, 1)
+        corners, conv_bwd = layers.conv2d_vjp(x, ks, 1, True)
+        whole, whole_bwd = maxpool2d_vjp(corners)
+        del corners
         assert pooled.tobytes() == whole.tobytes()
         # a distinct upstream value per window lands on its first maximum, so
         # the routed gradients are equal exactly when the indices are
         up = np.arange(1, whole.size + 1, dtype=np.float32).reshape(whole.shape)
         ref = whole_bwd(up)
-        assert len(pools) == len(range(0, 8, images))
-        for lo, bwd in zip(range(0, 8, images), pools):
-            assert bwd(up[lo : lo + images]).tobytes() == ref[:, :, lo : lo + images].tobytes()
+        assert len(pools) == bsz
+        for lo, pool_bwd in enumerate(pools):
+            assert pool_bwd(up[lo : lo + 1]).tobytes() == ref[:, :, lo : lo + 1].tobytes()
+        up = rng.normal(size=whole.shape).astype(np.float32)
+        _, dw, _ = bwd(up, input_grad=False)
+        up = whole_bwd(up)
+        _, whole_dw, _ = conv_bwd(up, input_grad=False)
+        error = weight_grad_error(dw, x, up, 1, True)
+        assert error.max() <= STREAMED_DW_EPS * np.finfo(np.float32).eps
+        assert error.mean() <= weight_grad_error(whole_dw, x, up, 1, True).mean()
 
-    def test_logits_equal_the_whole_pairs(self, monkeypatch, rng):
+    def test_logits_and_dense_gradients_equal_the_whole_convs(self, monkeypatch, rng):
         model = network.build_paper_cnn(5)
         params = network.init_params(model, seed=2)
         params = {k: (v + 0.01 * rng.normal(size=v.shape)).astype(np.float32)
                   for k, v in params.items()}
         batch = rng.uniform(size=(8, 224, 224, 3)).astype(np.float32)
-        logits, _ = network.forward_vjp(model, params, batch)
-        monkeypatch.setattr(network, "_pair_images", lambda *args: 0)
-        assert logits.tobytes() == network.forward_vjp(model, params, batch)[0].tobytes()
+        up = rng.normal(size=(8, 5)).astype(np.float32)
+        logits, bwd = network.forward_vjp(model, params, batch)
+        grads = bwd(up)
+        monkeypatch.setattr(network, "_conv_images", lambda *args: 0)
+        whole_logits, bwd = network.forward_vjp(model, params, batch)
+        assert logits.tobytes() == whole_logits.tobytes()
+        whole = bwd(up)
+        for key in ("dense/w", "dense/b", "dense_1/w", "dense_1/b"):
+            assert grads[key].tobytes() == whole[key].tobytes(), key
