@@ -84,7 +84,8 @@ class RunConfig:
                             data.FRACTIONS_RULE, _NEEDED)
     model_size: str = _setting("model.size", str, "scaled", _one_of("paper", "scaled"))
     widths: tuple = _setting("model.widths", _tuple_of(int), (8, 16),
-                             ((lambda v, cfg: all(n >= 1 for n in v)), "widths of at least 1"))
+                             ((lambda v, cfg: len(v) > 0 and all(n >= 1 for n in v)),
+                              "one or more widths of at least 1"))
     dense_units: int = _setting("model.dense_units", int, 64, training.integer_at_least(1))
     n_classes: int = _setting("model.n_classes", int, 5, _one_of(2, 5))
     n_models: int = _setting("bagging.n_models", int, 5, _N_MODELS)

@@ -14,11 +14,12 @@ over the batch for parameter gradients.  The conv backward takes
 never needs.  A conv keeps its im2col matrix only until the weight gradient,
 so the input gradient's arrays never sit beside it, and its backward runs
 once.  With keep_input it keeps its input instead and rebuilds the matrix
-in the backward.  A network sets that switch, on groups of whole images,
-for a training conv whose whole batch would build an array larger than
-STREAM_VALUES (`network.forward_vjp`); `conv_image_values` gives the
-per-image sizes it compares.  The pool and relu backward closures keep
-masks and indices rather than forward activations.
+in the backward.  A network sets that switch on every conv of a training
+batch that it runs on spans of whole images, which it does when the batch
+would build an array larger than STREAM_VALUES (`network.forward_vjp`);
+`conv_image_values` gives a conv's per-image sizes it compares.  The pool
+and relu backward closures keep masks and indices rather than forward
+activations.
 
 A conv that feeds a pool builds its im2col rows in 2x2 window-corner order
 and returns [2, 2, B, H'//2, W'//2, Cout], which the pool reads as four
@@ -118,13 +119,14 @@ def _matrix(win, planar):
     return np.ascontiguousarray(win).reshape(-1, k)
 
 
-# Values the largest array of one training conv may hold before a network
-# runs that conv on groups of whole images (`network.forward_vjp`), which
-# keep their input and rebuild their im2col matrix in the backward.  Part
-# of the numerics, as network.PREDICT_BATCH is: a grouped conv's weight and
-# bias gradients sum its groups one at a time, so another size rounds them
-# differently.  At 1 << 20 (4 MB in float32) every desk conv at batch 32
-# runs whole and every paper conv at batch 8 runs one image a group.
+# Values the largest array of one image layer may hold before a network
+# runs its image layers on spans of whole images (`network._span`), in
+# training and in prediction alike; a training conv then keeps its input
+# and rebuilds its im2col matrix in the backward.  Part of the numerics, as
+# network.PREDICT_BATCH is: a conv's weight and bias gradients sum the
+# spans one at a time, so another size rounds them differently.  At 1 << 20
+# (4 MB in float32) a desk step at batch 32 and a 64-image desk request
+# run whole, and the paper net runs one image a span in both passes.
 STREAM_VALUES = 1 << 20
 
 
@@ -222,8 +224,8 @@ def _corner_input_grad(w, upstream, in_shape, stride):
     per offset onto a zero-bordered grid of the plain order.
 
     The border a shifted add carries into the next image holds only zeros,
-    so the images of any group of the batch get the bytes they get in the
-    whole batch (`network.forward_vjp` runs groups).  An empty batch makes
+    so the images of any span of the batch get the bytes they get in the
+    whole batch (`network.forward_vjp` runs spans).  An empty batch makes
     an empty dx.
     """
     kh, kw, cin, cout = w.shape
@@ -266,8 +268,8 @@ def conv2d_vjp(x, kernels: ConvKernelSet, stride=1, corners=False, keep_input=Fa
     The conv holds its im2col matrix from the forward to the backward, or
     with keep_input lets it go after the forward, keeps x, and rebuilds
     the same matrix in the backward: the same bytes either way.  A network
-    sets keep_input on the groups of images a large conv runs in
-    (`network.forward_vjp`).
+    sets keep_input on every conv of a training batch it runs in spans of
+    whole images (`network.forward_vjp`).
 
     backward runs once: it lets go of the im2col matrix (or the input) as
     soon as it has dWeights, so the input gradient's arrays never sit beside

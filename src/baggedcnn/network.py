@@ -210,13 +210,6 @@ def zero_params(model, dtype, buffer=None):
     return params
 
 
-# float64 draws per rng.uniform call in init_params.  Each draw takes one
-# value of the stream whatever the call size, so the bytes do not depend on
-# it; 512 kB chunks took a paper init 48 against 68 ms for whole-weight
-# draws (2 vCPU), which make a 75 MB temporary at the paper dense layer.
-_DRAW_CHUNK = 1 << 16
-
-
 def init_params(model, seed, dtype=np.float32):
     """Uniform(+-sqrt(6/fan_in)) weights, zero biases, deterministic per seed.
 
@@ -229,8 +222,12 @@ def init_params(model, seed, dtype=np.float32):
     for key in [key for key in params if key.endswith("/w")][:-1]:
         limit = np.sqrt(6.0 / math.prod(params[key].shape[:-1]))
         flat = params[key].reshape(-1)  # a view: the parameters are contiguous
-        for lo in range(0, flat.size, _DRAW_CHUNK):
-            part = flat[lo : lo + _DRAW_CHUNK]
+        # draws of layers.BLOCK_VALUES at a time: each takes one value of the
+        # stream whatever the call size, so the bytes do not depend on it;
+        # 512 kB chunks took a paper init 48 against 68 ms for whole-weight
+        # draws (2 vCPU), which make a 75 MB temporary at the paper dense layer
+        for lo in range(0, flat.size, layers.BLOCK_VALUES):
+            part = flat[lo : lo + layers.BLOCK_VALUES]
             part[...] = rng.uniform(-limit, limit, size=part.size)
     return params
 
@@ -262,32 +259,37 @@ def forward_vjp(model, params, batch):
     (`layers.dense_vjp`).  So update may write params[key] in place, and
     no full set of gradients is ever held.
 
-    A conv whose whole batch would build an array larger than
-    `layers.STREAM_VALUES` (its im2col matrix, its output or its
-    corner-order input gradient's planes) runs on groups of whole images
-    (`_conv_images`, `_grouped_conv_vjp`), each keeping its input and
-    rebuilding its matrix in the backward; a conv with corners runs its
-    pool in the same group, so its corner-order output is never whole.
-    The output and the pool's indices are the whole batch's, their bytes
-    at the paper shapes; the conv's weight and bias gradients sum the
-    groups' in group order, and so round differently."""
+    The image layers run on spans of whole images (`_span`), each span
+    through every image layer before the next starts, and the dense layers
+    on the whole batch.  When the batch takes several spans, every conv
+    keeps its input and rebuilds its im2col matrix in the backward
+    (`layers.conv2d_vjp` with keep_input), so a span's arrays are all that
+    exist of it.  The backward runs the dense layers on the whole batch,
+    then each span's image layers in span order.  A conv's weight and bias
+    gradients add up over the spans in that order and are handed on after
+    the last span; they round differently from a one-span pass's, while
+    the logits, pooled outputs, pool indices and dense gradients keep its
+    bytes at the paper shapes."""
     _check_batch(model, batch)
-    x = batch
-    tape = []  # (parameter name prefix or None, kernel name, backward)
-    steps = iter(_steps(model, params, want_vjp=True))
-    for name, vjp, args in steps:
-        images = 0
-        if vjp == "conv2d_vjp":  # (kernels, stride[, corners]); the first layer makes no dx
-            corners = bool(args[2:])
-            images = _conv_images(x.shape, args[0].weights.shape, args[1], corners, bool(tape))
-        if images:
-            if corners:
-                next(steps)  # the pool, which each group runs
-            x, bwd = _grouped_conv_vjp(x, *args[:2], corners, images)
-        else:
-            x, bwd = getattr(layers, vjp)(x, *args)
-        tape.append((name, vjp, bwd))
+    n_image, span = _span(model, training=True)
+    steps = _steps(model, params, want_vjp=True)
+    keep = {"keep_input": True} if span < len(batch) else {}
+    spans, parts = [], []  # per span: (its rows, its image layers' tape); its output
+    for lo in range(0, len(batch), span):
+        rows, x, tape = slice(lo, lo + span), batch[lo : lo + span], []
+        for name, vjp, args in steps[:n_image]:  # a named image layer is a conv
+            x, bwd = getattr(layers, vjp)(x, *args, **(keep if name else {}))
+            tape.append((name, bwd))
+        spans.append((rows, tape))
+        parts.append(x)
+    x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts
+    tape = []  # the dense layers' (parameter name prefix or None, backward)
+    for name, vjp, args in steps[n_image:]:
+        x, bwd = getattr(layers, vjp)(x, *args)
+        tape.append((name, bwd))
     logits = x
+    spans.reverse()  # popped from the end, in span order
 
     def backward(upstream, update=None):
         if upstream.shape != logits.shape:
@@ -299,89 +301,45 @@ def forward_vjp(model, params, batch):
         grads = {}
         g = upstream
         while tape:
-            name, vjp, bwd = tape.pop()
-            first = not tape  # the gradient of the batch itself is never used
+            name, bwd = tape.pop()
             if not name:
-                if not first:
+                if tape or n_image:  # the gradient of the batch itself is never used
                     g = bwd(g)
             elif update is None:
-                # a first layer with parameters is a conv: dense needs flat input
-                result = bwd(g, input_grad=False) if first else bwd(g)
-                g, grads[f"{name}/w"], grads[f"{name}/b"] = result
+                g, grads[f"{name}/w"], grads[f"{name}/b"] = bwd(g)
             else:
-                if vjp == "dense_vjp":
-                    g, _, db = bwd(g, weight_rows=functools.partial(update, f"{name}/w"))
-                else:
-                    g, dw, db = bwd(g, input_grad=False) if first else bwd(g)
-                    update(f"{name}/w", slice(None), dw)
+                g, _, db = bwd(g, weight_rows=functools.partial(update, f"{name}/w"))
                 update(f"{name}/b", slice(None), db)
+        sums = {}  # a conv's weight and bias gradients over the spans so far
+        while spans:
+            rows, span_tape = spans.pop()
+            h = g[rows]
+            if not spans:
+                del g  # its last span's view holds it alone, until the view is used
+            while span_tape:
+                name, bwd = span_tape.pop()
+                first = not span_tape
+                if not name:
+                    if not first:
+                        h = bwd(h)
+                    continue
+                h, dw, db = bwd(h, input_grad=not first)  # a conv
+                if name in sums:
+                    sums[name][0] += dw
+                    sums[name][1] += db
+                else:
+                    sums[name] = [dw, db]
+                if spans:
+                    continue
+                dw, db = sums.pop(name)
+                if update is None:
+                    grads[f"{name}/w"], grads[f"{name}/b"] = dw, db
+                else:
+                    update(f"{name}/w", slice(None), dw)
+                    update(f"{name}/b", slice(None), db)
         return None if update else grads
 
     return logits, backward
-
-
-def _conv_images(x_shape, w_shape, stride, corners, input_grad):
-    """Images per group of a training conv on x_shape [B,H,W,Cin], or 0 when
-    the largest array its whole batch builds (`layers.conv_image_values`)
-    fits in `layers.STREAM_VALUES` and it runs whole.  A group holds as many
-    images as keep that array within the budget, at least one."""
-    largest = max(layers.conv_image_values(x_shape[1:], w_shape, stride, corners, input_grad))
-    if x_shape[0] * largest <= layers.STREAM_VALUES:
-        return 0
-    return max(1, layers.STREAM_VALUES // largest)
-
-
-def _grouped_conv_vjp(x, kernels, stride, corners, images):
-    """`layers.conv2d_vjp` with keep_input, and with corners then
-    `layers.maxpool2d_vjp`, run on groups of `images` images of x
-    [B,H,W,Cin]: (output [B, ...], with corners the pooled output, and
-    backward(upstream, input_grad=True) -> (dInput, dWeights, dBias)), as
-    `conv2d_vjp`'s backward returns them.
-
-    The output rows are the whole batch's: a group's conv rows are rows of
-    the whole conv's, the same bytes where OpenBLAS rounds their GEMM
-    blocks alike, and the pool acts per image.  The backward runs each
-    group's pool backward and then its conv backward, writes its input
-    gradient into the group's rows, and adds the groups' weight and bias
-    gradients in group order.  It runs once, dropping each group's saved
-    arrays as soon as it has used them."""
-    out, groups = None, []
-    for lo in range(0, len(x), images):
-        y, conv_bwd = layers.conv2d_vjp(x[lo : lo + images], kernels, stride, corners,
-                                        keep_input=True)
-        pool_bwd = None
-        if corners:
-            y, pool_bwd = layers.maxpool2d_vjp(y)  # the corner output goes before the next group
-        if out is None:
-            out = np.empty((len(x), *y.shape[1:]), y.dtype)
-        out[lo : lo + images] = y
-        groups.append((slice(lo, lo + images), pool_bwd, conv_bwd))
-    in_shape, out_shape = x.shape, out.shape
-    groups.reverse()  # popped from the end, in group order
-
-    def backward(upstream, input_grad=True):
-        if upstream.shape != out_shape:
-            raise DimensionError(
-                f"upstream shape {upstream.shape} does not match output {out_shape}"
-            )
-        if not groups:
-            raise InputError("backward already ran for this conv forward pass")
-        dx = np.empty(in_shape, upstream.dtype) if input_grad else None
-        dw = db = None
-        while groups:
-            rows, pool_bwd, conv_bwd = groups.pop()
-            up = upstream[rows] if pool_bwd is None else pool_bwd(upstream[rows])
-            dx_rows, dw_rows, db_rows = conv_bwd(up, input_grad=input_grad)
-            if input_grad:
-                dx[rows] = dx_rows
-            if dw is None:
-                dw, db = dw_rows, db_rows
-            else:
-                dw += dw_rows
-                db += db_rows
-        return dx, dw, db
-
-    return out, backward
 
 
 # Images per forward pass in `predict_probs`.  Not a tuning value: a GEMM
@@ -455,29 +413,24 @@ def _keep_heap_resident():
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-# Bytes one image layer may allocate for a span of a forward-only batch.  A
-# batch whose largest per-layer array (an im2col matrix included) would pass
-# this runs its image layers a few samples at a time.  Arrays at or above
-# _MMAP_THRESHOLD come from fresh pages that the kernel zeroes on every call;
-# spans below it reuse the previous span's heap memory.  Sub-models that run
-# their first conv as one share the budget, on smaller chunks.  The dense
-# layers still see the whole batch.
-_CHUNK_BYTES = _MMAP_THRESHOLD // 2
-
-
-def _image_layers(model, itemsize):
-    """(count of leading layers with [H,W,C] output, bytes per sample of the
-    largest array one of them makes, im2col matrices included)."""
+def _span(model, training):
+    """(count of leading layers with [H,W,C] output, images per span): a
+    pass runs those layers on spans of whole images, as many as keep the
+    largest per-image array one of them builds within `layers.STREAM_VALUES`,
+    at least one.  A conv's arrays are its im2col matrix, its output and,
+    in training, its corner-order input gradient's planes
+    (`layers.conv_image_values`); any other layer's is its output."""
     count, largest = 0, 1
-    for _, _, shape, weights in model._rows:
+    for (_, layer, shape, weights), corners, image in _run_order(model):
         if len(shape) != 3:
             break
-        size = math.prod(shape)
-        if weights:  # a conv: H' x W' rows of kh*kw*Cin
-            size = max(size, shape[0] * shape[1] * math.prod(weights[:3]))
-        largest = max(largest, size)
+        sizes = (math.prod(shape),)
+        if weights:
+            sizes = layers.conv_image_values(image, weights, layer.stride, corners,
+                                             training and count > 0)
+        largest = max(largest, *sizes)
         count += 1
-    return count, largest * itemsize
+    return count, max(1, layers.STREAM_VALUES // largest)
 
 
 def _check_shape(model, batch):
@@ -494,7 +447,8 @@ def _check_batch(model, batch):
 
 
 def _run_order(model):
-    """(row of model._rows, corners) per layer, in the order a pass runs them.
+    """(row of model._rows, corners, input shape) per layer, in the order a
+    pass runs them; the input shape is the spec order's.
 
     A relu directly before a pool runs after it, on a quarter of the
     elements, with the same bytes out: relu is monotone and never returns
@@ -509,8 +463,9 @@ def _run_order(model):
         if model.layers[i].kind == "relu" and model.layers[i + 1].kind == "maxpool2d":
             order[i], order[i + 1] = order[i + 1], order[i]
     kinds = [model.layers[i].kind for i in order] + [None]
-    return [(model._rows[i], kinds[n] == "conv2d" and kinds[n + 1] == "maxpool2d")
-            for n, i in enumerate(order)]
+    rows = model._rows
+    return [(rows[i], kinds[n] == "conv2d" and kinds[n + 1] == "maxpool2d",
+             rows[i - 1][2] if i else model.input_shape) for n, i in enumerate(order)]
 
 
 def _steps(model, params, want_vjp):
@@ -521,7 +476,7 @@ def _steps(model, params, want_vjp):
     tie only once it is added would move the pool's index, and so the
     gradient."""
     steps, bias = [], None  # bias: the one the next (pool) step adds
-    for (name, layer, _, weights), corners in _run_order(model):
+    for (name, layer, _, weights), corners, _ in _run_order(model):
         kind = _LAYER_TABLE[layer.kind]
         args = kind.args(layer, params[f"{name}/w"], params[f"{name}/b"]) if weights else ()
         if bias is not None:
@@ -536,8 +491,8 @@ def _steps(model, params, want_vjp):
 def training_bytes(model, batch, dtype):
     """Estimated bytes one training step on `batch` images in `dtype` holds
     at its peak: what each conv keeps for its backward pass, its im2col
-    matrix or, when it runs in groups (`_conv_images`), its input; the
-    largest array one group builds (`layers.conv_image_values`); three
+    matrix or, when the batch takes several spans (`_span`), its input; the
+    largest array one span's conv builds (`layers.conv_image_values`); three
     arrays the size of the parameters (the parameters and Adam's two
     moments); and the largest gradient piece one layer holds (`forward_vjp`
     with update): a conv's weight and bias gradients, or a dense layer's
@@ -545,13 +500,13 @@ def training_bytes(model, batch, dtype):
     activations, masks, pool indices and the rest of the backward's own
     arrays are left out, so it reads below a traced step's peak (see the
     tests)."""
-    inputs = dict(zip(layer_names(model), [model.input_shape, *infer_shapes(model)]))
+    span = _span(model, training=True)[1]
+    images = span if span < batch else 0  # per span, or 0 when the batch runs whole
     kept = work = piece = 0  # values
-    for n, ((name, layer, _, weights), corners) in enumerate(_run_order(model)):
+    for n, ((_, layer, _, weights), corners, image) in enumerate(_run_order(model)):
         if layer.kind == "conv2d":
-            sizes = layers.conv_image_values(inputs[name], weights, layer.stride, corners, n > 0)
-            images = _conv_images((batch, *inputs[name]), weights, layer.stride, corners, n > 0)
-            kept += batch * (math.prod(inputs[name]) if images else sizes[0])
+            sizes = layers.conv_image_values(image, weights, layer.stride, corners, n > 0)
+            kept += batch * (math.prod(image) if images else sizes[0])
             work = max(work, images * max(sizes))
         if layer.kind == "dense":
             rows = max(block.stop - block.start for block in layers.row_blocks(*weights))
@@ -592,24 +547,24 @@ def _widen(step_sets, n_wide):
 def _run_forward(model, step_sets, batch):
     """Logits [B, n_classes] of each step list in step_sets.
 
-    The image layers run on spans of the batch and the dense layers on the
-    whole batch: a conv's output rows came out the same bytes at every span
-    size tried, a dense layer's did not.  One model may run `fits` images
-    at once.  Sub-models run in groups of up to `fits`; a group runs its
-    first stage (`_first_stage`) on every model's kernels side by side, in
-    chunks of 1/group of a span, so the wide arrays stay about one model's
-    size.  The chunks fill one model-major array for the span, and each
-    model runs its other image layers once on its own channels of it.  A
-    lone model takes the spans and kernel calls of a model run alone.
+    The image layers run on spans of the batch (`_span`, as in training)
+    and the dense layers on the whole batch: a conv's output rows came out
+    the same bytes at every span size tried, a dense layer's did not.  One
+    model may run `fits` images at once.  Sub-models run in groups of up to
+    `fits`; a group runs its first stage (`_first_stage`) on every model's
+    kernels side by side, in chunks of 1/group of a span, so the wide
+    arrays stay about one model's size.  The chunks fill one model-major
+    array for the span, and each model runs its other image layers once on
+    its own channels of it.  A lone model takes the spans and kernel calls
+    of a model run alone.
     """
     def run(x, part):
         for _, forward, args in part:
             x = getattr(layers, forward)(x, *args)
         return x
 
-    n_image, sample_bytes = _image_layers(model, batch.dtype.itemsize)
+    n_image, fits = _span(model, training=False)
     n_wide = _first_stage(model)
-    fits = max(1, _CHUNK_BYTES // sample_bytes)
     group = min(len(step_sets), fits) if n_wide else 1
     span = min(len(batch), fits)
     chunk = -(-span // group)

@@ -144,7 +144,7 @@ class TestTrain:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [("widths", "0"), ("widths", "4,-2"),
-                                             ("dense_units", "0")])
+                                             ("widths", ""), ("dense_units", "0")])
     def test_non_positive_layer_sizes(self, workspace, capsys, field, value):
         tmp_path_, _, cfg_path = workspace
         old = "widths = 4" if field == "widths" else "dense_units = 8"

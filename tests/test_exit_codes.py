@@ -38,7 +38,7 @@ EDGES = {
     "dataset.split": ["0.6,0.1,0.2,0.1", "0.5,0,0.25,0.25", "0.6,0.1,0,0.3", "1,0,0,0",
                       "0.6,0.1,0.2,0.1000001", "-0.1,0.2,0.2,0.7"],
     "model.size": ["scaled", "paper", "small"],
-    "model.widths": ["4", "1", "0", "4,4", "4,4,4"],
+    "model.widths": ["4", "1", "0", "", "4,4", "4,4,4"],
     "model.dense_units": ["8", "1", "0"],
     "model.n_classes": ["5", "2", "3"],
     "bagging.n_models": ["2", "1", "3", "0"],

@@ -181,7 +181,7 @@ class TestInitParams:
         for key in list(want)[:-2:2]:
             limit = np.sqrt(6.0 / np.prod(want[key].shape[:-1]))
             want[key][...] = rng.uniform(-limit, limit, size=want[key].shape)
-        monkeypatch.setattr(network, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(layers, "BLOCK_VALUES", 7)
         got = network.init_params(m, seed=9, dtype=dtype)
         assert [(k, v.tobytes()) for k, v in got.items()] == [
             (k, v.tobytes()) for k, v in want.items()]
@@ -295,11 +295,11 @@ class TestBackwardBatch:
         for k in full:
             assert np.allclose(full[k], g0[k] + g1[k])
 
-    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("spans", [False, True])
     @pytest.mark.parametrize("net", ["tiny", "plain_order_conv"])
-    def test_full_model_finite_differences(self, tiny, rng, monkeypatch, net, grouped):
-        # grouped: every conv runs one image a group; the plain-order conv
-        # (no pool straight after it) also groups alone
+    def test_full_model_finite_differences(self, tiny, rng, monkeypatch, net, spans):
+        # spans: both passes run their image layers one image a span; the
+        # plain-order conv (no pool straight after it) runs in spans too
         m, params = tiny
         if net == "plain_order_conv":
             m = network.ModelSpec((8, 8, 1), (network.conv(3, 3, 2), network.relu(),
@@ -309,7 +309,7 @@ class TestBackwardBatch:
         # the last layer starts at 0, which would leave every other gradient 0
         last = [key for key in params if key.endswith("/w")][-1]
         params = {**params, last: rng.normal(size=params[last].shape)}
-        if grouped:
+        if spans:
             monkeypatch.setattr(layers, "STREAM_VALUES", 1)
         batch = rng.normal(size=(2, 8, 8, 1))
         up = rng.normal(size=(2, 2))
@@ -523,7 +523,11 @@ class TestTrainInCornerOrder:
 
 
 class TestForwardChunks:
-    """forward_batch runs the image layers of a large batch in chunks."""
+    """forward_batch runs the image layers of a large batch in spans."""
+
+    # values per image of the largest array an image layer builds: conv2d's
+    # im2col matrix, 3x4 rows of 3*3*2
+    LARGEST = 216
 
     def model(self):
         return network.ModelSpec((11, 13, 2), (
@@ -559,8 +563,7 @@ class TestForwardChunks:
         params = {k: (v + rng.normal(size=v.shape)).astype(dtype) for k, v in params.items()}
         batch = rng.normal(size=(7, 11, 13, 2)).astype(dtype)
         whole = network.forward_batch(m, params, batch)
-        _, sample_bytes = network._image_layers(m, batch.dtype.itemsize)
-        monkeypatch.setattr(network, "_CHUNK_BYTES", chunk * sample_bytes)
+        monkeypatch.setattr(layers, "STREAM_VALUES", chunk * self.LARGEST)
         chunked = network.forward_batch(m, params, batch)
         assert chunked.dtype == whole.dtype
         assert chunked.tobytes() == whole.tobytes()
@@ -577,21 +580,26 @@ class TestForwardChunks:
                 return _kernel(x, *args)
 
             monkeypatch.setattr(layers, name, spy)
-        _, sample_bytes = network._image_layers(m, 8)
-        monkeypatch.setattr(network, "_CHUNK_BYTES", 3 * sample_bytes)
+        monkeypatch.setattr(layers, "STREAM_VALUES", 3 * self.LARGEST)
         network.forward_batch(m, params, rng.normal(size=(7, 11, 13, 2)))
         convs = [n for kind, n in seen if kind == "conv2d_forward"]
         assert convs == [3, 3, 3, 3, 1, 1]  # two convs per chunk of 3, 3 and 1
         assert [n for kind, n in seen if kind == "dense_forward"] == [7, 7]
 
-    def test_largest_array_per_sample(self):
-        # the paper net's largest is conv2d_1's im2col matrix: 109x109 rows of 3x3x32
-        count, sample_bytes = network._image_layers(network.build_paper_cnn(5), 4)
-        assert count == 12
-        assert sample_bytes == 109 * 109 * 288 * 4
-        # a desk-size net runs a 64-image request whole
+    def test_span_at_the_benchmark_shapes(self):
+        # both passes size their spans by one rule.  Paper: conv2d_1's matrix
+        # alone, 4*54*54 corner rows of 3*3*32 per image, passes the budget,
+        # so training and prediction run one image a span
+        paper = network.build_paper_cnn(5)
+        assert layers.STREAM_VALUES == 1 << 20
+        assert network._span(paper, training=True) == network._span(paper, training=False) == (
+            12, 1)
+        # desk: the largest is conv2d_1's input-gradient planes in training,
+        # 4 x 3*3*8 x 7*7 per image, and its matrix in prediction, 4*6*6
+        # rows of 3*3*8; so a 32-image step and a 64-image request run whole
         desk = network.build_scaled_cnn((32, 32, 1), [8, 16], 5, dense_units=64)
-        assert 64 * network._image_layers(desk, 4)[1] <= network._CHUNK_BYTES
+        assert network._span(desk, training=True) == (6, (1 << 20) // 14112) == (6, 74)
+        assert network._span(desk, training=False) == (6, (1 << 20) // 10368) == (6, 101)
 
 
 def perturbed_sets(m, n_models, dtype, seed=0):
@@ -630,16 +638,16 @@ class TestPredictTogether:
             assert got.tobytes() == want[:n].tobytes(), n
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("chunk_bytes", [None, 1 << 30])
-    def test_paper_conv1_bytes_equal_reference(self, monkeypatch, dtype, chunk_bytes):
+    @pytest.mark.parametrize("budget", [None, 1 << 30])
+    def test_paper_conv1_bytes_equal_reference(self, monkeypatch, dtype, budget):
         # the paper net's first conv; by default a float32 pair of sets shares
         # one wide conv per image, and float64 sets run alone
         m = network.ModelSpec((224, 224, 3), (
             network.conv(3, 3, 32), network.relu(), network.pool(), network.conv(3, 3, 2, stride=8),
             network.relu(), network.flat(), network.dense(4), network.relu(),
             network.dense(3)), 3)
-        if chunk_bytes:
-            monkeypatch.setattr(network, "_CHUNK_BYTES", chunk_bytes)
+        if budget:
+            monkeypatch.setattr(layers, "STREAM_VALUES", budget)
         sets = perturbed_sets(m, 3, dtype)
         images = np.random.default_rng(3).uniform(size=(2, 224, 224, 3))
         want = reference_probs(m, sets, images)
@@ -662,9 +670,11 @@ class TestPredictTogether:
                 network.conv(4, 4, 3), network.relu(), network.pool(),
                 network.conv(2, 2, 5), network.relu(), network.pool(), network.flat(),
                 network.dense(4), network.relu(), network.dense(3)), 3)
-        if fits:  # spans of 3 images, in wide chunks of 1 to 3
-            sample_bytes = network._image_layers(m, np.dtype(dtype).itemsize)[1]
-            monkeypatch.setattr(network, "_CHUNK_BYTES", fits * sample_bytes)
+        if fits:  # spans of 3 images, in wide chunks of 1 to 3; the largest
+            # array is conv1's matrix, per image 100 rows of 3*3*2 (stride2) or
+            # 144 of 4*4*1 (odd)
+            monkeypatch.setattr(layers, "STREAM_VALUES",
+                                fits * (1800 if arch == "stride2" else 2304))
         sets = perturbed_sets(m, 4, dtype)
         images = np.random.default_rng(5).uniform(size=(70, *m.input_shape))
         want = reference_probs(m, sets, images)
@@ -693,7 +703,7 @@ class TestPredictTogether:
         m = network.build_scaled_cnn((10, 10, 1), [3, 4], 2, dense_units=5)
         sets = perturbed_sets(m, 3, np.float64)
         images = rng.normal(size=(7, 10, 10, 1))
-        _, sample_bytes = network._image_layers(m, 8)
+        largest = 8 * 8 * 9  # per image: conv1's matrix, its corner rows of 3*3*1
 
         def first(n, cout=9):  # the first conv, in pool-corner order, pool and relu
             return [("conv2d_forward", (n, 10, 10, 1), cout),
@@ -708,7 +718,7 @@ class TestPredictTogether:
                  ("relu", (7, 5), None), ("dense_forward", (7, 5), None)]
 
         def seen_at(fits, params):
-            monkeypatch.setattr(network, "_CHUNK_BYTES", fits * sample_bytes)
+            monkeypatch.setattr(layers, "STREAM_VALUES", fits * largest)
             return self.spy_calls(monkeypatch, lambda: network.forward_batch(m, params, images))
 
         # one model may run all 7 images: the 3 sets run their first stage as
@@ -726,15 +736,16 @@ class TestPredictTogether:
 
     def test_groups_and_first_layer_not_a_conv(self, rng, monkeypatch):
         # 5 sets in groups of 2, 2 and 1; a model that opens with a pool runs
-        # each set alone
-        for m in (network.build_scaled_cnn((10, 10, 2), [3, 4], 2, dense_units=5),
-                  network.ModelSpec((10, 10, 2), (
-                      network.pool(), network.conv(3, 3, 3), network.relu(), network.flat(),
-                      network.dense(2)), 2)):
+        # each set alone.  Per image, the largest array is the conv's matrix:
+        # 8x8 rows of 3*3*2, or 3x3 rows of 3*3*2 after the pool
+        for m, largest in ((network.build_scaled_cnn((10, 10, 2), [3, 4], 2, dense_units=5),
+                            8 * 8 * 18),
+                           (network.ModelSpec((10, 10, 2), (
+                               network.pool(), network.conv(3, 3, 3), network.relu(),
+                               network.flat(), network.dense(2)), 2), 3 * 3 * 18)):
             sets = perturbed_sets(m, 5, np.float32)
             images = rng.normal(size=(9, 10, 10, 2)).astype(np.float32)
-            _, sample_bytes = network._image_layers(m, 4)
-            monkeypatch.setattr(network, "_CHUNK_BYTES", 2 * sample_bytes)
+            monkeypatch.setattr(layers, "STREAM_VALUES", 2 * largest)
             got = network.forward_batch(m, sets, images)
             assert got.shape == (5, 9, 2)
             for params, logits in zip(sets, got):
@@ -925,27 +936,27 @@ class TestTrainingBytes:
         assert 0.6 * peak <= estimate <= peak
 
 
-class TestGroupedConv:
-    """forward_vjp runs a conv on groups of whole images, each keeping its
-    input, once the largest array its whole batch builds passes
-    layers.STREAM_VALUES; a conv with corners runs its pool in the group.
+class TestSpans:
+    """forward_vjp runs the image layers on spans of whole images once the
+    largest per-image array one of them builds, times the batch, passes
+    layers.STREAM_VALUES (`network._span`); every conv then keeps its input.
+    The dense layers run on the whole batch.
 
-    The budget is set small.  Each case's budget gives the grouped and the
-    whole conv GEMMs that OpenBLAS 0.3.31 rounds alike, so the forward bytes
-    can be compared; a small GEMM of another size can round a last bit
-    differently (CHANGES.md, FOUND on OpenBLAS row blocks).
+    The budget is set small.  Each case's budget gives span GEMMs that
+    OpenBLAS 0.3.31 rounds as it rounds the whole batch's, so the forward
+    bytes can be compared; a small GEMM of another size can round a last
+    bit differently (CHANGES.md, FOUND on OpenBLAS row blocks).
     """
 
-    # (net, batch, budget, images per group of each conv or 0).  Per image,
-    # desk conv1's largest array is its matrix, 8100 values (its planes,
-    # 9216, would be larger, but the first layer makes none), conv2's its
-    # planes, 14112; odd conv1's is its matrix, 7776 (planes 9600), the
-    # plain-order conv2's its matrix, 1536, and conv3's its planes, 2880
+    # (net, batch, budget, images per span).  Per image, the desk net's
+    # largest array is conv2's input-gradient planes, 14112 values; the odd
+    # net's is conv1's matrix, 7776 (the first layer makes no planes)
     CASES = [
-        ("desk", 7, 3 * 8100, {"conv2d": 3, "conv2d_1": 1}),  # conv1 in 3, 3, 1
-        ("desk", 7, 2 * 14112, {"conv2d": 3, "conv2d_1": 2}),  # conv2 in 2, 2, 2, 1
-        ("odd", 13, 3 * 7776, {"conv2d": 3, "conv2d_1": 0, "conv2d_2": 8}),
-        ("odd", 13, 3 * 1536, {"conv2d": 1, "conv2d_1": 3, "conv2d_2": 1}),
+        ("desk", 7, 3 * 14112, 3),  # spans of 3, 3 and 1
+        ("desk", 7, 2 * 14112, 2),  # 2, 2, 2 and 1
+        ("odd", 13, 3 * 7776, 3),
+        ("odd", 13, 7776, 1),
+        ("odd", 13, 13 * 7776, 13),  # one span: every conv holds its matrix
     ]
 
     @staticmethod
@@ -979,14 +990,15 @@ class TestGroupedConv:
         return out
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("net, bsz, budget, groups", CASES)
-    def test_against_the_whole_batch_reference(self, monkeypatch, rng, net, bsz, budget, groups,
+    @pytest.mark.parametrize("net, bsz, budget, span", CASES)
+    def test_against_the_whole_batch_reference(self, monkeypatch, rng, net, bsz, budget, span,
                                                dtype):
-        # logits and every other gradient are the bytes of the kept
-        # whole-batch reference; a grouped conv's dW and db are within
-        # STREAMED_DW_EPS of its terms' sum in a wider dtype
+        # logits and every dense gradient are the bytes of the kept
+        # whole-batch reference; with several spans a conv's dW and db are
+        # within STREAMED_DW_EPS of its terms' sum in a wider dtype
         model = TestTrainingBytes.NETS[net][0]
         monkeypatch.setattr(layers, "STREAM_VALUES", budget)
+        assert network._span(model, training=True)[1] == span
         params = network.init_params(model, seed=5, dtype=dtype)
         params = {k: (v + 0.1 * rng.normal(size=v.shape)).astype(dtype) for k, v in params.items()}
         batch = rng.normal(size=(bsz, *model.input_shape)).astype(dtype)
@@ -1004,22 +1016,21 @@ class TestGroupedConv:
         eps = np.finfo(dtype).eps
         first = network.layer_names(model)[0]
         convs = dict(zip(network.layer_names(model), model.layers))
-        assert sorted(groups) == sorted(calls)
-        for name, images in groups.items():
-            sizes = [len(call["x"]) for call in calls[name]]
-            step = images or bsz
-            assert sizes == [min(step, bsz - lo) for lo in range(0, bsz, step)], name
-            assert [call["input_grad"] for call in calls[name]] == [name != first] * len(sizes)
-            assert [call["keep_input"] for call in calls[name]] == [bool(images)] * len(sizes)
+        assert sorted(calls) == sorted(name for name in convs if name.startswith("conv2d"))
+        sizes = [min(span, bsz - lo) for lo in range(0, bsz, span)]
+        for name, conv_calls in calls.items():
+            assert [len(call["x"]) for call in conv_calls] == sizes, name
+            assert [call["input_grad"] for call in conv_calls] == [name != first] * len(sizes)
+            assert [call["keep_input"] for call in conv_calls] == [span < bsz] * len(sizes)
             (whole,) = ref_calls[name]
-            x = np.concatenate([call["x"] for call in calls[name]])
+            x = np.concatenate([call["x"] for call in conv_calls])
             axis = 2 if whole["up"].ndim == 6 else 0  # corner order puts the images third
-            up_rows = np.concatenate([call["up"] for call in calls[name]], axis=axis)
+            up_rows = np.concatenate([call["up"] for call in conv_calls], axis=axis)
             assert x.tobytes() == whole["x"].tobytes() and up_rows.tobytes() == whole["up"].tobytes()
-            if not images:
-                continue
             dw, db = grads[f"{name}/w"], grads[f"{name}/b"]
             assert dw.dtype == db.dtype == dtype
+            if span == bsz:
+                continue
             error = weight_grad_error(dw, x, up_rows, convs[name].stride, axis == 2)
             assert error.max() <= STREAMED_DW_EPS * eps
             wide = up_rows.reshape(-1, db.size).astype(np.float64 if dtype == np.float32
@@ -1027,67 +1038,76 @@ class TestGroupedConv:
             assert np.all(np.abs(db - wide.sum(axis=0)) <= STREAMED_DW_EPS * eps
                           * np.abs(wide).sum(axis=0)), name
         for key in ref:
-            if groups.get(key[:-2]):
+            if span < bsz and key[:-2] in calls:
                 continue
             assert grads[key].dtype == dtype and grads[key].tobytes() == ref[key].tobytes(), key
 
     # (input shape, Cout, stride, batch): desk conv2, the paper's convs 2-4
     # and an odd-sized case at both strides
-    GROUPS = [((15, 15, 8), 16, 1, 8), ((111, 111, 32), 64, 1, 3), ((54, 54, 64), 128, 1, 3),
+    SHAPES = [((15, 15, 8), 16, 1, 8), ((111, 111, 32), 64, 1, 3), ((54, 54, 64), 128, 1, 3),
               ((26, 26, 128), 128, 1, 4), ((17, 17, 5), 7, 1, 3), ((17, 17, 5), 7, 2, 3)]
 
     @pytest.mark.parametrize("values", ["normal", "signed_zeros"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape, cout, stride, bsz", GROUPS)
-    def test_input_gradient_bytes_at_every_group_size(self, rng, shape, cout, stride, bsz,
-                                                      dtype, values):
-        # a group's corner-order input gradient is its rows of the whole
-        # batch's: the border a shifted add carries into the next image
-        # holds only zeros
+    @pytest.mark.parametrize("shape, cout, stride, bsz", SHAPES)
+    def test_input_gradient_bytes_at_every_span_size(self, rng, shape, cout, stride, bsz,
+                                                     dtype, values):
+        # a span's corner-order output and input gradient are its rows of
+        # the one-span pass's: the border a shifted add carries into the
+        # next image holds only zeros
         x = rng.normal(size=(bsz, *shape)).astype(dtype)
         weights = rng.normal(size=(3, 3, shape[2], cout)).astype(dtype)
         if values == "signed_zeros":
             weights = tie_heavy(1, weights.shape, dtype, values)
         ks = layers.ConvKernelSet(weights, np.zeros(cout, dtype))
-        pooled, bwd = network._grouped_conv_vjp(x, ks, stride, True, bsz)
-        up = rng.normal(size=pooled.shape).astype(dtype)
+        out, bwd = layers.conv2d_vjp(x, ks, stride, True)
+        up = rng.normal(size=out.shape).astype(dtype)
         if values == "signed_zeros":
             up = tie_heavy(2, up.shape, dtype, values)
         ref = bwd(up)[0]
-        for group in range(1, bsz):
-            out, bwd = network._grouped_conv_vjp(x, ks, stride, True, group)
-            assert out.tobytes() == pooled.tobytes(), group
-            dx = bwd(up)[0]
-            assert dx.tobytes() == ref.tobytes(), group
-            assert not np.signbit(dx[dx == 0]).any() or values == "normal"
+        for span in range(1, bsz):
+            for lo in range(0, bsz, span):
+                rows = slice(lo, lo + span)
+                out_rows, bwd = layers.conv2d_vjp(x[rows], ks, stride, True, keep_input=True)
+                assert out_rows.tobytes() == out[:, :, rows].tobytes(), span
+                dx = bwd(up[:, :, rows])[0]
+                assert dx.tobytes() == ref[rows].tobytes(), span
+                assert not np.signbit(dx[dx == 0]).any() or values == "normal"
 
     @pytest.mark.parametrize("corners", [False, True])
-    def test_keeps_no_group_matrix_between_its_passes(self, rng, corners):
-        # Cin 16 and Cout 4, one image a group: each group's matrix, 16*16
-        # rows (32*32 in plain order) x 144 per corner, is 36x its output;
-        # the conv keeps its input, a view of x, and the output it returns
+    def test_keeps_no_span_matrix_between_its_passes(self, monkeypatch, rng, corners):
+        # Cin 16 and Cout 4, one image a span: a span's matrix, 16*16 corner
+        # rows (32*32 in plain order) x 144, is 36x its conv output; the conv
+        # keeps its input, a view of the batch
+        head = (network.conv(3, 3, 4), network.pool()) if corners else (network.conv(3, 3, 4),)
+        model = network.ModelSpec((34, 34, 16), (*head, network.flat(), network.dense(2)), 2)
+        params = network.init_params(model, seed=0, dtype=np.float64)
         x = rng.normal(size=(4, 34, 34, 16))
-        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 16, 4)), np.zeros(4))
+        monkeypatch.setattr(layers, "STREAM_VALUES", 32 * 32 * 144)
+        assert network._span(model, training=True) == (len(head), 1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out, bwd = network._grouped_conv_vjp(x, ks, 1, corners, 1)
+            logits, bwd = network.forward_vjp(model, params, x)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        matrices = 4 * 32 * 32 * 144 * x.itemsize  # every group's, the rows a pool reads
-        assert held < out.nbytes + matrices / 16
-        assert bwd(np.ones(out.shape))[0].shape == x.shape
+        outputs = 4 * 32 * 32 * 4 * x.itemsize  # every span's conv output
+        matrices = 4 * 32 * 32 * 144 * x.itemsize  # every span's, the rows a pool reads
+        assert held < outputs + matrices / 16
+        assert bwd(np.ones(logits.shape))["conv2d/w"].shape == (3, 3, 16, 4)
 
-    def test_backward_runs_once_and_frees_each_group(self, monkeypatch, rng):
+    def test_backward_runs_once_and_frees_each_span(self, monkeypatch, rng):
         monkeypatch.setattr(layers, "STREAM_VALUES", 5000)
-        closures = []
-        for name in ("conv2d_vjp", "maxpool2d_vjp"):
+        closures, dense_rows = [], []
+        for name in ("conv2d_vjp", "maxpool2d_vjp", "dense_vjp"):
             kernel = getattr(layers, name)
 
-            def spy(*args, _kernel=kernel, **kwargs):
-                out, bwd = _kernel(*args, **kwargs)
+            def spy(x, *args, _kernel=kernel, _name=name, **kwargs):
+                out, bwd = _kernel(x, *args, **kwargs)
                 closures.append(weakref.ref(bwd))
+                if _name == "dense_vjp":
+                    dense_rows.append(len(x))
                 return out, bwd
 
             monkeypatch.setattr(layers, name, spy)
@@ -1095,36 +1115,25 @@ class TestGroupedConv:
         params = network.init_params(model, seed=0, dtype=np.float32)
         batch = rng.normal(size=(7, 32, 32, 1)).astype(np.float32)
         _, bwd = network.forward_vjp(model, params, batch)
-        assert len(closures) == 2 * (7 + 7)  # one image a group at both convs
+        # one image a span through both convs and pools; the dense layers whole
+        assert len(closures) == 2 * (7 + 7) + 2 and dense_rows == [7, 7]
+        with pytest.raises(DimensionError, match="does not match logits"):
+            bwd(np.ones((6, 5), np.float32))
         bwd(np.ones((7, 5), np.float32))
         assert all(ref() is None for ref in closures)
         with pytest.raises(InputError, match="backward already ran"):
             bwd(np.ones((7, 5), np.float32))
-        # a grouped conv alone, with and without its pool: a second backward
-        # and a wrong upstream shape
-        x = rng.normal(size=(3, 15, 15, 8))
-        ks = layers.ConvKernelSet(rng.normal(size=(3, 3, 8, 16)), np.zeros(16))
-        for corners, shape in ((True, (3, 6, 6, 16)), (False, (3, 13, 13, 16))):
-            out, bwd = network._grouped_conv_vjp(x, ks, 1, corners, 2)
-            assert out.shape == shape
-            with pytest.raises(DimensionError, match="does not match output"):
-                bwd(np.ones((2, *shape[1:])))
-            dx, dw, db = bwd(np.ones(out.shape))
-            assert dx.shape == x.shape and dw.shape == ks.weights.shape and db.shape == (16,)
-            with pytest.raises(InputError, match="backward already ran"):
-                bwd(np.ones(out.shape))
 
     def test_the_whole_corner_output_never_exists(self, monkeypatch, rng):
         # one conv of 128 channels on a narrow input straight into its pool:
         # the corner-order output, 16 images x 4 x 8*8*128 values, outweighs
-        # everything else the step holds, and one image is one group
+        # everything else the step holds, and one image is one span
         model = network.ModelSpec((18, 18, 1), (
             network.conv(3, 3, 128), network.pool(), network.flat(), network.dense(2)), 2)
         params = network.init_params(model, seed=0, dtype=np.float64)
         batch = rng.normal(size=(16, 18, 18, 1))
         up = rng.normal(size=(16, 2))
         whole = 16 * 4 * 8 * 8 * 128 * 8
-        monkeypatch.setattr(layers, "STREAM_VALUES", whole // 16 // 8)
 
         def peak():
             tracemalloc.start()
@@ -1135,15 +1144,16 @@ class TestGroupedConv:
             finally:
                 tracemalloc.stop()
 
-        assert network._conv_images(batch.shape, (3, 3, 1, 128), 1, True, False) == 1
+        monkeypatch.setattr(layers, "STREAM_VALUES", whole // 16 // 8)
+        assert network._span(model, training=True)[1] == 1
         assert peak() < whole
-        monkeypatch.setattr(network, "_conv_images", lambda *args: 0)  # the conv whole
+        monkeypatch.setattr(layers, "STREAM_VALUES", 16 * whole)  # one span
         assert peak() > whole
 
 
-class TestGroupedConvAtPaperShapes:
-    """The paper net in float32 at the real budget: every conv runs one
-    image a group with its pool."""
+class TestSpansAtPaperShapes:
+    """The paper net in float32 at the real budget: both passes run one
+    image a span."""
 
     # (input shape, Cout, batch): the paper's four convs, at small batches
     PAPER = [((224, 224, 3), 32, 4), ((111, 111, 32), 64, 2), ((54, 54, 64), 128, 3),
@@ -1151,54 +1161,76 @@ class TestGroupedConvAtPaperShapes:
 
     @pytest.mark.parametrize("shape, cout, bsz", PAPER)
     def test_against_the_whole_conv_and_pool(self, monkeypatch, rng, shape, cout, bsz):
-        # the pooled output and indices are the whole pair's bytes; dW is
-        # within STREAMED_DW_EPS of float64 and, over all its elements, no
-        # further from it than the whole GEMM
+        # each paper conv with its pool, one image a span: the pooled output
+        # and indices are the whole pair's bytes; dW is within
+        # STREAMED_DW_EPS of float64 and, over all its elements, no further
+        # from it than the whole GEMM
+        model = network.ModelSpec(shape, (network.conv(3, 3, cout), network.pool(),
+                                           network.flat(), network.dense(2)), 2)
+        assert network._span(model, training=True) == (2, 1)
         x = rng.uniform(size=(bsz, *shape)).astype(np.float32)
         w = (rng.normal(size=(3, 3, shape[2], cout)) / np.sqrt(9 * shape[2])).astype(np.float32)
         ks = layers.ConvKernelSet(w, (0.1 * rng.normal(size=cout)).astype(np.float32))
-        assert network._conv_images(x.shape, w.shape, 1, True, shape[2] > 3) == 1
+        n_flat = network.infer_shapes(model)[-2][0]
+        params = {"conv2d/w": ks.weights, "conv2d/b": ks.bias,
+                  "dense/w": rng.normal(size=(n_flat, 2)).astype(np.float32),
+                  "dense/b": np.zeros(2, np.float32)}
         pools = []
-        maxpool2d_vjp = layers.maxpool2d_vjp
+        conv2d_vjp, maxpool2d_vjp = layers.conv2d_vjp, layers.maxpool2d_vjp
 
         def spy(corners):
             out, bwd = maxpool2d_vjp(corners)
-            pools.append(bwd)
+            pools.append((out, bwd))
             return out, bwd
 
         monkeypatch.setattr(layers, "maxpool2d_vjp", spy)
-        pooled, bwd = network._grouped_conv_vjp(x, ks, 1, True, 1)
-        corners, conv_bwd = layers.conv2d_vjp(x, ks, 1, True)
+        calls = TestSpans.record(monkeypatch)
+        _, bwd = network.forward_vjp(model, params, x)
+        corners, conv_bwd = conv2d_vjp(x, ks, 1, True)
         whole, whole_bwd = maxpool2d_vjp(corners)
         del corners
-        assert pooled.tobytes() == whole.tobytes()
+        assert len(pools) == bsz
+        assert np.concatenate([out for out, _ in pools]).tobytes() == whole.tobytes()
         # a distinct upstream value per window lands on its first maximum, so
         # the routed gradients are equal exactly when the indices are
         up = np.arange(1, whole.size + 1, dtype=np.float32).reshape(whole.shape)
         ref = whole_bwd(up)
-        assert len(pools) == bsz
-        for lo, pool_bwd in enumerate(pools):
+        for lo, (_, pool_bwd) in enumerate(pools):
             assert pool_bwd(up[lo : lo + 1]).tobytes() == ref[:, :, lo : lo + 1].tobytes()
-        up = rng.normal(size=whole.shape).astype(np.float32)
-        _, dw, _ = bwd(up, input_grad=False)
-        up = whole_bwd(up)
+        dw = bwd(rng.normal(size=(bsz, 2)).astype(np.float32))["conv2d/w"]
+        up = np.concatenate([call["up"] for call in calls], axis=2)
         _, whole_dw, _ = conv_bwd(up, input_grad=False)
         error = weight_grad_error(dw, x, up, 1, True)
         assert error.max() <= STREAMED_DW_EPS * np.finfo(np.float32).eps
         assert error.mean() <= weight_grad_error(whole_dw, x, up, 1, True).mean()
 
-    def test_logits_and_dense_gradients_equal_the_whole_convs(self, monkeypatch, rng):
+    def test_logits_and_dense_gradients_equal_a_one_span_pass(self, monkeypatch, rng):
+        # batch 8, as the benchmark trains: the pooled outputs of conv1-conv4
+        # are the one-span pass's too
         model = network.build_paper_cnn(5)
         params = network.init_params(model, seed=2)
         params = {k: (v + 0.01 * rng.normal(size=v.shape)).astype(np.float32)
                   for k, v in params.items()}
         batch = rng.uniform(size=(8, 224, 224, 3)).astype(np.float32)
         up = rng.normal(size=(8, 5)).astype(np.float32)
+        pooled = []
+        maxpool2d_vjp = layers.maxpool2d_vjp
+
+        def spy(corners):
+            out, bwd = maxpool2d_vjp(corners)
+            pooled.append(out)
+            return out, bwd
+
+        monkeypatch.setattr(layers, "maxpool2d_vjp", spy)
+        assert network._span(model, training=True) == (12, 1)
         logits, bwd = network.forward_vjp(model, params, batch)
         grads = bwd(up)
-        monkeypatch.setattr(network, "_conv_images", lambda *args: 0)
+        spans = [np.concatenate(pooled[k::4]) for k in range(4)]
+        pooled.clear()
+        monkeypatch.setattr(layers, "STREAM_VALUES", 1 << 40)
         whole_logits, bwd = network.forward_vjp(model, params, batch)
         assert logits.tobytes() == whole_logits.tobytes()
+        assert [a.tobytes() for a in spans] == [b.tobytes() for b in pooled]
         whole = bwd(up)
         for key in ("dense/w", "dense/b", "dense_1/w", "dense_1/b"):
             assert grads[key].tobytes() == whole[key].tobytes(), key
